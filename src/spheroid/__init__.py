@@ -8,8 +8,7 @@ The package computes the stationary solution, integrates the coupled
 system, and measures the exponential return to the stationary state.
 """
 
-from .analysis import (DecayFit, admissible_init, deviation_norms,
-                       effective_absorption, fit_decay, self_convergence,
+from .analysis import (DecayFit, admissible_init, fit_decay, self_convergence,
                        stability_experiment, standard_convergence_suite)
 from .config import (RunConfig, config_hash, default_config, dumps_config,
                      load_config, loads_config, save_config)
@@ -17,15 +16,15 @@ from .errors import (BracketError, ConfigError, ConvergenceError, DomainError,
                      InsufficientDataError, NumericsError, SnapshotError,
                      SpheroidError, UnknownRateError)
 from .evolution import (SolverConfig, State, VelocityField,
-                        boundary_radius_step, nutrient_step,
-                        quasi_static_update, simulate, step, transport_step,
-                        velocity_from_state)
+                        boundary_radius_step, nutrient_step, simulate, step,
+                        transport_step, velocity_from_state)
 from .grid import Grid
 from .nutrient import (NutrientProfile, bounds_report, flux_residual,
                        solve_nutrient)
 from .rates import (Rate, RateModel, check_assumptions, default_model,
                     eval_rate, f_reaction, g_source)
-from .records import AdmissibilityReport, DeviationRecord, admissibility_report
+from .records import (AdmissibilityReport, DeviationRecord,
+                      admissibility_report, deviation_norms)
 from .snapshot import load_snapshot, save_snapshot
 from .stationary import (StationarySolution, equilibrium_fraction,
                          solve_stationary, stationary_by_bisection)

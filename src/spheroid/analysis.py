@@ -12,7 +12,7 @@ from .evolution import SolverConfig, State, simulate, step
 from .grid import Grid
 from .nutrient import solve_nutrient
 from .rates import Rate
-from .records import DeviationRecord, deviation_norms  # noqa: F401
+from .records import DeviationRecord
 from .stationary import solve_stationary
 
 log = logging.getLogger("spheroid")
@@ -136,24 +136,6 @@ def fit_decay(series, window=0.5, floor=1e-13):
                     r_squared=r2, n_points=len(pts))
 
 
-def effective_absorption(model, profile, y, quad_points=16):
-    """Averaged consumption slope a(r; y, z) = int_0^1 F'(m + theta*y) d theta.
-
-    Diagnostic for the off-manifold nutrient deviation: the transformed
-    deviation equation absorbs the nonlinearity through this coefficient.
-    Evaluated by Gauss-Legendre quadrature in theta; exact for linear F.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
-    theta = 0.5 * (nodes + 1.0)
-    wts = 0.5 * weights
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(profile.c)
-    for th, wt in zip(theta, wts):
-        _, dfv = model.F(profile.c + th * y)
-        out += wt * dfv
-    return out
-
-
 @dataclass
 class StabilityCell:
     eps: float
@@ -193,36 +175,23 @@ class StabilityReport:
 
 def stability_experiment(model, grid, config, eps_list, delta_list, shapes,
                          seeds, stationary=None, fit_window=0.5,
-                         fit_floor=1e-13, workers=1):
+                         fit_floor=1e-13):
     """Run the perturbation-decay matrix and fit rates per norm.
 
     For each cell (eps, delta, shape, seed): perturb the stationary
     solution, simulate to config.t_end, fit an exponential to every
     deviation norm, and record whether all norms fell below delta/10 and
     when.  delta = 0 cells are recorded with the fits skipped.  A failing
-    cell is reported in its status, not raised.  Cells are independent and
-    may run on ``workers`` threads; the report always lists them in
-    deterministic (eps, delta, shape, seed) order and is bit-identical
-    regardless of worker count.
+    cell is reported in its status, not raised.  Cells are listed in
+    (eps, delta, shape, seed) order.
     """
     if stationary is None:
         stationary = solve_stationary(model, grid, config=config,
                                       cross_check=False)
-    keys = [(float(eps), float(delta), shape, int(seed))
-            for eps in eps_list for delta in delta_list
-            for shape in shapes for seed in seeds]
-
-    def run(key):
-        eps, delta, shape, seed = key
-        return _run_cell(model, grid, config, stationary, eps, delta, shape,
-                         seed, fit_window, fit_floor)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(run, keys))
-    else:
-        cells = [run(key) for key in keys]
+    cells = [_run_cell(model, grid, config, stationary, float(eps),
+                       float(delta), shape, int(seed), fit_window, fit_floor)
+             for eps in eps_list for delta in delta_list
+             for shape in shapes for seed in seeds]
     return StabilityReport(cells=cells, horizon=config.t_end)
 
 

@@ -219,8 +219,7 @@ def cmd_stability(args):
     report = stability_experiment(model, grid, solver, eps_list, delta_list,
                                   exp.shapes, seeds,
                                   fit_window=exp.fit_window,
-                                  fit_floor=exp.fit_floor,
-                                  workers=exp.workers)
+                                  fit_floor=exp.fit_floor)
     path = os.path.join(out, "stability.csv")
     write_stability_csv(path, report)
     n_ok = sum(c.status == "ok" for c in report.cells)

@@ -26,7 +26,6 @@ class ExperimentConfig:
     seeds: tuple = (1,)
     fit_window: float = 0.5
     fit_floor: float = 1e-13
-    workers: int = 1
 
 
 @dataclass
@@ -50,13 +49,12 @@ def default_config():
 
 _SOLVER_KEYS = {
     "eps": float, "dt": float, "t_end": float, "output_interval": float,
-    "splitting": str, "interp": str, "theta": float, "bvp_tol": float,
-    "clip_tol": float, "early_stop_floor": float, "snapshot_every": int,
+    "splitting": str, "bvp_tol": float, "clip_tol": float,
+    "early_stop_floor": float, "snapshot_every": int,
 }
 _EXPERIMENT_KEYS = {
     "eps_list": "floats", "delta_list": "floats", "shapes": "strs",
     "seeds": "ints", "fit_window": float, "fit_floor": float,
-    "workers": int,
 }
 _PATH_KEYS = {"out_dir": str, "resume": str}
 
@@ -178,11 +176,10 @@ def dumps_config(cfg):
     parser.set("grid", "n", str(cfg.grid_n))
     parser.add_section("solver")
     s = cfg.solver
-    for key in ("eps", "dt", "t_end", "output_interval", "theta", "bvp_tol",
+    for key in ("eps", "dt", "t_end", "output_interval", "bvp_tol",
                 "clip_tol", "early_stop_floor"):
         parser.set("solver", key, repr(getattr(s, key)))
     parser.set("solver", "splitting", s.splitting)
-    parser.set("solver", "interp", s.interp)
     parser.set("solver", "snapshot_every", str(cfg.snapshot_every))
     parser.add_section("experiment")
     e = cfg.experiment
@@ -192,7 +189,6 @@ def dumps_config(cfg):
     parser.set("experiment", "seeds", ", ".join(str(x) for x in e.seeds))
     parser.set("experiment", "fit_window", repr(e.fit_window))
     parser.set("experiment", "fit_floor", repr(e.fit_floor))
-    parser.set("experiment", "workers", str(e.workers))
     parser.add_section("paths")
     parser.set("paths", "out_dir", cfg.out_dir)
     parser.set("paths", "resume", cfg.resume)
@@ -207,5 +203,17 @@ def save_config(cfg, path):
 
 
 def config_hash(cfg):
-    """Stable short hash of the resolved configuration (provenance)."""
-    return hashlib.sha256(dumps_config(cfg).encode("utf-8")).hexdigest()[:16]
+    """Stable short hash of what determines a trajectory (provenance).
+
+    Covers the rates, the grid and the solver fields except ``t_end`` and
+    ``snapshot_every``, so a run resumed with a longer horizon or written
+    elsewhere keeps its hash; the experiment matrix and paths are left out.
+    """
+    parser = _load_parser(dumps_config(cfg))
+    parser.remove_section("experiment")
+    parser.remove_section("paths")
+    parser.remove_option("solver", "t_end")
+    parser.remove_option("solver", "snapshot_every")
+    buf = io.StringIO()
+    parser.write(buf)
+    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()[:16]

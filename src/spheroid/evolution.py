@@ -22,14 +22,13 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.linalg import LinAlgError
 
 from .errors import NumericsError
-from .nutrient import operator_rows, solve_nutrient, tri_apply, tri_solve
+from .nutrient import operator_rows, solve_nutrient, tri_solve
 from .rates import f_reaction, g_source
 from .records import admissibility_report, deviation_norms
 
 log = logging.getLogger("spheroid")
 
 SPLITTINGS = ("lie", "heun")
-INTERPOLATIONS = ("pchip", "cubic", "linear")
 
 
 @dataclass
@@ -67,8 +66,6 @@ class SolverConfig:
     t_end: float = 80.0
     output_interval: float = 0.2
     splitting: str = "lie"       # "heun" enables the second-order composite
-    interp: str = "pchip"        # foot interpolation for p and c
-    theta: float = 1.0           # implicitness of the nutrient step
     bvp_tol: float = 1e-10
     clip_tol: float = 1e-10
     early_stop_floor: float = 0.0   # stop once all deviation norms drop below; 0 disables
@@ -80,10 +77,6 @@ class SolverConfig:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.splitting not in SPLITTINGS:
             raise ValueError(f"splitting must be one of {SPLITTINGS}")
-        if self.interp not in INTERPOLATIONS:
-            raise ValueError(f"interp must be one of {INTERPOLATIONS}")
-        if not 0.5 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0.5, 1], got {self.theta}")
         if self.output_interval < self.dt:
             raise ValueError("output_interval must be >= dt")
 
@@ -126,23 +119,14 @@ def velocity_from_state(model, state, grid):
     return VelocityField(v=v, w=w, v1=v1)
 
 
-def _interpolator(kind, r, y):
-    if kind == "pchip":
-        return PchipInterpolator(r, y)
-    if kind == "cubic":
-        return CubicSpline(r, y)
-    return lambda x: np.interp(x, r, y)
-
-
-def transport_step(model, state, vel, dt, grid, interp="pchip",
-                   c_head=None, w_override=None):
+def transport_step(model, state, vel, dt, grid, c_head=None, w_override=None):
     """Semi-Lagrangian update of the proliferating fraction over one step.
 
     Feet of the backward characteristics of dr/ds = w(r) are traced with
     midpoint RK2 (w frozen over the step), clamped to [0, 1] (they cannot
     leave, since w vanishes at both endpoints; clamping only absorbs
     rounding).  p is interpolated at the feet with a monotonicity-
-    preserving cubic by default, then integrated along the characteristic
+    preserving cubic (PCHIP), then integrated along the characteristic
     with Heun's method, evaluating the reaction at the foot (nutrient at
     the step start) and at the head (``c_head``, defaulting to the
     step-start nutrient at the node).
@@ -156,8 +140,8 @@ def transport_step(model, state, vel, dt, grid, interp="pchip",
     feet[0] = r[0]
     feet[-1] = r[-1]
 
-    p_foot = _interpolator(interp, r, state.p)(feet)
-    c_foot = _interpolator(interp, r, state.c)(feet)
+    p_foot = PchipInterpolator(r, state.p)(feet)
+    c_foot = PchipInterpolator(r, state.c)(feet)
     # rest points (w = 0, notably both endpoints) stay on their node and
     # evolve by the local reaction ODE alone; bypass interpolation noise
     still = feet == r
@@ -181,18 +165,17 @@ def boundary_radius_step(state, vel, dt, vel_pred=None):
     return state.z + 0.5 * dt * (vel.v1 + v1_pred)
 
 
-def nutrient_step(model, state, vel, dt, eps, grid, theta=1.0, z=None, v1=None):
-    """One implicit step of the nutrient equation (eps > 0).
+def nutrient_step(model, state, vel, dt, eps, grid, z=None, v1=None):
+    """One fully implicit step of the nutrient equation (eps > 0).
 
     eps e^{2z} c_t = c_rr + [2/r + eps e^{2z} r v(1)] c_r - e^{2z} F(c),
-    with the consumption linearized about the current profile and treated
-    implicitly, z and v(1) frozen at the step start (overridable for
-    time-centered composites), the r = 0 row using the symmetric-limit
-    stencil, and c(1) = 1 imposed strongly.  theta = 1 is fully implicit;
-    theta = 0.5 is the time-centered variant.
+    with the consumption linearized about the current profile, z and v(1)
+    frozen at the step start (overridable for time-centered composites),
+    the r = 0 row using the symmetric-limit stencil, and c(1) = 1 imposed
+    strongly.
     """
     if eps <= 0:
-        raise ValueError("nutrient_step requires eps > 0; use quasi_static_update")
+        raise ValueError("nutrient_step requires eps > 0; use solve_nutrient")
     z = state.z if z is None else z
     v1 = vel.v1 if v1 is None else v1
     e2z = np.exp(2.0 * z)
@@ -201,13 +184,10 @@ def nutrient_step(model, state, vel, dt, eps, grid, theta=1.0, z=None, v1=None):
     c = state.c
     fv, dfv = model.F(c)
 
-    l_c = tri_apply(lo, di, up, c)
-    l_c[-1] = 0.0
-    a_lo = -theta * lo
-    a_di = beta - theta * (di - e2z * dfv)
-    a_up = -theta * up
-    rhs = (beta * c + (1.0 - theta) * (l_c - e2z * fv)
-           + theta * e2z * (dfv * c - fv))
+    a_lo = -lo
+    a_di = beta - (di - e2z * dfv)
+    a_up = -up
+    rhs = beta * c + e2z * (dfv * c - fv)
     a_lo[-1] = 0.0
     a_di[-1] = 1.0
     rhs[-1] = 1.0
@@ -217,61 +197,44 @@ def nutrient_step(model, state, vel, dt, eps, grid, theta=1.0, z=None, v1=None):
         raise NumericsError(f"singular nutrient system at t={state.t:g}") from exc
 
 
-def quasi_static_update(model, state, grid, tol=1e-10, z=None):
-    """Replace the nutrient by the quasi-static profile at the current z."""
-    z = state.z if z is None else z
-    return solve_nutrient(model, z, grid, tol=tol, guess=state.c)
-
-
 def step(model, state, grid, config, clip=None):
     """Advance the state by one splitting step of config.dt.
 
-    Order: velocity from the current state; transport and log-radius using
-    that field (the log-radius corrector re-evaluates the boundary
-    velocity at the predictor state); then the nutrient update.  With
-    ``splitting="heun"`` the transport and nutrient sub-steps are also
-    time-centered using the predictor velocity field.  Fields are clipped
-    to [0, 1] afterwards and clip events beyond config.clip_tol recorded.
+    Predictor: transport, Euler log-radius and nutrient update with the
+    velocity of the current state.  The velocity re-evaluated at the
+    predictor gives the Heun log-radius (eps = 0 re-solves the nutrient
+    there); ``splitting="heun"`` also redoes transport and, for eps > 0,
+    the nutrient step time-centered.  Fields are clipped to [0, 1]
+    afterwards and clip events beyond config.clip_tol recorded.
     """
     clip = ClipStats() if clip is None else clip
     dt, eps = config.dt, config.eps
+    heun = config.splitting == "heun"
     vel = velocity_from_state(model, state, grid)
 
-    if config.splitting == "lie":
-        p_new = transport_step(model, state, vel, dt, grid, config.interp)
-        z_pred = state.z + dt * vel.v1
-        if eps == 0.0:
-            c_pred = quasi_static_update(model, state, grid, config.bvp_tol, z=z_pred).c
-        else:
-            c_pred = nutrient_step(model, state, vel, dt, eps, grid, config.theta)
-        pred = State(t=state.t + dt, z=z_pred, c=c_pred, p=p_new)
-        vel_pred = velocity_from_state(model, pred, grid)
-        z_new = boundary_radius_step(state, vel, dt, vel_pred)
-        if eps == 0.0:
-            c_new = solve_nutrient(model, z_new, grid, tol=config.bvp_tol,
-                                   guess=c_pred).c
-        else:
-            c_new = c_pred
-    else:  # "heun": full predictor pass, then time-centered corrector
-        p_a = transport_step(model, state, vel, dt, grid, config.interp)
-        z_a = state.z + dt * vel.v1
-        if eps == 0.0:
-            c_a = quasi_static_update(model, state, grid, config.bvp_tol, z=z_a).c
-        else:
-            c_a = nutrient_step(model, state, vel, dt, eps, grid, config.theta)
-        pred = State(t=state.t + dt, z=z_a, c=c_a, p=p_a)
-        vel_a = velocity_from_state(model, pred, grid)
-        w_bar = 0.5 * (vel.w + vel_a.w)
-        p_new = transport_step(model, state, vel, dt, grid, config.interp,
-                               c_head=c_a, w_override=w_bar)
-        z_new = boundary_radius_step(state, vel, dt, vel_a)
-        if eps == 0.0:
-            c_new = solve_nutrient(model, z_new, grid, tol=config.bvp_tol,
-                                   guess=c_a).c
-        else:
-            c_new = nutrient_step(model, state, vel, dt, eps, grid, config.theta,
-                                  z=0.5 * (state.z + z_a),
-                                  v1=0.5 * (vel.v1 + vel_a.v1))
+    p_new = transport_step(model, state, vel, dt, grid)
+    z_pred = state.z + dt * vel.v1
+    if eps == 0.0:
+        c_pred = solve_nutrient(model, z_pred, grid, tol=config.bvp_tol,
+                                guess=state.c).c
+    else:
+        c_pred = nutrient_step(model, state, vel, dt, eps, grid)
+    pred = State(t=state.t + dt, z=z_pred, c=c_pred, p=p_new)
+    vel_pred = velocity_from_state(model, pred, grid)
+    z_new = boundary_radius_step(state, vel, dt, vel_pred)
+
+    if heun:
+        p_new = transport_step(model, state, vel, dt, grid, c_head=c_pred,
+                               w_override=0.5 * (vel.w + vel_pred.w))
+    if eps == 0.0:
+        c_new = solve_nutrient(model, z_new, grid, tol=config.bvp_tol,
+                               guess=c_pred).c
+    elif heun:
+        c_new = nutrient_step(model, state, vel, dt, eps, grid,
+                              z=0.5 * (state.z + z_pred),
+                              v1=0.5 * (vel.v1 + vel_pred.v1))
+    else:
+        c_new = c_pred
 
     c_new = clip.clip(c_new, config.clip_tol)
     p_new = clip.clip(np.asarray(p_new), config.clip_tol)

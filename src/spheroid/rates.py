@@ -161,14 +161,13 @@ def eval_rate(model, name, c):
     return val, der
 
 
-def _vals(model, c):
-    arr = check_domain(model, c, "rate composite")
-    f, _ = model.F(arr)
-    kb, _ = model.K_B(arr)
-    kp, _ = model.K_P(arr)
-    kq, _ = model.K_Q(arr)
-    kd, _ = model.K_D(arr)
-    return f, kb, kp, kq, kd
+def _kinetics(model, c):
+    """(K_M, K_N, K_P) = (K_B + K_D, K_P + K_Q, K_P) at unchecked ``c``."""
+    kb, _ = model.K_B(c)
+    kp, _ = model.K_P(c)
+    kq, _ = model.K_Q(c)
+    kd, _ = model.K_D(c)
+    return kb + kd, kp + kq, kp
 
 
 def f_reaction(model, c, p):
@@ -179,9 +178,7 @@ def f_reaction(model, c, p):
     with f(c, 0) = K_P(c) >= 0 and f(c, 1) = -K_Q(c) <= 0, so [0, 1] is
     forward-invariant along characteristics.
     """
-    _, kb, kp, kq, kd = _vals(model, c)
-    km = kb + kd
-    kn = kp + kq
+    km, kn, kp = _kinetics(model, check_domain(model, c, "rate composite"))
     p = np.asarray(p, dtype=float)
     out = kp + (km - kn) * p - km * p * p
     return float(out) if out.ndim == 0 else out
@@ -189,7 +186,9 @@ def f_reaction(model, c, p):
 
 def g_source(model, c, p):
     """Volume source g(c, p) = K_M(c) p - K_D(c); affine in p."""
-    _, kb, kp, kq, kd = _vals(model, c)
+    arr = check_domain(model, c, "rate composite")
+    kb, _ = model.K_B(arr)
+    kd, _ = model.K_D(arr)
     p = np.asarray(p, dtype=float)
     out = (kb + kd) * p - kd
     return float(out) if out.ndim == 0 else out
@@ -211,20 +210,6 @@ def f_reaction_partials(model, c, p):
     if f.ndim == 0:
         return float(f), float(f_c), float(f_p)
     return f, f_c, f_p
-
-
-def g_source_partials(model, c, p):
-    """Return (g, dg/dc, dg/dp) at (c, p)."""
-    arr = check_domain(model, c, "source partials")
-    p = np.asarray(p, dtype=float)
-    kb, dkb = model.K_B(arr)
-    kd, dkd = model.K_D(arr)
-    g = (kb + kd) * p - kd
-    g_c = (dkb + dkd) * p - dkd
-    g_p = kb + kd
-    if g.ndim == 0:
-        return float(g), float(g_c), float(g_p)
-    return g, g_c, g_p
 
 
 @dataclass

@@ -36,7 +36,7 @@ from .errors import BracketError, ConvergenceError
 from .evolution import SolverConfig, State, step, velocity_from_state
 from .grid import Grid
 from .nutrient import solve_nutrient
-from .rates import f_reaction, f_reaction_partials, g_source
+from .rates import _kinetics, f_reaction, f_reaction_partials, g_source
 
 log = logging.getLogger("spheroid")
 
@@ -49,13 +49,7 @@ def equilibrium_fraction(model, c):
     because f(c, 0) >= 0 >= f(c, 1).  Degenerate K_M -> 0 reduces f to an
     affine function with root K_P / K_N (0 if both vanish).
     """
-    arr = np.asarray(c, dtype=float)
-    kb, _ = model.K_B(arr)
-    kp, _ = model.K_P(arr)
-    kq, _ = model.K_Q(arr)
-    kd, _ = model.K_D(arr)
-    km = kb + kd
-    kn = kp + kq
+    km, kn, kp = _kinetics(model, np.asarray(c, dtype=float))
     disc = (km - kn) ** 2 + 4.0 * km * kp
     with np.errstate(divide="ignore", invalid="ignore"):
         quad = ((km - kn) + np.sqrt(disc)) / (2.0 * km)

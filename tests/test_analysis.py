@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheroid import (Grid, InsufficientDataError, Rate, SolverConfig, State,
-                      admissible_init, deviation_norms,
-                      effective_absorption, fit_decay, solve_nutrient)
+from spheroid import (Grid, InsufficientDataError, SolverConfig, State,
+                      admissible_init, deviation_norms, fit_decay,
+                      solve_nutrient)
 from spheroid.analysis import PERTURBATION_SHAPES
-
-from conftest import make_model
 
 
 # ---------------- fit_decay ----------------
@@ -163,27 +161,6 @@ def test_deviation_norms_grid_mismatch(stationary201, model):
 
 # ---------------- stability experiment ----------------
 
-def test_stability_workers_bit_identical(model, grid201, stationary201):
-    # thread fan-out must not change a single bit of the report
-    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=3.0, output_interval=0.2)
-    kwargs = dict(eps_list=(0.0, 0.01), delta_list=(0.01,),
-                  shapes=("poly",), seeds=(1,), stationary=stationary201)
-    from spheroid import stability_experiment
-    seq = stability_experiment(model, grid201, cfg, workers=1, **kwargs)
-    par = stability_experiment(model, grid201, cfg, workers=2, **kwargs)
-    assert len(seq.cells) == len(par.cells) == 2
-    for a, b in zip(seq.cells, par.cells):
-        assert (a.eps, a.delta, a.shape, a.seed) == (b.eps, b.delta, b.shape, b.seed)
-        assert a.crossing_time == b.crossing_time or (
-            np.isnan(a.crossing_time) and np.isnan(b.crossing_time))
-        for name in a.fits:
-            fa, fb = a.fits[name], b.fits[name]
-            if fa is None:
-                assert fb is None
-            else:
-                assert fa.mu == fb.mu and fa.prefactor == fb.prefactor
-
-
 def test_stability_delta_zero_rows_skipped(model, grid201, stationary201):
     cfg = SolverConfig(eps=0.0, dt=0.02, t_end=2.0, output_interval=0.2)
     from spheroid import stability_experiment
@@ -206,26 +183,3 @@ def test_stability_failed_cell_reported(model, grid201, stationary201):
     assert rep.cells[0].status.startswith("error")
     assert rep.cells[1].status == "ok"
     assert not rep.all_ran
-
-
-# ---------------- effective absorption diagnostic ----------------
-
-def test_effective_absorption_linear_consumption(model, grid201):
-    prof = solve_nutrient(model, 0.5, grid201)
-    a = effective_absorption(model, prof, 0.05 * (1 - grid201.r**2))
-    slope = model.F.params["slope"]
-    assert np.allclose(a, slope, rtol=0, atol=1e-14)
-
-
-def test_effective_absorption_saturating(grid201):
-    # independent oracle: dense trapezoid in theta
-    m = make_model(F=Rate("michaelis", {"vmax": 2.0, "k": 0.5}))
-    prof = solve_nutrient(m, 0.5, grid201)
-    y = 0.05 * (1 - grid201.r**2)
-    a = effective_absorption(m, prof, y)
-    theta = np.linspace(0.0, 1.0, 4001)
-    ref = np.zeros_like(prof.c)
-    for i in (0, 50, 100, 150, 200):
-        vals = m.F(prof.c[i] + theta * y[i])[1]
-        ref_i = np.trapezoid(vals, theta)
-        assert a[i] == pytest.approx(ref_i, abs=1e-8)

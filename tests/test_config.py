@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from spheroid import (ConfigError, config_hash, default_config, dumps_config,
@@ -47,6 +49,13 @@ def test_unknown_key_and_section():
         loads_config("[solvers]\ndt = 0.1\n")
     with pytest.raises(ConfigError):
         loads_config("[rates.K_X]\nfamily = linear\n")
+    # removed options are unknown keys, not silently ignored
+    for text, key in (("[solver]\ninterp = linear\n", "solver.interp"),
+                      ("[solver]\ntheta = 0.5\n", "solver.theta"),
+                      ("[experiment]\nworkers = 2\n", "experiment.workers")):
+        with pytest.raises(ConfigError) as err:
+            loads_config(text)
+        assert key in str(err.value)
 
 
 def test_bad_value_names_key():
@@ -94,8 +103,16 @@ def test_config_hash_stable_and_sensitive():
     a = default_config()
     b = default_config()
     assert config_hash(a) == config_hash(b)
+    # horizon and output paths do not change a trajectory
+    b.solver = replace(b.solver, t_end=1.0)
+    b.out_dir = "elsewhere"
+    b.resume = "snap_000005.snap"
+    assert config_hash(a) == config_hash(b)
     b.grid_n = 101
     assert config_hash(a) != config_hash(b)
+    c = default_config()
+    c.solver = replace(c.solver, dt=0.01)
+    assert config_hash(a) != config_hash(c)
 
 
 def test_missing_file():

@@ -1,11 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from spheroid import (Grid, NumericsError, Rate, SolverConfig, State,
-                      VelocityField, boundary_radius_step, default_model,
-                      nutrient_step, quasi_static_update, simulate,
-                      solve_nutrient, step, transport_step,
+                      VelocityField, admissibility_report, admissible_init,
+                      boundary_radius_step, default_model, nutrient_step,
+                      simulate, solve_nutrient, step, transport_step,
                       velocity_from_state)
 
 from conftest import all_zero_model, make_model, zero_rate
@@ -93,18 +95,6 @@ def test_nutrient_step_contracts_perturbations():
         sub = State(t=0.0, z=0.0, c=fine, p=state.p)
         fine = nutrient_step(m, sub, vel, dt=dt / n_sub, eps=eps, grid=grid)
     assert np.max(np.abs(coarse - fine)) < 0.2 * dev_before
-
-
-def test_quasi_static_update_idempotent_and_matches_bvp():
-    grid = Grid(201)
-    m = default_model()
-    state = flat_state(grid, z=0.3)
-    prof1 = quasi_static_update(m, state, grid)
-    state2 = State(t=0.0, z=0.3, c=prof1.c, p=state.p)
-    prof2 = quasi_static_update(m, state2, grid)
-    assert np.max(np.abs(prof2.c - prof1.c)) < 1e-12
-    direct = solve_nutrient(m, 0.3, grid)
-    assert np.max(np.abs(prof1.c - direct.c)) < 1e-10
 
 
 # ---------------- transport step ----------------
@@ -232,18 +222,19 @@ def test_step_invariants_and_near_stationarity(model, grid201, stationary201):
 
 
 def test_step_splittings_agree_to_first_order(model, grid201, stationary201):
-    from spheroid import admissible_init
+    # eps > 0 reaches the time-centered nutrient corrector of "heun"
     init = admissible_init(stationary201, 0.01, "poly")
-    finals = []
-    for splitting in ("lie", "heun"):
-        cfg = SolverConfig(eps=0.0, dt=0.02, splitting=splitting)
-        state = State(t=0.0, z=init.z, c=init.c.copy(), p=init.p.copy())
-        state.c = solve_nutrient(model, state.z, grid201, guess=state.c).c
-        for _ in range(50):
-            state = step(model, state, grid201, cfg)
-        finals.append(state)
-    assert abs(finals[0].z - finals[1].z) < 1e-4
-    assert np.max(np.abs(finals[0].p - finals[1].p)) < 1e-4
+    for eps in (0.0, 0.05):
+        finals = []
+        for splitting in ("lie", "heun"):
+            cfg = SolverConfig(eps=eps, dt=0.02, splitting=splitting)
+            state = State(t=0.0, z=init.z, c=init.c.copy(), p=init.p.copy())
+            state.c = solve_nutrient(model, state.z, grid201, guess=state.c).c
+            for _ in range(50):
+                state = step(model, state, grid201, cfg)
+            finals.append(state)
+        assert abs(finals[0].z - finals[1].z) < 1e-4, eps
+        assert np.max(np.abs(finals[0].p - finals[1].p)) < 1e-4, eps
 
 
 def test_simulate_stationary_stays_put(model, grid201, stationary201):
@@ -258,7 +249,6 @@ def test_simulate_stationary_stays_put(model, grid201, stationary201):
 
 
 def test_simulate_quasi_static_eta_is_tiny(model, grid201, stationary201):
-    from spheroid import admissible_init
     init = admissible_init(stationary201, 0.01, "poly", seed=3)
     cfg = SolverConfig(eps=0.0, dt=0.02, t_end=2.0, output_interval=0.2)
     result = simulate(model, init, grid201, cfg, stationary201)
@@ -267,7 +257,6 @@ def test_simulate_quasi_static_eta_is_tiny(model, grid201, stationary201):
 
 
 def test_simulate_deterministic(model, grid201, stationary201):
-    from spheroid import admissible_init
     results = []
     for _ in range(2):
         init = admissible_init(stationary201, 0.01, "random", seed=42)
@@ -282,7 +271,6 @@ def test_simulate_deterministic(model, grid201, stationary201):
 
 
 def test_simulate_early_stop(model, grid201, stationary201):
-    from spheroid import admissible_init
     init = admissible_init(stationary201, 0.01, "poly")
     cfg = SolverConfig(eps=0.0, dt=0.02, t_end=60.0, output_interval=0.5,
                        early_stop_floor=2e-3)
@@ -290,6 +278,27 @@ def test_simulate_early_stop(model, grid201, stationary201):
     assert result.stopped_early
     assert result.final_state.t < 60.0
     assert result.records[-1].max_norm() < 2e-3
+
+
+def test_simulate_warns_only_on_real_violations(model, grid201, stationary201,
+                                                caplog):
+    # p0(1) = p*(1) < 1 is the expected boundary rest point, not a violation
+    init = admissible_init(stationary201, 0.01, "poly")
+    with caplog.at_level(logging.WARNING, logger="spheroid"):
+        result = simulate(model, init, grid201, SolverConfig(t_end=1.0),
+                          stationary201)
+    assert [r.getMessage() for r in caplog.records] == []
+    assert result.warnings == []
+    report = admissibility_report(init, stationary201, grid201)
+    assert report.admissible and report.p_boundary == init.p[-1] < 1.0
+
+    init.c[-1] = 0.9
+    with caplog.at_level(logging.WARNING, logger="spheroid"):
+        result = simulate(model, init, grid201, SolverConfig(t_end=0.2),
+                          stationary201)
+    assert result.warnings == ["c(1) = 0.9, expected 1"]
+    assert [r.getMessage() for r in caplog.records] == [
+        "initial data: c(1) = 0.9, expected 1"]
 
 
 def test_simulate_raises_on_nonfinite(model, grid201, stationary201):
@@ -308,7 +317,5 @@ def test_solver_config_validation():
         SolverConfig(dt=0.0)
     with pytest.raises(ValueError):
         SolverConfig(splitting="strang")
-    with pytest.raises(ValueError):
-        SolverConfig(theta=0.2)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.5, output_interval=0.1)

@@ -94,6 +94,10 @@ def test_warm_start_converges_fast():
     again = solve_nutrient(m, 1.0, grid, guess=prof.c)
     assert again.iterations <= 1
     assert np.max(np.abs(again.c - prof.c)) < 1e-12
+    # a warm start from a nearby z, as the time step uses, lands on the
+    # cold-start profile
+    near = solve_nutrient(m, 1.02, grid, guess=prof.c)
+    assert np.max(np.abs(near.c - solve_nutrient(m, 1.02, grid).c)) < 1e-10
 
 
 def test_saturating_consumption_profile():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spheroid import (DomainError, Rate, UnknownRateError, check_assumptions,
                       default_model, eval_rate, f_reaction, g_source)
-from spheroid.rates import f_reaction_partials, g_source_partials
+from spheroid.rates import f_reaction_partials
 
 from conftest import all_zero_model, make_model, zero_rate
 
@@ -145,12 +145,6 @@ def test_partials_match_finite_differences():
         (f_reaction(m, c + h, p) - f_reaction(m, c - h, p)) / (2 * h), abs=1e-7)
     assert f_p == pytest.approx(
         (f_reaction(m, c, p + h) - f_reaction(m, c, p - h)) / (2 * h), abs=1e-7)
-    g, g_c, g_p = g_source_partials(m, c, p)
-    assert g == pytest.approx(g_source(m, c, p), rel=1e-14)
-    assert g_c == pytest.approx(
-        (g_source(m, c + h, p) - g_source(m, c - h, p)) / (2 * h), abs=1e-7)
-    assert g_p == pytest.approx(
-        (g_source(m, c, p + h) - g_source(m, c, p - h)) / (2 * h), abs=1e-7)
 
 
 def test_default_model_passes_assumptions():
