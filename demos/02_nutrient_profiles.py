@@ -2,8 +2,8 @@
 
 At frozen log-radius z the nutrient solves a two-point boundary value
 problem on [0, 1]; larger tumors (larger z) starve their centers.  The
-solver also returns the radial slope and the z-sensitivity, and both obey
-sharp sign and envelope bounds that we verify numerically.
+radial slope of the profile and its z-sensitivity (`nutrient_sensitivity`)
+obey sharp sign and envelope bounds that we verify numerically.
 """
 import numpy as np
 

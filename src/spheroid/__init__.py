@@ -20,7 +20,7 @@ from .evolution import (SolverConfig, State, VelocityField,
                         transport_step, velocity_from_state)
 from .grid import Grid
 from .nutrient import (NutrientProfile, bounds_report, flux_residual,
-                       solve_nutrient)
+                       nutrient_sensitivity, solve_nutrient)
 from .rates import (Rate, RateModel, check_assumptions, default_model,
                     eval_rate, f_reaction, g_source)
 from .records import (AdmissibilityReport, DeviationRecord,

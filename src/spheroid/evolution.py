@@ -21,7 +21,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.linalg import LinAlgError
 
-from .errors import NumericsError
+from .errors import ConvergenceError, NumericsError
 from .nutrient import operator_rows, solve_nutrient, tri_solve
 from .rates import f_reaction, g_source
 from .records import admissibility_report, deviation_norms
@@ -278,8 +278,8 @@ def simulate(model, init, grid, config, stationary, on_output=None,
     Returns
     -------
     SimResult
-        records/aux in output order; NaN or inf in any field raises
-        :class:`NumericsError` carrying the last healthy output state.
+        records/aux in output order; a failed step or a non-finite field
+        raises :class:`NumericsError` carrying the last healthy output state.
     """
     if not (np.isfinite(init.z) and np.all(np.isfinite(init.c))
             and np.all(np.isfinite(init.p))):
@@ -290,9 +290,8 @@ def simulate(model, init, grid, config, stationary, on_output=None,
 
     state = init.copy()
     if config.eps == 0.0:
-        prof = solve_nutrient(model, state.z, grid, tol=config.bvp_tol,
-                              guess=state.c)
-        state.c = prof.c
+        state.c = solve_nutrient(model, state.z, grid, tol=config.bvp_tol,
+                                 guess=state.c).c
 
     records = []
     aux = []
@@ -322,7 +321,7 @@ def simulate(model, init, grid, config, stationary, on_output=None,
     for k in range(1, n_steps + 1):
         try:
             state = step(model, state, grid, config, clip=clip)
-        except (ValueError, FloatingPointError) as exc:
+        except (ValueError, FloatingPointError, ConvergenceError) as exc:
             raise NumericsError(f"step failed at t={state.t:g}: {exc}",
                                 last_state=prev) from exc
         if not (np.isfinite(state.z) and np.all(np.isfinite(state.c))

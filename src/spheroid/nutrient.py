@@ -8,9 +8,9 @@ boundary value problem
 discretized with second-order central differences.  At r = 0 the operator
 is replaced by its symmetric limit 3 c''(0) (ghost-node symmetry), which
 the uniform grid resolves to 6 (c_1 - c_0) / h^2.  A damped Newton
-iteration with the analytic Jacobian solves the nonlinear system; the
-sensitivity dc/dz comes from one extra linear solve with the converged
-Jacobian, since it satisfies the linearized problem
+iteration with the analytic Jacobian solves the nonlinear system;
+:func:`nutrient_sensitivity` gets dc/dz from one linear solve with the
+converged Jacobian, since it satisfies the linearized problem
 
     u'' + (2/r) u' = e^{2z} F'(c) u + 2 e^{2z} F(c),  u'(0) = 0, u(1) = 0.
 """
@@ -18,7 +18,7 @@ Jacobian, since it satisfies the linearized problem
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, lapack
 
 from .errors import ConvergenceError, DomainError
 from .grid import Grid
@@ -32,8 +32,8 @@ def operator_rows(grid, beta=0.0):
 
     Row 0 encodes the symmetric-limit stencil 6(c_1 - c_0)/h^2 (the
     beta*r term vanishes at r = 0); the last row is an identity row for a
-    strongly imposed Dirichlet value.  Returns (lower, diag, upper) with
-    the scipy banded-storage convention handled by :func:`tri_solve`.
+    strongly imposed Dirichlet value.  Returns full-length rows (lower,
+    diag, upper) as :func:`tri_solve` takes them; lo[0] and up[-1] unused.
     """
     r, h, n = grid.r, grid.h, grid.n
     lo = np.zeros(n)
@@ -50,33 +50,26 @@ def operator_rows(grid, beta=0.0):
 
 
 def tri_solve(lo, di, up, rhs):
-    """Direct solve of the tridiagonal system given by row arrays."""
-    n = di.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = up[:-1]
-    ab[1, :] = di
-    ab[2, :-1] = lo[1:]
-    return solve_banded((1, 1), ab, rhs)
-
-
-def tri_apply(lo, di, up, x):
-    y = di * x
-    y[:-1] += up[:-1] * x[1:]
-    y[1:] += lo[1:] * x[:-1]
-    return y
+    """Direct solve of the tridiagonal system given by row arrays (dgtsv)."""
+    *_, x, info = lapack.dgtsv(lo[1:], di, up[:-1], rhs)
+    if info > 0:
+        raise LinAlgError(f"singular tridiagonal system (pivot {info})")
+    return x
 
 
 @dataclass
 class NutrientProfile:
-    """Converged profile c(.; z) with its radial and z sensitivities."""
+    """Converged profile c(.; z); its radial slope ``c_r`` is derived."""
 
     z: float
     c: np.ndarray
-    c_r: np.ndarray
-    c_z: np.ndarray
     grid: Grid
     residual: float
     iterations: int
+
+    @property
+    def c_r(self):
+        return self.grid.derivative(self.c, symmetric_origin=True)
 
 
 def _resid_floor(grid, scale):
@@ -106,7 +99,8 @@ def solve_nutrient(model, z, grid, tol=1e-10, guess=None, max_iter=60):
     Raises
     ------
     ConvergenceError
-        If damped Newton cannot reach the tolerance within ``max_iter``.
+        If damped Newton cannot reach the tolerance within ``max_iter``, or
+        the residual is not finite (NaN in ``z`` or ``guess``).
     """
     z = float(z)
     e2z = np.exp(2.0 * z)
@@ -121,34 +115,36 @@ def solve_nutrient(model, z, grid, tol=1e-10, guess=None, max_iter=60):
     def residual(c):
         # domain check keeps overshooting Newton trials inside the rates'
         # validity margin; the line search treats violations as rejections
-        fv, _ = model.F(check_domain(model, c, "nutrient solve"))
-        R = tri_apply(lo, di, up, c)
+        fv, dfv = model.F(check_domain(model, c, "nutrient solve"))
+        R = di * c
+        R[:-1] += up[:-1] * c[1:]
+        R[1:] += lo[1:] * c[:-1]
         R[:-1] -= e2z * fv[:-1]
         R[-1] = c[-1] - 1.0
-        return R
+        return R, dfv
 
-    R = residual(c)
+    R, dfv = residual(c)
     rnorm = np.max(np.abs(R))
     it = 0
-    while rnorm > tol_eff:
-        if it >= max_iter:
+    # a NaN residual fails both tests below and is reported, not accepted
+    while not rnorm <= tol_eff:
+        if it >= max_iter or not np.isfinite(rnorm):
             raise ConvergenceError(
                 f"nutrient BVP Newton stalled at z={z:g}: residual {rnorm:.3e} "
                 f"(target {tol_eff:.3e})", residual=rnorm)
-        _, dfv = model.F(c)
         j_di = di.copy()
         j_di[:-1] -= e2z * dfv[:-1]
         delta = tri_solve(lo, j_di, up, -R)
         alpha = 1.0
         while True:
+            trial = c + alpha * delta
             try:
-                R_new = residual(c + alpha * delta)
+                R_new, dfv_new = residual(trial)
                 new_norm = np.max(np.abs(R_new))
             except DomainError:
                 new_norm = np.inf
             if new_norm <= (1.0 - 0.5 * alpha) * rnorm or new_norm <= tol_eff:
-                c = c + alpha * delta
-                R, rnorm = R_new, new_norm
+                c, R, dfv, rnorm = trial, R_new, dfv_new, new_norm
                 break
             alpha *= 0.5
             if alpha < 1e-8:
@@ -157,18 +153,21 @@ def solve_nutrient(model, z, grid, tol=1e-10, guess=None, max_iter=60):
                     f"residual {rnorm:.3e}", residual=rnorm)
         it += 1
 
-    # sensitivity dc/dz from the converged Jacobian
-    _, dfv = model.F(c)
-    fv, _ = model.F(c)
+    return NutrientProfile(z=z, c=c, grid=grid, residual=float(rnorm),
+                           iterations=it)
+
+
+def nutrient_sensitivity(model, profile):
+    """dc/dz of a converged profile: the linearized problem of the module
+    docstring, solved with the converged Newton Jacobian."""
+    e2z = np.exp(2.0 * profile.z)
+    lo, di, up = operator_rows(profile.grid)
+    fv, dfv = model.F(profile.c)
     j_di = di.copy()
     j_di[:-1] -= e2z * dfv[:-1]
-    rhs = np.zeros(grid.n)
+    rhs = np.zeros_like(profile.c)
     rhs[:-1] = 2.0 * e2z * fv[:-1]
-    c_z = tri_solve(lo, j_di, up, rhs)
-
-    c_r = grid.derivative(c, symmetric_origin=True)
-    return NutrientProfile(z=z, c=c, c_r=c_r, c_z=c_z, grid=grid,
-                           residual=float(rnorm), iterations=it)
+    return tri_solve(lo, j_di, up, rhs)
 
 
 def flux_residual(profile, model):
@@ -241,7 +240,8 @@ def bounds_report(model, z_values, grid, rel_tol=1e-8, tol=1e-10):
         e2z = np.exp(2.0 * float(z))
         f1 = float(model.F(np.array(1.0))[0])
         scale = f1 * e2z if f1 * e2z > 0 else 1.0
-        r, c, c_r, c_z = grid.r, prof.c, prof.c_r, prof.c_z
+        r, c, c_r = grid.r, prof.c, prof.c_r
+        c_z = nutrient_sensitivity(model, prof)
 
         c_rr = np.empty(grid.n)
         fv, _ = model.F(c)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from spheroid import (Grid, NumericsError, Rate, SolverConfig, State,
-                      VelocityField, admissibility_report, admissible_init,
-                      boundary_radius_step, default_model, nutrient_step,
-                      simulate, solve_nutrient, step, transport_step,
-                      velocity_from_state)
+from spheroid import (ConvergenceError, Grid, NumericsError, Rate,
+                      SolverConfig, State, VelocityField, admissibility_report,
+                      admissible_init, boundary_radius_step, default_model,
+                      nutrient_step, simulate, solve_nutrient, step,
+                      transport_step, velocity_from_state)
+from spheroid import evolution
 
 from conftest import all_zero_model, make_model, zero_rate
 
@@ -308,6 +309,31 @@ def test_simulate_raises_on_nonfinite(model, grid201, stationary201):
     cfg = SolverConfig(eps=0.0, dt=0.02, t_end=1.0, output_interval=0.2)
     with pytest.raises(NumericsError):
         simulate(model, init, grid201, cfg, stationary201)
+
+
+def test_simulate_wraps_newton_failure(model, grid201, stationary201,
+                                       monkeypatch):
+    # eps = 0 solves the nutrient once to project the initial data, once per
+    # output and twice per step: call 26 is the predictor of step 12, just
+    # after the output at t = 0.2
+    init = State(t=0.0, z=stationary201.z, c=stationary201.c.copy(),
+                 p=stationary201.p.copy())
+    solve = evolution.solve_nutrient
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 26:
+            raise ConvergenceError("Newton stalled", residual=1.0)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "solve_nutrient", failing)
+    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=1.0, output_interval=0.2)
+    with pytest.raises(NumericsError) as err:
+        simulate(model, init, grid201, cfg, stationary201)
+    assert "t=0.22" in str(err.value)
+    assert err.value.last_state.t == pytest.approx(0.2, abs=1e-12)
+    assert isinstance(err.value.__cause__, ConvergenceError)
 
 
 def test_solver_config_validation():

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
 from spheroid import (ConvergenceError, Grid, Rate, bounds_report,
-                      default_model, flux_residual, solve_nutrient)
+                      default_model, flux_residual, nutrient_sensitivity,
+                      solve_nutrient)
+from spheroid import nutrient
 
 from conftest import all_zero_model, make_model
 
@@ -28,9 +31,10 @@ def linear_model(slope=1.0):
 
 
 def test_zero_consumption_gives_flat_profile():
-    prof = solve_nutrient(all_zero_model(), 0.7, Grid(51))
+    m = all_zero_model()
+    prof = solve_nutrient(m, 0.7, Grid(51))
     assert np.array_equal(prof.c, np.ones(51))
-    assert np.allclose(prof.c_z, 0.0, atol=1e-15)
+    assert np.allclose(nutrient_sensitivity(m, prof), 0.0, atol=1e-15)
     assert np.allclose(prof.c_r, 0.0, atol=1e-15)
 
 
@@ -71,7 +75,7 @@ def test_sensitivity_matches_z_difference():
     hi = solve_nutrient(m, 0.5 + dz, grid)
     lo = solve_nutrient(m, 0.5 - dz, grid)
     fd = (hi.c - lo.c) / (2 * dz)
-    assert np.max(np.abs(prof.c_z - fd)) < 5e-6
+    assert np.max(np.abs(nutrient_sensitivity(m, prof) - fd)) < 5e-6
 
 
 def test_profile_monotone_in_r_and_z():
@@ -87,16 +91,27 @@ def test_profile_monotone_in_r_and_z():
         prev = prof.c
 
 
-def test_warm_start_converges_fast():
+def test_warm_start_converges_fast(monkeypatch):
     grid = Grid(201)
     m = default_model()
     prof = solve_nutrient(m, 1.0, grid)
+    solve = nutrient.tri_solve
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(nutrient, "tri_solve", counting)
+    # re-solving at a converged profile, as the eps = 0 output does, costs
+    # one residual evaluation and no tridiagonal solve
     again = solve_nutrient(m, 1.0, grid, guess=prof.c)
-    assert again.iterations <= 1
+    assert again.iterations == 0 and calls == []
     assert np.max(np.abs(again.c - prof.c)) < 1e-12
     # a warm start from a nearby z, as the time step uses, lands on the
-    # cold-start profile
+    # cold-start profile with one tridiagonal solve per Newton iteration
     near = solve_nutrient(m, 1.02, grid, guess=prof.c)
+    assert len(calls) == near.iterations >= 1
     assert np.max(np.abs(near.c - solve_nutrient(m, 1.02, grid).c)) < 1e-10
 
 
@@ -115,6 +130,27 @@ def test_newton_iteration_cap():
     with pytest.raises(ConvergenceError) as err:
         solve_nutrient(m, 1.5, Grid(101), max_iter=1)
     assert err.value.residual is not None
+
+
+@pytest.mark.parametrize("z, guess_nan", [(0.5, True), (float("nan"), False)])
+def test_nonfinite_residual_raises(z, guess_nan):
+    grid = Grid(51)
+    guess = np.ones(grid.n)
+    if guess_nan:
+        guess[10] = np.nan
+    with pytest.raises(ConvergenceError) as err:
+        solve_nutrient(default_model(), z, grid, guess=guess)
+    assert np.isnan(err.value.residual)
+
+
+def test_tri_solve_singular_system():
+    # [[1, 1], [1, 1]] eliminates to a zero pivot in the last row
+    lo, di, up = np.array([0.0, 1.0]), np.ones(2), np.array([1.0, 0.0])
+    with pytest.raises(LinAlgError):
+        nutrient.tri_solve(lo, di, up, np.array([1.0, 2.0]))
+    assert np.array_equal(di, np.ones(2))  # row arrays are not overwritten
+    x = nutrient.tri_solve(lo, np.array([2.0, 1.0]), up, np.array([3.0, 2.0]))
+    assert np.array_equal(x, [1.0, 1.0])
 
 
 def test_bounds_zero_consumption_all_equalities():
