@@ -16,9 +16,9 @@ discrete stationary state.
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.linalg import LinAlgError
 
 from .errors import ConvergenceError, NumericsError
@@ -119,34 +119,108 @@ def velocity_from_state(model, state, grid):
     return VelocityField(v=v, w=w, v1=v1)
 
 
+def pchip_slopes(y, h):
+    """Fritsch-Carlson slopes of each row of ``y`` (k, n) on a uniform grid.
+
+    Inside: the harmonic mean of the adjacent secants, or 0 where they
+    differ in sign or either vanishes.  Ends: the shape-preserving
+    three-point rule.  This is scipy's PchipInterpolator specialised to a
+    uniform grid.
+    """
+    m = (y[:, 1:] - y[:, :-1]) / h
+    sm = np.sign(m)
+    same = sm[:, :-1] * sm[:, 1:] > 0.0
+    m0 = np.where(same, m[:, :-1], 1.0)
+    m1 = np.where(same, m[:, 1:], 1.0)
+    d = np.empty_like(y)
+    d[:, 1:-1] = np.where(same, 2.0 / (1.0 / m0 + 1.0 / m1), 0.0)
+    # end secant and its neighbour, at r = 0 and r = 1
+    e0 = m[:, [0, -1]]
+    e1 = m[:, [1, -2]]
+    de = 0.5 * (3.0 * e0 - e1)
+    overshoot = (np.sign(e0) != np.sign(e1)) & (np.abs(de) > 3.0 * np.abs(e0))
+    de = np.where(overshoot, 3.0 * e0, de)
+    d[:, [0, -1]] = np.where(np.sign(de) != np.sign(e0), 0.0, de)
+    return d
+
+
+@lru_cache(maxsize=8)
+def _not_a_knot_rows(n):
+    # rows of the uniform-grid not-a-knot system (each divided by h):
+    # s_0 + 2 s_1 and 2 s_{n-2} + s_{n-1} at the ends, s_{i-1} + 4 s_i + s_{i+1}
+    lo = np.ones(n)
+    di = np.full(n, 4.0)
+    up = np.ones(n)
+    di[0] = di[-1] = 1.0
+    up[0] = lo[-1] = 2.0
+    for a in (lo, di, up):
+        a.flags.writeable = False
+    return lo, di, up
+
+
+def spline_slopes(y, h):
+    """Slopes of the not-a-knot cubic spline through ``y`` (n,) on a uniform
+    grid, as scipy's CubicSpline; n = 3 gives the parabola through the
+    three points, since there the not-a-knot rows are singular."""
+    m = (y[1:] - y[:-1]) / h
+    if y.size == 3:
+        return np.array([1.5 * m[0] - 0.5 * m[1], 0.5 * (m[0] + m[1]),
+                         1.5 * m[1] - 0.5 * m[0]])
+    rhs = np.empty_like(y)
+    rhs[1:-1] = 3.0 * (m[:-1] + m[1:])
+    rhs[0] = 0.5 * (5.0 * m[0] + m[1])
+    rhs[-1] = 0.5 * (m[-2] + 5.0 * m[-1])
+    return tri_solve(*_not_a_knot_rows(y.size), rhs)
+
+
+def hermite_eval(y, d, x, h):
+    """Cubic Hermite interpolant of ``y`` (n,) or of each row of ``y`` (k, n)
+    with nodal slopes ``d`` on the uniform grid r_i = i h, evaluated at
+    ``x`` in [0, 1]: returns (len(x),) or (k, len(x)).  Cell i = floor(x/h),
+    clamped to n - 2 so x = 1 falls in the last cell."""
+    i = np.minimum((x / h).astype(np.intp), y.shape[-1] - 2)
+    s = x - i * h
+    y0, y1 = y.take(i, axis=-1), y.take(i + 1, axis=-1)
+    d0, d1 = d.take(i, axis=-1), d.take(i + 1, axis=-1)
+    m = (y1 - y0) / h
+    t = (d0 + d1 - 2.0 * m) / h
+    return y0 + s * (d0 + s * ((m - d0) / h - t + s * (t / h)))
+
+
 def transport_step(model, state, vel, dt, grid, c_head=None, w_override=None):
     """Semi-Lagrangian update of the proliferating fraction over one step.
 
     Feet of the backward characteristics of dr/ds = w(r) are traced with
-    midpoint RK2 (w frozen over the step), clamped to [0, 1] (they cannot
-    leave, since w vanishes at both endpoints; clamping only absorbs
-    rounding).  p is interpolated at the feet with a monotonicity-
-    preserving cubic (PCHIP), then integrated along the characteristic
-    with Heun's method, evaluating the reaction at the foot (nutrient at
-    the step start) and at the head (``c_head``, defaulting to the
-    step-start nutrient at the node).
+    midpoint RK2 (w frozen over the step, interpolated at the midpoints by
+    its not-a-knot cubic spline), clamped to [0, 1] (they cannot leave,
+    since w vanishes at both endpoints; clamping only absorbs rounding).
+    p and c are interpolated at the feet with the monotonicity-preserving
+    Fritsch-Carlson cubic (PCHIP), in one pass of the uniform-grid Hermite
+    kernel :func:`hermite_eval`, then p is integrated along the
+    characteristic with Heun's method, evaluating the reaction at the foot
+    (nutrient at the step start) and at the head (``c_head``, defaulting to
+    the step-start nutrient at the node).
+
+    Raises ValueError if the advection velocity or the feet are not finite.
     """
-    r = grid.r
+    r, h = grid.r, grid.h
     w = vel.w if w_override is None else w_override
-    w_sp = CubicSpline(r, w)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("non-finite advection velocity in transport")
     r_mid = np.clip(r - 0.5 * dt * w, 0.0, 1.0)
-    feet = np.clip(r - dt * w_sp(r_mid), 0.0, 1.0)
+    w_mid = hermite_eval(w, spline_slopes(w, h), r_mid, h)
+    feet = np.clip(r - dt * w_mid, 0.0, 1.0)
+    if not np.all(np.isfinite(feet)):
+        raise ValueError("non-finite characteristic feet in transport")
     # w(0) = w(1) = 0 by construction: the endpoint feet are exact
     feet[0] = r[0]
     feet[-1] = r[-1]
 
-    p_foot = PchipInterpolator(r, state.p)(feet)
-    c_foot = PchipInterpolator(r, state.c)(feet)
+    pc = np.stack((state.p, state.c))
     # rest points (w = 0, notably both endpoints) stay on their node and
     # evolve by the local reaction ODE alone; bypass interpolation noise
-    still = feet == r
-    p_foot[still] = state.p[still]
-    c_foot[still] = state.c[still]
+    p_foot, c_foot = np.where(feet == r, pc,
+                              hermite_eval(pc, pchip_slopes(pc, h), feet, h))
     head = state.c if c_head is None else c_head
 
     k1 = f_reaction(model, c_foot, p_foot)

@@ -16,6 +16,7 @@ converged Jacobian, since it satisfies the linearized problem
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import LinAlgError, lapack
@@ -47,6 +48,15 @@ def operator_rows(grid, beta=0.0):
     up[1:-1] = 1.0 / h**2 + a / (2.0 * h)
     di[-1] = 1.0
     return lo, di, up
+
+
+@lru_cache(maxsize=8)
+def _diffusion_rows(grid):
+    # beta = 0 rows depend on the grid alone: built once, shared read-only
+    rows = operator_rows(grid)
+    for a in rows:
+        a.flags.writeable = False
+    return rows
 
 
 def tri_solve(lo, di, up, rhs):
@@ -108,7 +118,7 @@ def solve_nutrient(model, z, grid, tol=1e-10, guess=None, max_iter=60):
     scale = max(1.0, e2z * abs(float(fhi)))
     tol_eff = max(tol * scale, _resid_floor(grid, e2z * abs(float(fhi))))
 
-    lo, di, up = operator_rows(grid)
+    lo, di, up = _diffusion_rows(grid)
     c = np.ones(grid.n) if guess is None else np.array(guess, dtype=float)
     c[-1] = 1.0
 
@@ -161,7 +171,7 @@ def nutrient_sensitivity(model, profile):
     """dc/dz of a converged profile: the linearized problem of the module
     docstring, solved with the converged Newton Jacobian."""
     e2z = np.exp(2.0 * profile.z)
-    lo, di, up = operator_rows(profile.grid)
+    lo, di, up = _diffusion_rows(profile.grid)
     fv, dfv = model.F(profile.c)
     j_di = di.copy()
     j_di[:-1] -= e2z * dfv[:-1]

@@ -2,7 +2,11 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from spheroid import (ConvergenceError, Grid, NumericsError, Rate,
                       SolverConfig, State, VelocityField, admissibility_report,
@@ -156,6 +160,72 @@ def test_transport_advection_matches_characteristic_oracle():
     feet_exact = sol.y[:, -1]
     p_exact = p_fun(feet_exact)
     assert np.max(np.abs(state.p - p_exact)) < 5e-6
+
+
+@st.composite
+def nodal_data(draw):
+    """Nodal values on a uniform grid and evaluation points in [0, 1].
+
+    Small integer levels give flat runs and secant sign changes; floats give
+    generic data.  The points include both ends and every grid node."""
+    n = draw(st.sampled_from([3, 4, 5, 201]))
+    if draw(st.booleans()):
+        y = draw(arrays(np.int64, n, elements=st.integers(-2, 2))).astype(float)
+    else:
+        floats = st.floats(-1.0, 1.0, allow_subnormal=False)
+        y = draw(arrays(np.float64, n, elements=floats))
+    y = y * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    x = draw(arrays(np.float64, draw(st.integers(0, 20)),
+                    elements=st.floats(0.0, 1.0)))
+    return y, np.concatenate([x, [0.0, 1.0], Grid(n).r])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=nodal_data())
+def test_hermite_kernel_matches_scipy(data):
+    y, x = data
+    grid = Grid(y.size)
+    tol = 1e-13 * np.max(np.abs(y))
+    # p and c share one stacked slope pass and one evaluation
+    yy = np.stack((y, y[::-1]))
+    got = evolution.hermite_eval(yy, evolution.pchip_slopes(yy, grid.h), x,
+                                 grid.h)
+    for row, vals in zip(yy, got):
+        assert np.max(np.abs(vals - PchipInterpolator(grid.r, row)(x))) <= tol
+    spline = evolution.hermite_eval(y, evolution.spline_slopes(y, grid.h), x,
+                                    grid.h)
+    assert np.max(np.abs(spline - CubicSpline(grid.r, y)(x))) <= tol
+    # PCHIP stays inside the range of the nodes bracketing each point
+    i = np.minimum((x / grid.h).astype(int), grid.n - 2)
+    lo = np.minimum(yy[:, i], yy[:, i + 1])
+    hi = np.maximum(yy[:, i], yy[:, i + 1])
+    assert np.all(got >= lo - tol) and np.all(got <= hi + tol)
+
+
+def test_transport_rejects_nonfinite_velocity():
+    grid = Grid(51)
+    state = flat_state(grid)
+    w = np.zeros(grid.n)
+    w[7] = np.nan
+    vel = VelocityField(v=np.zeros(grid.n), w=w, v1=0.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        transport_step(default_model(), state, vel, 0.02, grid)
+
+
+def test_step_on_three_node_grid():
+    # n = 3 is the smallest grid: the not-a-knot spline of w degenerates to
+    # the parabola through the three nodes
+    grid = Grid(3)
+    m = default_model()
+    z = 0.3
+    state = State(t=0.0, z=z, c=solve_nutrient(m, z, grid).c,
+                  p=np.array([0.5, 0.6, 0.7]))
+    for eps in (0.0, 0.05):
+        for splitting in ("lie", "heun"):
+            cfg = SolverConfig(eps=eps, dt=0.02, splitting=splitting)
+            new = step(m, state, grid, cfg)
+            assert np.all(np.isfinite(new.p)) and np.all(np.isfinite(new.c))
+            assert abs(new.z - z) < 0.01
 
 
 # ---------------- boundary radius step ----------------
@@ -334,6 +404,33 @@ def test_simulate_wraps_newton_failure(model, grid201, stationary201,
     assert "t=0.22" in str(err.value)
     assert err.value.last_state.t == pytest.approx(0.2, abs=1e-12)
     assert isinstance(err.value.__cause__, ConvergenceError)
+
+
+def test_simulate_wraps_nonfinite_velocity(model, grid201, stationary201,
+                                           monkeypatch):
+    # a NaN advection velocity at the start of step 12 (velocity calls: one
+    # per output, two per step, so call 25) must surface as a typed
+    # NumericsError, not a bare IndexError from the interpolation kernel
+    init = State(t=0.0, z=stationary201.z, c=stationary201.c.copy(),
+                 p=stationary201.p.copy())
+    velocity = evolution.velocity_from_state
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        vel = velocity(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 25:
+            vel.w[grid201.n // 2] = np.nan
+        return vel
+
+    monkeypatch.setattr(evolution, "velocity_from_state", poisoned)
+    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=1.0, output_interval=0.2)
+    with pytest.raises(NumericsError) as err:
+        simulate(model, init, grid201, cfg, stationary201)
+    assert "t=0.22" in str(err.value)
+    assert err.value.last_state is not None
+    assert err.value.last_state.t == pytest.approx(0.2, abs=1e-12)
+    assert isinstance(err.value.__cause__, ValueError)
 
 
 def test_solver_config_validation():

@@ -115,6 +115,29 @@ def test_warm_start_converges_fast(monkeypatch):
     assert np.max(np.abs(near.c - solve_nutrient(m, 1.02, grid).c)) < 1e-10
 
 
+def test_diffusion_rows_built_once_per_grid(monkeypatch):
+    nutrient._diffusion_rows.cache_clear()
+    built = []
+    rows_of = nutrient.operator_rows
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return rows_of(*args, **kwargs)
+
+    monkeypatch.setattr(nutrient, "operator_rows", counting)
+    m = default_model()
+    grid = Grid(51)
+    first = solve_nutrient(m, 0.5, grid)
+    nutrient_sensitivity(m, first)
+    again = solve_nutrient(m, 0.7, Grid(51), guess=first.c)
+    assert built == [1]
+    assert np.max(np.abs(again.c - solve_nutrient(m, 0.7, grid).c)) < 1e-10
+    # the shared rows are read-only and equal to a fresh build
+    for shared, fresh in zip(nutrient._diffusion_rows(grid), rows_of(grid)):
+        assert not shared.flags.writeable
+        assert np.array_equal(shared, fresh)
+
+
 def test_saturating_consumption_profile():
     # genuinely nonlinear BVP: several Newton iterations, bounds still hold
     m = make_model(F=Rate("michaelis", {"vmax": 2.0, "k": 0.5}))
