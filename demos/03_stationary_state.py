@@ -1,8 +1,11 @@
 """Computing the dormant (stationary) tumor two independent ways.
 
-Primary method: pseudo-time relaxation of the quasi-static evolution; the
-stationary state is asymptotically stable, so integrating long enough
-parks the fields on the scheme's fixed point.  Cross-check: a direct
+Primary method: the fixed point of one evolution step.  Pseudo-time
+relaxation of the quasi-static evolution (the stationary state is
+asymptotically stable) brings the fixed-point residual |step(x) - x|/dt
+down to 1e-2; Newton-Krylov on that residual then certifies it below
+tol/10, tight enough that the reference error stays under what the rate
+fits of perturbed runs resolve.  Cross-check: a direct
 construction that solves the steady transport equation self-consistently
 at trial log-radii and bisects on the boundary velocity v(1; z).  The two
 must agree tightly, or something is off.

@@ -50,15 +50,12 @@ def _shape_profiles(shape, r, rng):
                      f"choose from {PERTURBATION_SHAPES}")
 
 
-def admissible_init(stationary, delta, shape="poly", seed=0, strict_p_boundary=False):
+def admissible_init(stationary, delta, shape="poly", seed=0):
     """Perturbed admissible initial data around the stationary solution.
 
     c0 = clamp(c* + delta*phi, 0, 1) with phi(1) = 0 and phi'(0) = 0,
     p0 = clamp(p* + delta*psi, 0, 1), z0 = z* + delta*xi with |xi| <= 1.
-    ``seed`` only matters for the "random" shape.  With
-    ``strict_p_boundary`` the p-perturbation is additionally pinned so
-    p0(1) = 1 (the boundary rest-point form of the admissibility
-    conditions); by default p0(1) inherits p*(1).
+    ``seed`` only matters for the "random" shape.
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
@@ -70,8 +67,6 @@ def admissible_init(stationary, delta, shape="poly", seed=0, strict_p_boundary=F
     c0 = np.clip(stationary.c + delta * phi, 0.0, 1.0)
     c0[-1] = 1.0
     p0 = np.clip(stationary.p + delta * psi, 0.0, 1.0)
-    if strict_p_boundary:
-        p0[-1] = 1.0
     z0 = stationary.z + delta * xi
 
     clipped = (np.sum(stationary.c + delta * phi != c0)

@@ -104,11 +104,6 @@ def test_unknown_shape(stationary201):
         admissible_init(stationary201, 0.01, "sawtooth")
 
 
-def test_strict_boundary_option(stationary201):
-    init = admissible_init(stationary201, 0.01, "poly", strict_p_boundary=True)
-    assert init.p[-1] == 1.0
-
-
 # ---------------- deviation_norms ----------------
 
 def test_deviation_norms_at_stationary(stationary201, model):

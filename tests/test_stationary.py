@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import NoConvergence
 
-from spheroid import (BracketError, Grid, Rate, default_model,
+from spheroid import (BracketError, ConvergenceError, Grid, Rate, RateModel,
+                      SolverConfig, check_assumptions, default_model,
                       equilibrium_fraction, f_reaction, solve_nutrient,
-                      solve_stationary, stationary_by_bisection,
-                      velocity_from_state)
+                      solve_stationary, stationary, stationary_by_bisection,
+                      step, velocity_from_state)
 from spheroid.evolution import State
 
 from conftest import make_model, zero_rate
@@ -40,7 +42,7 @@ def test_stationary_residuals(stationary201):
     assert s.v1_residual <= 1e-6
     assert s.transport_residual <= 1e-4
     assert s.nutrient_gap <= 1e-9
-    assert s.method == "relaxation+direct"
+    assert s.method == "newton-krylov+direct"
 
 
 def test_stationary_profile_structure(model, stationary201):
@@ -57,7 +59,7 @@ def test_stationary_profile_structure(model, stationary201):
 
 
 def test_methods_agree(stationary201):
-    # relaxation fixed point vs direct construction
+    # evolution fixed point vs direct construction
     assert stationary201.z_direct is not None
     assert abs(stationary201.z - stationary201.z_direct) < 1e-4
 
@@ -95,9 +97,17 @@ def test_full_pipeline_with_saturating_consumption():
     assert res.clip.events == 0
 
 
+def fixed_point_residual(model, solution, config):
+    """|step(x) - x|_inf / dt for x = (z, p), by an independent step."""
+    state = State(t=0.0, z=solution.z, c=solution.c.copy(),
+                  p=solution.p.copy())
+    new = step(model, state, solution.grid, config)
+    return max(abs(new.z - state.z),
+               float(np.max(np.abs(new.p - state.p)))) / config.dt
+
+
 def test_stationary_is_evolution_fixed_point(model, grid201, stationary201):
     # one evolution step barely moves the returned fields
-    from spheroid import SolverConfig, step
     cfg = SolverConfig(eps=0.0, dt=0.02)
     state = State(t=0.0, z=stationary201.z, c=stationary201.c.copy(),
                   p=stationary201.p.copy())
@@ -106,3 +116,45 @@ def test_stationary_is_evolution_fixed_point(model, grid201, stationary201):
     assert np.max(np.abs(new.p - state.p)) < 1e-6
     vel = velocity_from_state(model, new, grid201)
     assert abs(vel.v1) < 1e-6
+    # the certificate: |F|_inf <= tol/10 for the fixture's tol = 1e-6
+    assert fixed_point_residual(model, stationary201, cfg) <= 1e-6 / 10
+
+
+def increasing_rate():
+    return st.one_of(
+        st.builds(lambda s: Rate("linear", {"slope": s}), st.floats(0.1, 3.0)),
+        st.builds(lambda v, k: Rate("michaelis", {"vmax": v, "k": k}),
+                  st.floats(0.2, 4.0), st.floats(0.1, 2.0)))
+
+
+def decreasing_rate():
+    return st.builds(
+        lambda a, s, c: Rate("sigmoid", {"amp": a, "steepness": s, "center": c}),
+        st.floats(0.05, 2.0), st.floats(0.2, 4.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.builds(RateModel, F=increasing_rate(), K_B=increasing_rate(),
+                 K_P=increasing_rate(), K_Q=decreasing_rate(),
+                 K_D=decreasing_rate()))
+def test_stationary_certified_or_typed_failure(m):
+    # across rate sets that satisfy (A1)-(A5), the solve either returns a
+    # state an independent step certifies, or raises ConvergenceError
+    assume(check_assumptions(m).all_passed)
+    grid = Grid(51)
+    try:
+        s = solve_stationary(m, grid, cross_check=False)
+    except ConvergenceError:
+        return
+    assert fixed_point_residual(m, s, SolverConfig()) <= 1e-6 / 10
+
+
+def test_newton_krylov_failure_is_typed(monkeypatch):
+    def no_convergence(f, x0, **kwargs):
+        raise NoConvergence(x0)
+
+    monkeypatch.setattr(stationary, "newton_krylov", no_convergence)
+    with pytest.raises(ConvergenceError) as info:
+        solve_stationary(default_model(), Grid(51), cross_check=False)
+    assert np.isfinite(info.value.residual)
+    assert isinstance(info.value.__cause__, NoConvergence)
