@@ -5,7 +5,8 @@ relaxation of the quasi-static evolution (the stationary state is
 asymptotically stable) brings the fixed-point residual |step(x) - x|/dt
 down to 1e-2; Newton-Krylov on that residual then certifies it below
 tol/10, tight enough that the reference error stays under what the rate
-fits of perturbed runs resolve.  Cross-check: a direct
+fits of perturbed runs resolve.  Where Newton stalls, the relaxation
+resumes and runs to the same level.  Cross-check: a direct
 construction that solves the steady transport equation self-consistently
 at trial log-radii and bisects on the boundary velocity v(1; z).  The two
 must agree tightly, or something is off.

@@ -2,13 +2,13 @@
 
 Primary method: the fixed point x = (z, p) of one eps = 0 evolution step,
 with c slaved to z by the quasi-static solve, so simulations measure
-deviations against a state the scheme keeps.  A pseudo-time relaxation
-(converging by asymptotic stability) runs until the residual
-F(x) = (step(x) - x)/dt has |F|_inf <= RELAX_LEVEL; Newton-Krylov on F
-(Tuckerman & Barkley 2000; Knoll & Keyes 2004) then certifies
-|F|_inf <= tol/10.  At |F|_inf = tol, p is still ~1.6e-6 from the fixed
-point (N=201, tol=1e-6), a level perturbed runs' deviation norms reach
-while their rates are fitted, which makes the rates amplitude-dependent.
+deviations against a state the scheme keeps.  Pseudo-time relaxation
+brings F(x) = (step(x) - x)/dt to |F|_inf <= RELAX_LEVEL; Newton-Krylov
+(Tuckerman & Barkley 2000; Knoll & Keyes 2004) then certifies |F|_inf <=
+tol/10.  Where Newton stalls on the kinks of the PCHIP limiter, the
+relaxation resumes to that level.  At |F|_inf = tol, p is still ~1.6e-6
+from the fixed point (N=201, tol=1e-6), which perturbed runs' deviation
+norms reach while their rates are fitted.
 
 Cross-check method: direct construction.  For a trial log-radius z the
 nutrient is the quasi-static profile, and the steady transport equation
@@ -16,15 +16,13 @@ nutrient is the quasi-static profile, and the steady transport equation
     w(r) p'(r) = f(c(r), p(r)),     w = v - r v(1),
 
 is solved self-consistently with the velocity quadrature by a Picard
-iteration whose inner step integrates the characteristic ODE *inward* from
-the rim.  Both endpoints are rest points of w, so regularity pins p at the
-reaction's equilibrium fraction there; inward integration follows the
-direction in which that equilibrium attracts.  (Outward integration is the
-mirror image and amplifies seed errors by exp(int f_p / v dr), which
-reaches 1e10 for realistic parameters, so it cannot serve as an oracle;
-the inward sweep is the numerically sound orientation.)  The boundary
-velocity v(1; z) of the self-consistent solution changes sign across the
-stationary log-radius, which brentq then refines.
+iteration that integrates the characteristic ODE inward from the rim.
+Both endpoints are rest points of w, so regularity pins p at the
+reaction's equilibrium there, which attracts inward.  (Outward
+integration amplifies seed errors by exp(int f_p / v dr), up to 1e10 for
+realistic parameters.)  The boundary velocity v(1; z) of the
+self-consistent solution changes sign across the stationary log-radius,
+which brentq then refines.
 """
 
 import logging
@@ -52,18 +50,15 @@ NK_MAXITER = 50       # Newton iterations before NoConvergence
 def equilibrium_fraction(model, c):
     """Root in [0, 1] of the reaction f(c, .).
 
-    Closed form of the concave quadratic: p = [(K_M - K_N) +
-    sqrt((K_M - K_N)^2 + 4 K_M K_P)] / (2 K_M), which lies in [0, 1]
-    because f(c, 0) >= 0 >= f(c, 1).  Degenerate K_M -> 0 reduces f to an
-    affine function with root K_P / K_N (0 if both vanish).
+    p = [(K_M - K_N) + sqrt((K_M - K_N)^2 + 4 K_M K_P)] / (2 K_M), in
+    [0, 1] as f(c, 0) >= 0 >= f(c, 1); K_P / K_N (0 if K_N = 0) at K_M = 0.
     """
     km, kn, kp = _kinetics(model, np.asarray(c, dtype=float))
     disc = (km - kn) ** 2 + 4.0 * km * kp
     with np.errstate(divide="ignore", invalid="ignore"):
         quad = ((km - kn) + np.sqrt(disc)) / (2.0 * km)
         lin = np.where(kn > 0.0, kp / np.where(kn > 0.0, kn, 1.0), 0.0)
-    out = np.where(km > 1e-12, quad, lin)
-    out = np.clip(out, 0.0, 1.0)
+    out = np.clip(np.where(km > 1e-12, quad, lin), 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -90,10 +85,9 @@ class StationarySolution:
 def _steady_transport(model, c, grid, tol=1e-12, max_iter=80):
     """Self-consistent steady transport profile for frozen nutrient ``c``.
 
-    Picard iteration: from the current p, rebuild the velocity quadrature
-    and advection w; re-integrate w p' = f(c, p) inward from the rim with
-    a one-term series start at r = 1 - 2h; repeat until the profile stops
-    moving.  Returns (p, v1, iterations).
+    Picard iteration: rebuild the advection w from the current p and
+    re-integrate w p' = f(c, p) inward from a one-term series start at
+    r = 1 - 2h, until p stops moving.  Returns (p, v1, iterations).
     """
     r, h = grid.r, grid.h
     c_sp = CubicSpline(r, c)
@@ -152,9 +146,8 @@ def stationary_by_bisection(model, grid, z_bracket=(-1.0, 2.5), xtol=1e-10,
                             bvp_tol=1e-10):
     """Direct construction of the stationary log-radius.
 
-    Brackets the root of the self-consistent boundary velocity v(1; z)
-    over ``z_bracket`` and refines with brentq.  Raises
-    :class:`BracketError` when v(1; z) does not change sign there.
+    brentq on the self-consistent boundary velocity v(1; z) over
+    ``z_bracket``; :class:`BracketError` if it keeps one sign there.
     """
     def v1_of_z(z):
         prof = solve_nutrient(model, z, grid, tol=bvp_tol)
@@ -180,24 +173,20 @@ def solve_stationary(model, grid, tol=1e-6, config=None, cross_check=True):
         asymptotic stability they provide.
     grid : Grid
     tol : float
-        Stationarity tolerance: the returned (z, p) has fixed-point
-        residual |step(x) - x|_inf/dt <= tol/10 (see the module docstring).
+        The returned x = (z, p) has |step(x) - x|_inf/dt <= tol/10.
     config : SolverConfig, optional
-        Scheme whose fixed point is sought (eps is forced to 0).  Defaults
-        to the standard solver settings; simulations that measure
-        deviations against the result should use the same dt and grid.
+        Scheme whose fixed point is sought (eps is forced to 0); runs that
+        measure deviations against the result should use the same dt.
     cross_check : bool
-        Also compute the stationary log-radius by the direct construction
-        and record it in ``z_direct``.  The two methods discretize the
-        steady transport differently, so their gap carries an O(h^2)
-        floor on top of the solver tolerance; disagreement beyond
-        max(10*tol, h^2) logs a warning.
+        Also record the direct construction's log-radius in ``z_direct``.
+        The two discretize steady transport differently, so a gap beyond
+        max(10*tol, h^2) (an O(h^2) floor) logs a warning.
 
     Raises
     ------
     ConvergenceError
-        The relaxation did not reach |F| <= RELAX_LEVEL by T_RELAX, or
-        Newton-Krylov failed; ``residual`` holds the last |F|_inf.
+        No certificate within T_RELAX units of relaxation, or a failure
+        inside the solve; ``residual`` holds the last |F|_inf.
     BracketError
         Cross-check enabled and v(1; z) keeps one sign over (-1, 2.5).
     """
@@ -218,21 +207,32 @@ def solve_stationary(model, grid, tol=1e-6, config=None, cross_check=True):
         return f
 
     steps_per_check = max(1, round(1.0 / dt))
-    try:
-        for k in range(round(T_RELAX / dt)):
+    steps_left = round(T_RELAX / dt)   # shared by both relaxation phases
+
+    def relax(x, level):
+        # pseudo-time steps x <- x + dt F(x) until |F|_inf <= level
+        nonlocal steps_left
+        for k in range(steps_left):
             f = residual(x)
-            if k % steps_per_check == 0 and norm <= RELAX_LEVEL:
-                break
+            if k % steps_per_check == 0 and norm <= level:
+                steps_left -= k
+                return x
             x = x + dt * f
-        else:
-            raise ConvergenceError(f"relaxation not at |F| <= {RELAX_LEVEL:g} "
-                                   f"by t={T_RELAX:g}", residual=norm)
-        x = newton_krylov(residual, x, f_tol=0.1 * tol, method="lgmres",
-                          maxiter=NK_MAXITER)
-    except (NoConvergence, ValueError, FloatingPointError) as exc:
+        raise ConvergenceError(f"relaxation not at |F| <= {level:g} by "
+                               f"t={T_RELAX:g}", residual=norm)
+
+    try:
+        x = relax(x, RELAX_LEVEL)
+        try:
+            x = newton_krylov(residual, x, f_tol=0.1 * tol, method="lgmres",
+                              maxiter=NK_MAXITER)
+        except NoConvergence as exc:
+            # a stall on the limiter's kinks; relaxation still converges
+            x = relax(exc.args[0], 0.1 * tol)
+    except (ConvergenceError, ValueError, FloatingPointError) as exc:
         raise ConvergenceError(
-            f"stationary solve failed ({type(exc).__name__}, last |F| = "
-            f"{norm:.3e})", residual=norm) from exc
+            f"stationary solve failed at |F|_inf = {norm:.3e}: {exc}",
+            residual=norm) from exc
     c = solve_nutrient(model, x[0], grid, tol=config.bvp_tol, guess=c).c
     state = State(t=0.0, z=float(x[0]), c=c, p=x[1:])
     vel = velocity_from_state(model, state, grid)
