@@ -169,29 +169,28 @@ class StabilityReport:
 
 
 def stability_experiment(model, grid, config, eps_list, delta_list, shapes,
-                         seeds, stationary=None, fit_window=0.5,
-                         fit_floor=1e-13):
+                         seeds, stationary=None):
     """Run the perturbation-decay matrix and fit rates per norm.
 
     For each cell (eps, delta, shape, seed): perturb the stationary
     solution, simulate to config.t_end, fit an exponential to every
-    deviation norm, and record whether all norms fell below delta/10 and
-    when.  delta = 0 cells are recorded with the fits skipped.  A failing
-    cell is reported in its status, not raised.  Cells are listed in
-    (eps, delta, shape, seed) order.
+    deviation norm with :func:`fit_decay`'s default window and floor, and
+    record whether all norms fell below delta/10 and when.  delta = 0 cells
+    are recorded with the fits skipped.  A failing cell is reported in its
+    status, not raised.  Cells are listed in (eps, delta, shape, seed)
+    order.
     """
     if stationary is None:
         stationary = solve_stationary(model, grid, config=config,
                                       cross_check=False)
     cells = [_run_cell(model, grid, config, stationary, float(eps),
-                       float(delta), shape, int(seed), fit_window, fit_floor)
+                       float(delta), shape, int(seed))
              for eps in eps_list for delta in delta_list
              for shape in shapes for seed in seeds]
     return StabilityReport(cells=cells, horizon=config.t_end)
 
 
-def _run_cell(model, grid, config, stationary, eps, delta, shape, seed,
-              fit_window, fit_floor):
+def _run_cell(model, grid, config, stationary, eps, delta, shape, seed):
     cfg = SolverConfig(**{**config.__dict__, "eps": eps})
     if delta == 0.0:
         return StabilityCell(eps=eps, delta=delta, shape=shape, seed=seed,
@@ -211,7 +210,7 @@ def _run_cell(model, grid, config, stationary, eps, delta, shape, seed,
     for name in DeviationRecord.NORM_FIELDS:
         series = [(rec.t, getattr(rec, name)) for rec in result.records]
         try:
-            fits[name] = fit_decay(series, window=fit_window, floor=fit_floor)
+            fits[name] = fit_decay(series)
         except InsufficientDataError:
             fits[name] = None  # at the noise floor throughout
     crossing = float("nan")
@@ -318,8 +317,7 @@ def _integrate_plain(model, init, grid, config):
     """Step to t_end without recording (convergence studies only)."""
     state = init.copy()
     if config.eps == 0.0:
-        state.c = solve_nutrient(model, state.z, grid, tol=config.bvp_tol,
-                                 guess=state.c).c
+        state.c = solve_nutrient(model, state.z, grid, guess=state.c).c
     for _ in range(round((config.t_end - state.t) / config.dt)):
         state = step(model, state, grid, config)
     return state

@@ -8,12 +8,14 @@ by the SPHEROID_LOG environment variable (debug/info/warning/error).
 
 import argparse
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
 
-from .analysis import (CONVERGENCE_THRESHOLDS, admissible_init,
-                       stability_experiment, standard_convergence_suite)
+from .analysis import (CONVERGENCE_THRESHOLDS, PERTURBATION_SHAPES,
+                       admissible_init, stability_experiment,
+                       standard_convergence_suite)
 from .config import (config_hash, default_config, load_config, save_config)
 from .errors import SpheroidError
 from .evolution import State, simulate
@@ -34,15 +36,40 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _common_flags(parser):
-    parser.add_argument("--config", help="configuration file path")
-    parser.add_argument("--out", help="output directory (overrides paths.out_dir)")
-    parser.add_argument("--seed", type=int, help="seed override (u64)")
-    parser.add_argument("--grid-n", type=int, dest="grid_n",
-                        help="grid node count override")
-    parser.add_argument("--eps", type=float, help="diffusion ratio override")
-    parser.add_argument("--delta", type=float, help="perturbation amplitude override")
-    parser.add_argument("--tend", type=float, help="horizon override")
+def _bounded(kind, low=None):
+    """argparse type: a finite ``kind`` value, at least ``low`` if given."""
+    def parse(text):
+        value = kind(text)
+        if not math.isfinite(value) or (low is not None and value < low):
+            need = "finite" if low is None else f"finite and >= {low}"
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+    parse.__name__ = kind.__name__   # argparse names it in "invalid int value"
+    return parse
+
+
+def _floats(text):
+    """argparse type: comma-separated finite floats."""
+    return [_bounded(float)(x) for x in text.split(",") if x.strip()]
+
+
+# the configuration overrides, by dest; each subcommand takes the ones its
+# handler reads
+_OVERRIDES = {
+    "config": dict(help="configuration file path"),
+    "out": dict(help="output directory (overrides paths.out_dir)"),
+    "seed": dict(type=_bounded(int, 0), help="seed override (u64)"),
+    "grid_n": dict(type=_bounded(int, 3), help="grid node count override"),
+    "eps": dict(type=_bounded(float, 0.0), help="diffusion ratio override"),
+    "delta": dict(type=_bounded(float, 0.0),
+                  help="perturbation amplitude override"),
+    "tend": dict(type=_bounded(float), help="horizon override"),
+}
+
+
+def _overrides(parser, *dests):
+    for dest in dests:
+        parser.add_argument("--" + dest.replace("_", "-"), **_OVERRIDES[dest])
 
 
 def build_parser():
@@ -54,44 +81,50 @@ def build_parser():
 
     p = sub.add_parser("check-assumptions",
                        help="verify the rate-model conditions (A1)-(A5)")
-    _common_flags(p)
-    p.add_argument("--samples", type=int, default=201)
+    p.set_defaults(handler=cmd_check_assumptions)
+    _overrides(p, "config")
+    p.add_argument("--samples", type=_bounded(int, 2), default=201)
 
     p = sub.add_parser("lemma31",
                        help="check the analytic envelope bounds on the "
                             "nutrient profile and its sensitivities")
-    _common_flags(p)
-    p.add_argument("--z-values", default="-1,0,1",
+    p.set_defaults(handler=cmd_lemma31)
+    _overrides(p, "config", "grid_n")
+    p.add_argument("--z-values", type=_floats, default="-1,0,1",
                    help="comma-separated log-radius values")
 
     p = sub.add_parser("stationary", help="compute the stationary solution")
-    _common_flags(p)
+    p.set_defaults(handler=cmd_stationary)
+    _overrides(p, "config", "out", "grid_n")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--no-cross-check", action="store_true")
 
     p = sub.add_parser("simulate", help="integrate one trajectory")
-    _common_flags(p)
+    p.set_defaults(handler=cmd_simulate)
+    _overrides(p, *_OVERRIDES)
     p.add_argument("--resume", help="snapshot to continue from")
-    p.add_argument("--shape", default="poly",
-                   help="perturbation shape (poly, cosine, random)")
+    p.add_argument("--shape", default="poly", choices=PERTURBATION_SHAPES,
+                   help="perturbation shape")
 
     p = sub.add_parser("stability", help="run the perturbation-decay matrix")
-    _common_flags(p)
+    p.set_defaults(handler=cmd_stability)
+    _overrides(p, *_OVERRIDES)
 
     p = sub.add_parser("convergence", help="run the refinement-order studies")
-    _common_flags(p)
+    p.set_defaults(handler=cmd_convergence)
+    _overrides(p, "config", "out")
     return parser
 
 
 def _load(args):
     cfg = load_config(args.config) if args.config else default_config()
-    if args.grid_n is not None:
+    if getattr(args, "grid_n", None) is not None:
         cfg.grid_n = args.grid_n
     if getattr(args, "eps", None) is not None:
         cfg.solver = replace(cfg.solver, eps=args.eps)
     if getattr(args, "tend", None) is not None:
         cfg.solver = replace(cfg.solver, t_end=args.tend)
-    if args.out is not None:
+    if getattr(args, "out", None) is not None:
         cfg.out_dir = args.out
     return cfg
 
@@ -111,8 +144,7 @@ def cmd_check_assumptions(args):
 
 def cmd_lemma31(args):
     cfg = _load(args)
-    z_values = [float(x) for x in args.z_values.split(",") if x.strip()]
-    report = bounds_report(cfg.model(), z_values, Grid(cfg.grid_n))
+    report = bounds_report(cfg.model(), args.z_values, Grid(cfg.grid_n))
     for line in report.lines():
         print(line)
     print("all bounds hold" if report.all_passed else "BOUND VIOLATION")
@@ -215,11 +247,8 @@ def cmd_stability(args):
     eps_list = (args.eps,) if args.eps is not None else exp.eps_list
     delta_list = (args.delta,) if args.delta is not None else exp.delta_list
     seeds = (args.seed,) if args.seed is not None else exp.seeds
-    solver = cfg.solver if args.tend is None else replace(cfg.solver, t_end=args.tend)
-    report = stability_experiment(model, grid, solver, eps_list, delta_list,
-                                  exp.shapes, seeds,
-                                  fit_window=exp.fit_window,
-                                  fit_floor=exp.fit_floor)
+    report = stability_experiment(model, grid, cfg.solver, eps_list,
+                                  delta_list, exp.shapes, seeds)
     path = os.path.join(out, "stability.csv")
     write_stability_csv(path, report)
     n_ok = sum(c.status == "ok" for c in report.cells)
@@ -247,16 +276,6 @@ def cmd_convergence(args):
     return 0 if ok else 1
 
 
-_HANDLERS = {
-    "check-assumptions": cmd_check_assumptions,
-    "lemma31": cmd_lemma31,
-    "stationary": cmd_stationary,
-    "simulate": cmd_simulate,
-    "stability": cmd_stability,
-    "convergence": cmd_convergence,
-}
-
-
 def cli(argv=None):
     """Run the CLI on ``argv`` (defaults to sys.argv[1:]); returns exit status."""
     _setup_logging()
@@ -266,7 +285,7 @@ def cli(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except SpheroidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,8 +24,6 @@ class ExperimentConfig:
     delta_list: tuple = (0.005, 0.01)
     shapes: tuple = ("poly", "cosine")
     seeds: tuple = (1,)
-    fit_window: float = 0.5
-    fit_floor: float = 1e-13
 
 
 @dataclass
@@ -47,35 +45,47 @@ def default_config():
     return RunConfig(rates={name: getattr(model, name) for name in RATE_NAMES})
 
 
-_SOLVER_KEYS = {
-    "eps": float, "dt": float, "t_end": float, "output_interval": float,
-    "splitting": str, "bvp_tol": float, "clip_tol": float,
-    "early_stop_floor": float, "snapshot_every": int,
+# The one declaration of the fixed sections: key -> type, where (t,) is a
+# comma-separated list of t.  Drives loads_config, dumps_config and
+# config_hash.
+_SCHEMA = {
+    "grid": {"n": int},
+    "solver": {"eps": float, "dt": float, "t_end": float,
+               "output_interval": float, "splitting": str,
+               "clip_tol": float, "early_stop_floor": float,
+               "snapshot_every": int},
+    "experiment": {"eps_list": (float,), "delta_list": (float,),
+                   "shapes": (str,), "seeds": (int,)},
+    "paths": {"out_dir": str, "resume": str},
 }
-_EXPERIMENT_KEYS = {
-    "eps_list": "floats", "delta_list": "floats", "shapes": "strs",
-    "seeds": "ints", "fit_window": float, "fit_floor": float,
-}
-_PATH_KEYS = {"out_dir": str, "resume": str}
+# (section, key) pairs config_hash leaves out: they do not change a trajectory
+_UNHASHED = {("solver", "t_end"), ("solver", "snapshot_every"),
+             *(("experiment", key) for key in _SCHEMA["experiment"]),
+             *(("paths", key) for key in _SCHEMA["paths"])}
 
 
-def _parse_scalar(section, key, raw, typ):
+def _values(cfg):
+    """{section: {key: value}} of the fixed sections, in _SCHEMA order."""
+    held = {"grid": {"n": cfg.grid_n},
+            "solver": {**vars(cfg.solver), "snapshot_every": cfg.snapshot_every},
+            "experiment": vars(cfg.experiment),
+            "paths": {"out_dir": cfg.out_dir, "resume": cfg.resume}}
+    return {section: {key: held[section][key] for key in keys}
+            for section, keys in _SCHEMA.items()}
+
+
+def _parse(section, key, raw, typ):
     try:
-        if typ is float:
-            return float(raw)
-        if typ is int:
-            return int(raw)
-        if typ is str:
-            return raw.strip()
-        if typ == "floats":
-            return tuple(float(x) for x in raw.split(",") if x.strip())
-        if typ == "ints":
-            return tuple(int(x) for x in raw.split(",") if x.strip())
-        if typ == "strs":
-            return tuple(x.strip() for x in raw.split(",") if x.strip())
+        if isinstance(typ, tuple):
+            return tuple(typ[0](x.strip()) for x in raw.split(",") if x.strip())
+        return typ(raw.strip())
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from exc
-    raise AssertionError(typ)
+
+
+def _format(value, typ):
+    # str() of a float is its shortest round-trip representation
+    return ", ".join(map(str, value)) if isinstance(typ, tuple) else str(value)
 
 
 def _load_parser(text):
@@ -90,9 +100,9 @@ def _load_parser(text):
 def loads_config(text):
     """Parse and validate configuration text; defaults fill absent keys."""
     parser = _load_parser(text)
-    cfg = default_config()
-    solver_kwargs = {}
-    snapshot_every = cfg.snapshot_every
+    defaults = default_config()
+    rates = defaults.rates
+    values = _values(defaults)
 
     for section in parser.sections():
         items = dict(parser.items(section))
@@ -105,51 +115,34 @@ def loads_config(text):
                 raise ConfigError(f"{section}.family is required")
             if family not in FAMILIES:
                 raise ConfigError(f"{section}.family: unknown family {family!r}")
-            params = {}
-            for key, raw in items.items():
-                params[key] = _parse_scalar(section, key, raw, float)
+            params = {key: _parse(section, key, raw, float)
+                      for key, raw in items.items()}
             try:
-                cfg.rates[name] = Rate(family, params)
+                rates[name] = Rate(family, params)
             except ValueError as exc:
                 raise ConfigError(f"[{section}]: {exc}") from exc
-        elif section == "grid":
+        elif section in _SCHEMA:
             for key, raw in items.items():
-                if key != "n":
-                    raise ConfigError(f"grid.{key}: unknown key")
-                cfg.grid_n = _parse_scalar(section, key, raw, int)
-        elif section == "solver":
-            for key, raw in items.items():
-                if key not in _SOLVER_KEYS:
-                    raise ConfigError(f"solver.{key}: unknown key")
-                value = _parse_scalar(section, key, raw, _SOLVER_KEYS[key])
-                if key == "snapshot_every":
-                    snapshot_every = value
-                else:
-                    solver_kwargs[key] = value
-        elif section == "experiment":
-            for key, raw in items.items():
-                if key not in _EXPERIMENT_KEYS:
-                    raise ConfigError(f"experiment.{key}: unknown key")
-                setattr(cfg.experiment, key,
-                        _parse_scalar(section, key, raw, _EXPERIMENT_KEYS[key]))
-        elif section == "paths":
-            for key, raw in items.items():
-                if key not in _PATH_KEYS:
-                    raise ConfigError(f"paths.{key}: unknown key")
-                setattr(cfg, key, _parse_scalar(section, key, raw, str))
+                if key not in _SCHEMA[section]:
+                    raise ConfigError(f"{section}.{key}: unknown key")
+                values[section][key] = _parse(section, key, raw,
+                                              _SCHEMA[section][key])
         else:
             raise ConfigError(f"unknown section [{section}]")
 
-    if cfg.grid_n < 3:
-        raise ConfigError(f"grid.n: must be >= 3, got {cfg.grid_n}")
+    solver = values["solver"]
+    snapshot_every = solver.pop("snapshot_every")
+    if values["grid"]["n"] < 3:
+        raise ConfigError(f"grid.n: must be >= 3, got {values['grid']['n']}")
+    if snapshot_every < 1:
+        raise ConfigError("solver.snapshot_every: must be >= 1")
     try:
-        cfg.solver = SolverConfig(**solver_kwargs)
+        solver = SolverConfig(**solver)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
-    cfg.snapshot_every = snapshot_every
-    if cfg.snapshot_every < 1:
-        raise ConfigError("solver.snapshot_every: must be >= 1")
-    return cfg
+    return RunConfig(rates=rates, grid_n=values["grid"]["n"], solver=solver,
+                     experiment=ExperimentConfig(**values["experiment"]),
+                     snapshot_every=snapshot_every, **values["paths"])
 
 
 def load_config(path):
@@ -162,39 +155,26 @@ def load_config(path):
     return loads_config(text)
 
 
-def dumps_config(cfg):
-    """Serialize the fully resolved configuration as INI text."""
+def _write(cfg, leave_out=()):
     parser = configparser.ConfigParser(interpolation=None)
     for name in RATE_NAMES:
         rate = cfg.rates[name]
-        section = f"rates.{name}"
-        parser.add_section(section)
-        parser.set(section, "family", rate.family)
-        for key, value in sorted(rate.params.items()):
-            parser.set(section, key, repr(value))
-    parser.add_section("grid")
-    parser.set("grid", "n", str(cfg.grid_n))
-    parser.add_section("solver")
-    s = cfg.solver
-    for key in ("eps", "dt", "t_end", "output_interval", "bvp_tol",
-                "clip_tol", "early_stop_floor"):
-        parser.set("solver", key, repr(getattr(s, key)))
-    parser.set("solver", "splitting", s.splitting)
-    parser.set("solver", "snapshot_every", str(cfg.snapshot_every))
-    parser.add_section("experiment")
-    e = cfg.experiment
-    parser.set("experiment", "eps_list", ", ".join(repr(x) for x in e.eps_list))
-    parser.set("experiment", "delta_list", ", ".join(repr(x) for x in e.delta_list))
-    parser.set("experiment", "shapes", ", ".join(e.shapes))
-    parser.set("experiment", "seeds", ", ".join(str(x) for x in e.seeds))
-    parser.set("experiment", "fit_window", repr(e.fit_window))
-    parser.set("experiment", "fit_floor", repr(e.fit_floor))
-    parser.add_section("paths")
-    parser.set("paths", "out_dir", cfg.out_dir)
-    parser.set("paths", "resume", cfg.resume)
+        parser[f"rates.{name}"] = {"family": rate.family, **{
+            key: repr(value) for key, value in sorted(rate.params.items())}}
+    for section, values in _values(cfg).items():
+        kept = {key: _format(value, _SCHEMA[section][key])
+                for key, value in values.items()
+                if (section, key) not in leave_out}
+        if kept:
+            parser[section] = kept
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
+
+
+def dumps_config(cfg):
+    """Serialize the fully resolved configuration as INI text."""
+    return _write(cfg)
 
 
 def save_config(cfg, path):
@@ -205,15 +185,9 @@ def save_config(cfg, path):
 def config_hash(cfg):
     """Stable short hash of what determines a trajectory (provenance).
 
-    Covers the rates, the grid and the solver fields except ``t_end`` and
+    Covers the rates, the grid and the solver keys except ``t_end`` and
     ``snapshot_every``, so a run resumed with a longer horizon or written
     elsewhere keeps its hash; the experiment matrix and paths are left out.
     """
-    parser = _load_parser(dumps_config(cfg))
-    parser.remove_section("experiment")
-    parser.remove_section("paths")
-    parser.remove_option("solver", "t_end")
-    parser.remove_option("solver", "snapshot_every")
-    buf = io.StringIO()
-    parser.write(buf)
-    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()[:16]
+    text = _write(cfg, _UNHASHED)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

@@ -66,11 +66,13 @@ class SolverConfig:
     t_end: float = 80.0
     output_interval: float = 0.2
     splitting: str = "lie"       # "heun" enables the second-order composite
-    bvp_tol: float = 1e-10
     clip_tol: float = 1e-10
     early_stop_floor: float = 0.0   # stop once all deviation norms drop below; 0 disables
 
     def __post_init__(self):
+        for name in ("eps", "dt", "t_end", "output_interval"):
+            if not np.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.eps < 0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
         if self.dt <= 0:
@@ -289,8 +291,7 @@ def step(model, state, grid, config, clip=None):
     p_new = transport_step(model, state, vel, dt, grid)
     z_pred = state.z + dt * vel.v1
     if eps == 0.0:
-        c_pred = solve_nutrient(model, z_pred, grid, tol=config.bvp_tol,
-                                guess=state.c).c
+        c_pred = solve_nutrient(model, z_pred, grid, guess=state.c).c
     else:
         c_pred = nutrient_step(model, state, vel, dt, eps, grid)
     pred = State(t=state.t + dt, z=z_pred, c=c_pred, p=p_new)
@@ -301,8 +302,7 @@ def step(model, state, grid, config, clip=None):
         p_new = transport_step(model, state, vel, dt, grid, c_head=c_pred,
                                w_override=0.5 * (vel.w + vel_pred.w))
     if eps == 0.0:
-        c_new = solve_nutrient(model, z_new, grid, tol=config.bvp_tol,
-                               guess=c_pred).c
+        c_new = solve_nutrient(model, z_new, grid, guess=c_pred).c
     elif heun:
         c_new = nutrient_step(model, state, vel, dt, eps, grid,
                               z=0.5 * (state.z + z_pred),
@@ -364,8 +364,7 @@ def simulate(model, init, grid, config, stationary, on_output=None,
 
     state = init.copy()
     if config.eps == 0.0:
-        state.c = solve_nutrient(model, state.z, grid, tol=config.bvp_tol,
-                                 guess=state.c).c
+        state.c = solve_nutrient(model, state.z, grid, guess=state.c).c
 
     records = []
     aux = []
@@ -377,8 +376,7 @@ def simulate(model, init, grid, config, stationary, on_output=None,
     out_idx = 0
 
     def emit(step_index):
-        profile = solve_nutrient(model, state.z, grid, tol=config.bvp_tol,
-                                 guess=state.c)
+        profile = solve_nutrient(model, state.z, grid, guess=state.c)
         rec = deviation_norms(state, prev, stationary, profile)
         vel = velocity_from_state(model, state, grid)
         records.append(rec)

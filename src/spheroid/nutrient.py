@@ -26,6 +26,8 @@ from .grid import Grid
 from .rates import check_domain
 
 _MACHEPS = np.finfo(float).eps
+# relative bound on the max-norm Newton residual of every nutrient solve
+RESIDUAL_TOL = 1e-10
 
 
 def operator_rows(grid, beta=0.0):
@@ -87,8 +89,12 @@ def _resid_floor(grid, scale):
     return 50.0 * _MACHEPS * max(1.0, 1.0 / grid.h**2, scale)
 
 
-def solve_nutrient(model, z, grid, tol=1e-10, guess=None, max_iter=60):
+def solve_nutrient(model, z, grid, guess=None, max_iter=60):
     """Solve the nutrient BVP at log-radius ``z``.
+
+    Newton stops once the max-norm nonlinear residual is at most
+    ``RESIDUAL_TOL * max(1, e^{2z} F(c_hi))``, floored at the rounding
+    level of the h^-2 stencil.
 
     Parameters
     ----------
@@ -96,10 +102,6 @@ def solve_nutrient(model, z, grid, tol=1e-10, guess=None, max_iter=60):
     z : float
         Log-radius; the consumption term scales with e^{2z}.
     grid : Grid
-    tol : float
-        Relative bound on the max-norm nonlinear residual.  The effective
-        absolute bound is ``tol * max(1, e^{2z} F(c_hi))``, floored at the
-        rounding level of the h^-2 stencil.
     guess : array, optional
         Warm-start iterate (e.g. the profile at a nearby z); defaults to
         the constant boundary value 1.
@@ -115,8 +117,8 @@ def solve_nutrient(model, z, grid, tol=1e-10, guess=None, max_iter=60):
     z = float(z)
     e2z = np.exp(2.0 * z)
     fhi, _ = model.F(np.array(model.c_hi))
-    scale = max(1.0, e2z * abs(float(fhi)))
-    tol_eff = max(tol * scale, _resid_floor(grid, e2z * abs(float(fhi))))
+    load = e2z * abs(float(fhi))
+    tol_eff = max(RESIDUAL_TOL * max(1.0, load), _resid_floor(grid, load))
 
     lo, di, up = _diffusion_rows(grid)
     c = np.ones(grid.n) if guess is None else np.array(guess, dtype=float)
@@ -235,7 +237,7 @@ class BoundsReport:
         return out
 
 
-def bounds_report(model, z_values, grid, rel_tol=1e-8, tol=1e-10):
+def bounds_report(model, z_values, grid, rel_tol=1e-8):
     """Check the seven envelope bounds at each requested z.
 
     Margins are normalized by F(1) e^{2z} (or 1 where that scale
@@ -246,7 +248,7 @@ def bounds_report(model, z_values, grid, rel_tol=1e-8, tol=1e-10):
     """
     entries = []
     for z in z_values:
-        prof = solve_nutrient(model, z, grid, tol=tol)
+        prof = solve_nutrient(model, z, grid)
         e2z = np.exp(2.0 * float(z))
         f1 = float(model.F(np.array(1.0))[0])
         scale = f1 * e2z if f1 * e2z > 0 else 1.0

@@ -53,7 +53,8 @@ def load_snapshot(path, expect_n=None):
     """Read a snapshot; returns (State, header dict).
 
     Raises :class:`SnapshotError` on bad magic, version, checksum, length,
-    or a grid size differing from ``expect_n``.
+    a header that is not a JSON object or lacks a required field, or a grid
+    size differing from ``expect_n``.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -69,6 +70,12 @@ def load_snapshot(path, expect_n=None):
         header = json.loads(blob[12:12 + head_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise SnapshotError(f"{path}: header is not a JSON object")
+    missing = [key for key in ("n", "t", "z", "step", "output_index",
+                               "config_hash") if key not in header]
+    if missing:
+        raise SnapshotError(f"{path}: header lacks {', '.join(missing)}")
     if header.get("version") != FORMAT_VERSION:
         raise SnapshotError(
             f"{path}: format version {header.get('version')} not supported "

@@ -82,12 +82,13 @@ class StationarySolution:
         return float(np.exp(self.z))
 
 
-def _steady_transport(model, c, grid, tol=1e-12, max_iter=80):
+def _steady_transport(model, c, grid):
     """Self-consistent steady transport profile for frozen nutrient ``c``.
 
     Picard iteration: rebuild the advection w from the current p and
     re-integrate w p' = f(c, p) inward from a one-term series start at
-    r = 1 - 2h, until p stops moving.  Returns (p, v1, iterations).
+    r = 1 - 2h, until p moves by less than 1e-12 (at most 80 sweeps).
+    Returns (p, v1, iterations).
     """
     r, h = grid.r, grid.h
     c_sp = CubicSpline(r, c)
@@ -102,7 +103,7 @@ def _steady_transport(model, c, grid, tol=1e-12, max_iter=80):
     inner = np.where((r <= r_start + 1e-13) & (r >= r_end - 1e-13))[0][::-1]
     core = r < r_end - 1e-13
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, 81):
         vel = velocity_from_state(model, State(0.0, 0.0, c, p), grid)
         if np.max(np.abs(vel.w)) < 1e-12:
             # degenerate advection: steady state is the pointwise equilibrium
@@ -132,7 +133,7 @@ def _steady_transport(model, c, grid, tol=1e-12, max_iter=80):
             p_new[-2] = p1 + sigma * h
         move = float(np.max(np.abs(p_new - p)))
         p = np.clip(p_new, 0.0, 1.0)
-        if move < tol:
+        if move < 1e-12:
             break
     else:
         raise ConvergenceError(
@@ -142,15 +143,14 @@ def _steady_transport(model, c, grid, tol=1e-12, max_iter=80):
     return p, vel.v1, it
 
 
-def stationary_by_bisection(model, grid, z_bracket=(-1.0, 2.5), xtol=1e-10,
-                            bvp_tol=1e-10):
+def stationary_by_bisection(model, grid, z_bracket=(-1.0, 2.5)):
     """Direct construction of the stationary log-radius.
 
-    brentq on the self-consistent boundary velocity v(1; z) over
-    ``z_bracket``; :class:`BracketError` if it keeps one sign there.
+    brentq (xtol 1e-10) on the self-consistent boundary velocity v(1; z)
+    over ``z_bracket``; :class:`BracketError` if it keeps one sign there.
     """
     def v1_of_z(z):
-        prof = solve_nutrient(model, z, grid, tol=bvp_tol)
+        prof = solve_nutrient(model, z, grid)
         _, v1, _ = _steady_transport(model, prof.c, grid)
         return v1
 
@@ -160,7 +160,7 @@ def stationary_by_bisection(model, grid, z_bracket=(-1.0, 2.5), xtol=1e-10,
         raise BracketError(
             f"v(1; z) keeps sign over [{lo:g}, {hi:g}]: "
             f"v1({lo:g})={v_lo:.3e}, v1({hi:g})={v_hi:.3e}")
-    return float(brentq(v1_of_z, lo, hi, xtol=xtol))
+    return float(brentq(v1_of_z, lo, hi, xtol=1e-10))
 
 
 def solve_stationary(model, grid, tol=1e-6, config=None, cross_check=True):
@@ -192,14 +192,14 @@ def solve_stationary(model, grid, tol=1e-6, config=None, cross_check=True):
     """
     config = replace(config or SolverConfig(), eps=0.0)
     dt = config.dt
-    c = solve_nutrient(model, Z_INIT, grid, tol=config.bvp_tol).c
+    c = solve_nutrient(model, Z_INIT, grid).c
     x = np.concatenate(([Z_INIT], equilibrium_fraction(model, c)))
     norm = np.inf    # last |F|_inf
 
     def residual(x):
         # F(x) for x = (z, p); c is re-solved, warm-started, at each call
         nonlocal c, norm
-        c = solve_nutrient(model, x[0], grid, tol=config.bvp_tol, guess=c).c
+        c = solve_nutrient(model, x[0], grid, guess=c).c
         new = step(model, State(0.0, x[0], c, x[1:]), grid, config)
         c = new.c
         f = (np.concatenate(([new.z], new.p)) - x) / dt
@@ -233,10 +233,10 @@ def solve_stationary(model, grid, tol=1e-6, config=None, cross_check=True):
         raise ConvergenceError(
             f"stationary solve failed at |F|_inf = {norm:.3e}: {exc}",
             residual=norm) from exc
-    c = solve_nutrient(model, x[0], grid, tol=config.bvp_tol, guess=c).c
+    c = solve_nutrient(model, x[0], grid, guess=c).c
     state = State(t=0.0, z=float(x[0]), c=c, p=x[1:])
     vel = velocity_from_state(model, state, grid)
-    prof = solve_nutrient(model, state.z, grid, tol=config.bvp_tol)
+    prof = solve_nutrient(model, state.z, grid)
     p_r = np.gradient(state.p, grid.h, edge_order=2)
     transport = -vel.v * p_r + f_reaction(model, state.c, state.p)
     solution = StationarySolution(
@@ -247,8 +247,7 @@ def solve_stationary(model, grid, tol=1e-6, config=None, cross_check=True):
     )
 
     if cross_check:
-        solution.z_direct = stationary_by_bisection(
-            model, grid, bvp_tol=config.bvp_tol)
+        solution.z_direct = stationary_by_bisection(model, grid)
         solution.method = "newton-krylov+direct"
         gap = abs(solution.z_direct - solution.z)
         if gap > max(10.0 * tol, grid.h**2):

@@ -24,10 +24,41 @@ def config_path(tmp_path):
     return str(path)
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     assert cli(["no-such-command"]) == 2
     assert cli(["simulate", "--no-such-flag"]) == 2
     assert cli([]) == 2
+    # out-of-range overrides are usage errors that name the flag
+    for argv in (["lemma31", "--grid-n", "2"], ["simulate", "--grid-n", "x"],
+                 ["simulate", "--eps", "-1"], ["stability", "--eps", "nan"],
+                 ["simulate", "--eps", "inf"], ["stability", "--delta", "-0.01"],
+                 ["simulate", "--tend", "nan"], ["stability", "--tend", "inf"],
+                 ["simulate", "--seed", "-1"],
+                 ["check-assumptions", "--samples", "1"],
+                 ["lemma31", "--z-values", "0,a"], ["lemma31", "--z-values", "inf"],
+                 ["simulate", "--shape", "square"]):
+        capsys.readouterr()
+        assert cli(argv) == 2, argv
+        assert f"argument {argv[1]}" in capsys.readouterr().err, argv
+
+
+# each subcommand takes only the flags its handler reads
+IGNORED_BEFORE = [("check-assumptions", flag) for flag in
+                  ("--out", "--seed", "--grid-n", "--eps", "--delta", "--tend")]
+IGNORED_BEFORE += [("lemma31", flag) for flag in
+                   ("--out", "--seed", "--eps", "--delta", "--tend")]
+IGNORED_BEFORE += [("stationary", flag) for flag in
+                   ("--seed", "--eps", "--delta", "--tend")]
+IGNORED_BEFORE += [("convergence", flag) for flag in
+                   ("--seed", "--grid-n", "--eps", "--delta", "--tend")]
+FLAG_VALUES = {"--out": "out", "--seed": "1", "--grid-n": "51", "--eps": "0.1",
+               "--delta": "0.01", "--tend": "1.0"}
+
+
+@pytest.mark.parametrize("command,flag", IGNORED_BEFORE)
+def test_unread_flag_rejected(command, flag, capsys):
+    assert cli([command, flag, FLAG_VALUES[flag]]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_check_assumptions_ok(capsys):

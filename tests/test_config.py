@@ -52,7 +52,12 @@ def test_unknown_key_and_section():
     # removed options are unknown keys, not silently ignored
     for text, key in (("[solver]\ninterp = linear\n", "solver.interp"),
                       ("[solver]\ntheta = 0.5\n", "solver.theta"),
-                      ("[experiment]\nworkers = 2\n", "experiment.workers")):
+                      ("[experiment]\nworkers = 2\n", "experiment.workers"),
+                      ("[solver]\nbvp_tol = 1e-10\n", "solver.bvp_tol"),
+                      ("[experiment]\nfit_window = 0.5\n",
+                       "experiment.fit_window"),
+                      ("[experiment]\nfit_floor = 1e-13\n",
+                       "experiment.fit_floor")):
         with pytest.raises(ConfigError) as err:
             loads_config(text)
         assert key in str(err.value)
@@ -75,6 +80,10 @@ def test_solver_validation_wrapped():
         loads_config("[solver]\ndt = -0.5\n")
     with pytest.raises(ConfigError):
         loads_config("[solver]\nsplitting = strang\n")
+    for text in ("dt = nan", "eps = inf", "t_end = nan", "output_interval = inf"):
+        with pytest.raises(ConfigError) as err:
+            loads_config(f"[solver]\n{text}\n")
+        assert "finite" in str(err.value)
 
 
 def test_rate_params_validated():

@@ -442,3 +442,7 @@ def test_solver_config_validation():
         SolverConfig(splitting="strang")
     with pytest.raises(ValueError):
         SolverConfig(dt=0.5, output_interval=0.1)
+    for name in ("eps", "dt", "t_end", "output_interval"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SolverConfig(**{name: value})

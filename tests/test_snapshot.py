@@ -1,9 +1,13 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spheroid import SnapshotError, State, load_snapshot, save_snapshot
+from spheroid.snapshot import MAGIC
 
 
 def sample_state():
@@ -82,17 +86,34 @@ def test_grid_mismatch(tmp_path):
     assert "n=101" in str(err.value)
 
 
-def test_version_mismatch(tmp_path):
-    import hashlib
-    import json
-    from spheroid.snapshot import MAGIC
-    header = json.dumps({"version": 99, "n": 3, "step": 0, "output_index": 0,
-                         "t": 0.0, "z": 0.0, "config_hash": "",
-                         "code_version": "x"}).encode()
-    body = (MAGIC + len(header).to_bytes(4, "little") + header
-            + b"\x00" * (16 * 3))
-    path = tmp_path / "a.snap"
+HEADER = {"version": 1, "n": 3, "step": 0, "output_index": 0, "t": 0.0,
+          "z": 0.0, "config_hash": "", "code_version": "x"}
+
+
+def write_with_header(path, header):
+    """A snapshot of three zero nodes with the given JSON header and a valid
+    checksum."""
+    head = json.dumps(header).encode()
+    body = MAGIC + len(head).to_bytes(4, "little") + head + b"\x00" * (16 * 3)
     path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def test_version_mismatch(tmp_path):
+    path = tmp_path / "a.snap"
+    write_with_header(path, {**HEADER, "version": 99})
     with pytest.raises(SnapshotError) as err:
         load_snapshot(path)
     assert "version" in str(err.value)
+
+
+def test_header_not_object_or_incomplete(tmp_path):
+    path = tmp_path / "a.snap"
+    write_with_header(path, HEADER)
+    load_snapshot(path)
+    write_with_header(path, list(HEADER))
+    with pytest.raises(SnapshotError, match="not a JSON object"):
+        load_snapshot(path)
+    for key in ("n", "t", "z", "step", "output_index", "config_hash"):
+        write_with_header(path, {k: v for k, v in HEADER.items() if k != key})
+        with pytest.raises(SnapshotError, match=f"lacks {key}"):
+            load_snapshot(path)

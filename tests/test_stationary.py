@@ -64,12 +64,6 @@ def test_methods_agree(stationary201):
     assert abs(stationary201.z - stationary201.z_direct) < 1e-4
 
 
-def test_direct_construction_consistency(model, grid201, stationary201):
-    # the bisection alone reproduces the same log-radius
-    z = stationary_by_bisection(model, grid201)
-    assert abs(z - stationary201.z) < 1e-4
-
-
 def test_bracket_error():
     # everything grows: g > 0 for all c, p at the equilibrium fraction
     m = make_model(K_D=zero_rate(), K_Q=zero_rate())
