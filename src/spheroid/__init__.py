@@ -8,7 +8,7 @@ The package computes the stationary solution, integrates the coupled
 system, and measures the exponential return to the stationary state.
 """
 
-from .analysis import (DecayFit, admissible_init, fit_decay, self_convergence,
+from .analysis import (DecayFit, admissible_init, fit_decay,
                        stability_experiment, standard_convergence_suite)
 from .config import (RunConfig, config_hash, default_config, dumps_config,
                      load_config, loads_config, save_config)

@@ -154,19 +154,6 @@ class StabilityReport:
     def all_ran(self):
         return all(not c.status.startswith("error") for c in self.cells)
 
-    @property
-    def largest_decaying_eps(self):
-        """Largest eps whose perturbed runs all returned to the stationary
-        state within the horizon: an empirical proxy for the stability
-        threshold, with no claim about the true one."""
-        by_eps = {}
-        for c in self.cells:
-            if c.status != "skipped":
-                ok = c.status == "ok" and c.converged
-                by_eps[c.eps] = by_eps.get(c.eps, True) and ok
-        good = [eps for eps, ok in by_eps.items() if ok]
-        return max(good) if good else float("nan")
-
 
 def stability_experiment(model, grid, config, eps_list, delta_list, shapes,
                          seeds, stationary=None):
@@ -191,7 +178,7 @@ def stability_experiment(model, grid, config, eps_list, delta_list, shapes,
 
 
 def _run_cell(model, grid, config, stationary, eps, delta, shape, seed):
-    cfg = SolverConfig(**{**config.__dict__, "eps": eps})
+    cfg = replace(config, eps=eps)
     if delta == 0.0:
         return StabilityCell(eps=eps, delta=delta, shape=shape, seed=seed,
                              status="skipped", converged=True,
@@ -238,79 +225,26 @@ class ConvergenceStudy:
         return min(self.orders) if self.orders else float("nan")
 
 
-def _state_diff(a, b, stride):
-    return max(float(np.max(np.abs(a.c[::stride] - b.c))),
-               float(np.max(np.abs(a.p[::stride] - b.p))),
-               abs(a.z - b.z))
+def _convergence_study(kind, levels, finals):
+    """Compare the final states of successive refinement levels.
 
-
-def _orders_from_diffs(diffs):
-    orders = []
-    conclusive = True
-    for d0, d1 in zip(diffs[:-1], diffs[1:]):
-        if d1 <= 0 or d0 <= 0:
-            conclusive = False
-            orders.append(float("nan"))
-        else:
-            orders.append(float(np.log2(d0 / d1)))
-            if d1 >= d0:
-                conclusive = False
-    return orders, conclusive
-
-
-def self_convergence(model, make_init, config, grid_sizes=(101, 201, 401),
-                     dt_values=(0.08, 0.04, 0.02), kind="dt", t_end=None):
-    """Observed convergence order from matched self-refinement runs.
-
-    Parameters
-    ----------
-    model : RateModel
-    make_init : callable
-        ``make_init(grid) -> State`` building matched initial data on each
-        grid (grids nest when sizes follow n -> 2n-1).
-    config : SolverConfig
-        Base configuration; the study overrides dt or the grid per level.
-    grid_sizes, dt_values : sequences, >= 3 levels, coarse to fine
-    kind : str
-        "dt" refines the step at the finest grid; "diffusion-h" and
-        "transport-h" refine the grid at fixed dt (the names only label
-        the report).
-    t_end : float, optional
-        Override config.t_end for the study runs.
-
-    Returns
-    -------
-    ConvergenceStudy
-        Non-monotone successive differences mark the study inconclusive
-        rather than raising.
+    ``finals`` run coarse to fine; each finer state is sampled at the
+    coarser one's nodes (stride 1 when only dt is refined).  A zero
+    difference gives a nan order, and a zero or non-shrinking difference
+    marks the study inconclusive rather than raising.
     """
-    t_end = config.t_end if t_end is None else t_end
-    finals = []
-    if kind == "dt":
-        if len(dt_values) < 3:
-            raise ValueError("need >= 3 dt levels")
-        grid = Grid(grid_sizes[-1]) if isinstance(grid_sizes, (tuple, list)) else Grid(grid_sizes)
-        for dt in dt_values:
-            cfg = SolverConfig(**{**config.__dict__, "dt": dt, "t_end": t_end,
-                                  "output_interval": max(dt, config.output_interval)})
-            finals.append(_integrate_plain(model, make_init(grid), grid, cfg))
-        diffs = [_state_diff(a, b, 1) for a, b in zip(finals[:-1], finals[1:])]
-        levels = list(dt_values)
-    else:
-        if len(grid_sizes) < 3:
-            raise ValueError("need >= 3 grid levels")
-        for n in grid_sizes:
-            grid = Grid(n)
-            cfg = SolverConfig(**{**config.__dict__, "t_end": t_end})
-            finals.append(_integrate_plain(model, make_init(grid), grid, cfg))
-        diffs = []
-        for a, b in zip(finals[:-1], finals[1:]):
-            stride = (b.c.size - 1) // (a.c.size - 1)
-            diffs.append(_state_diff(b, a, stride))
-        levels = list(grid_sizes)
-    orders, conclusive = _orders_from_diffs(diffs)
-    return ConvergenceStudy(kind=kind, levels=levels, diffs=diffs,
-                            orders=orders, conclusive=conclusive)
+    diffs = []
+    for a, b in zip(finals[:-1], finals[1:]):
+        stride = (b.c.size - 1) // (a.c.size - 1)
+        diffs.append(max(float(np.max(np.abs(b.c[::stride] - a.c))),
+                         float(np.max(np.abs(b.p[::stride] - a.p))),
+                         abs(b.z - a.z)))
+    pairs = list(zip(diffs[:-1], diffs[1:]))
+    orders = [float(np.log2(d0 / d1)) if d0 > 0 and d1 > 0 else float("nan")
+              for d0, d1 in pairs]
+    return ConvergenceStudy(kind=kind, levels=list(levels), diffs=diffs,
+                            orders=orders,
+                            conclusive=all(0 < d1 < d0 for d0, d1 in pairs))
 
 
 def _integrate_plain(model, init, grid, config):
@@ -325,11 +259,16 @@ def _integrate_plain(model, init, grid, config):
 
 # observed-order thresholds the standard suite is expected to meet
 CONVERGENCE_THRESHOLDS = {"diffusion-h": 1.8, "transport-h": 1.5, "dt": 1.8}
+# refinement levels, coarse to fine: grid sizes of the h studies, and the
+# steps of the dt study on a grid of DT_GRID_N nodes
+GRID_SIZES = (101, 201, 401)
+DT_VALUES = (0.08, 0.04, 0.02)
+DT_GRID_N = 201
 
 
-def standard_convergence_suite(model, stationary=None, grid_sizes=(101, 201, 401),
-                               dt_values=(0.08, 0.04, 0.02), dt_grid_n=201):
-    """The three canonical refinement studies.
+def standard_convergence_suite(model, stationary=None):
+    """The three canonical refinement studies, at the levels of
+    :data:`GRID_SIZES` and :data:`DT_VALUES`.
 
     * diffusion-h: all cell kinetics zeroed, eps > 0, so only the nutrient
       diffuses; grid refinement at small fixed dt isolates the O(h^2)
@@ -339,45 +278,40 @@ def standard_convergence_suite(model, stationary=None, grid_sizes=(101, 201, 401
       isolates the interpolation-limited semi-Lagrangian order.
     * dt: the full model in quasi-static mode with the time-centered
       splitting, refined in dt at fixed grid, from a perturbed stationary
-      state (supplied or computed at ``dt_grid_n``).
+      state (``stationary`` if it lies on that grid, else computed).
 
-    Returns a list of :class:`ConvergenceStudy`; compare each study's
-    ``observed_order`` against :data:`CONVERGENCE_THRESHOLDS`.
+    Each level's run is matched initial data stepped to its config's
+    t_end.  Returns a list of :class:`ConvergenceStudy`; compare each
+    study's ``observed_order`` against :data:`CONVERGENCE_THRESHOLDS`.
     """
     zero = Rate("constant", {"value": 0.0})
-    studies = []
 
-    diff_model = replace(model, K_B=zero, K_P=zero, K_Q=zero, K_D=zero)
+    def h_study(kind, study_model, config, make_init):
+        finals = []
+        for n in GRID_SIZES:
+            grid = Grid(n)
+            finals.append(_integrate_plain(study_model, make_init(grid), grid,
+                                           config))
+        return _convergence_study(kind, GRID_SIZES, finals)
 
-    def diff_init(grid):
-        c0 = 1.0 - 0.5 * (1.0 - grid.r**2)
-        return State(t=0.0, z=0.3, c=c0, p=np.full(grid.n, 0.5))
+    diffusion = h_study(
+        "diffusion-h", replace(model, K_B=zero, K_P=zero, K_Q=zero, K_D=zero),
+        SolverConfig(eps=0.05, dt=2e-3, t_end=1.0, output_interval=1.0),
+        lambda grid: State(t=0.0, z=0.3, c=1.0 - 0.5 * (1.0 - grid.r**2),
+                           p=np.full(grid.n, 0.5)))
+    transport = h_study(
+        "transport-h", replace(model, F=zero),
+        SolverConfig(eps=0.0, dt=0.01, t_end=2.0, output_interval=1.0),
+        lambda grid: State(t=0.0, z=0.3, c=np.ones(grid.n),
+                           p=0.5 + 0.3 * np.cos(np.pi * grid.r / 2.0)))
 
-    diff_cfg = SolverConfig(eps=0.05, dt=2e-3, t_end=1.0, output_interval=1.0)
-    studies.append(self_convergence(diff_model, diff_init, diff_cfg,
-                                    grid_sizes=grid_sizes, kind="diffusion-h"))
-
-    adv_model = replace(model, F=zero)
-
-    def adv_init(grid):
-        c0 = np.ones(grid.n)
-        p0 = 0.5 + 0.3 * np.cos(np.pi * grid.r / 2.0)
-        return State(t=0.0, z=0.3, c=c0, p=p0)
-
-    adv_cfg = SolverConfig(eps=0.0, dt=0.01, t_end=2.0, output_interval=1.0)
-    studies.append(self_convergence(adv_model, adv_init, adv_cfg,
-                                    grid_sizes=grid_sizes, kind="transport-h"))
-
-    dt_grid = Grid(dt_grid_n)
-    if stationary is None or stationary.grid != dt_grid:
-        stationary = solve_stationary(model, dt_grid, cross_check=False)
-
-    def dt_init(grid):
-        return admissible_init(stationary, 0.01, "poly")
-
-    dt_cfg = SolverConfig(eps=0.0, dt=dt_values[-1], t_end=4.0,
-                          output_interval=1.0, splitting="heun")
-    studies.append(self_convergence(model, dt_init, dt_cfg,
-                                    grid_sizes=dt_grid_n, dt_values=dt_values,
-                                    kind="dt"))
-    return studies
+    grid = Grid(DT_GRID_N)
+    if stationary is None or stationary.grid != grid:
+        stationary = solve_stationary(model, grid, cross_check=False)
+    init = admissible_init(stationary, 0.01, "poly")
+    finals = [_integrate_plain(model, init, grid,
+                               SolverConfig(eps=0.0, dt=dt, t_end=4.0,
+                                            output_interval=1.0,
+                                            splitting="heun"))
+              for dt in DT_VALUES]
+    return [diffusion, transport, _convergence_study("dt", DT_VALUES, finals)]

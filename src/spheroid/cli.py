@@ -36,12 +36,16 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _bounded(kind, low=None):
-    """argparse type: a finite ``kind`` value, at least ``low`` if given."""
+def _bounded(kind, low=None, strict=False):
+    """argparse type: a finite ``kind`` value, at least ``low`` if given
+    (above it if ``strict``)."""
+    op = ">" if strict else ">="
+
     def parse(text):
         value = kind(text)
-        if not math.isfinite(value) or (low is not None and value < low):
-            need = "finite" if low is None else f"finite and >= {low}"
+        below = low is not None and (value <= low if strict else value < low)
+        if not math.isfinite(value) or below:
+            need = "finite" if low is None else f"finite and {op} {low}"
             raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
         return value
     parse.__name__ = kind.__name__   # argparse names it in "invalid int value"
@@ -96,7 +100,8 @@ def build_parser():
     p = sub.add_parser("stationary", help="compute the stationary solution")
     p.set_defaults(handler=cmd_stationary)
     _overrides(p, "config", "out", "grid_n")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_bounded(float, 0.0, strict=True),
+                   default=1e-6, help="stationarity tolerance (> 0)")
     p.add_argument("--no-cross-check", action="store_true")
 
     p = sub.add_parser("simulate", help="integrate one trajectory")
@@ -191,8 +196,8 @@ def cmd_simulate(args):
                         "configuration (hash %s vs %s)",
                         header["config_hash"], chash)
         start_step = header["step"]
-        start_out = header["output_index"]
-        record_initial = False
+        # the resumed run's first record is the output after the snapshot's
+        out_offset = header["output_index"] + 1
         prev_output = init.copy()
         csv_name = "timeseries_resumed.csv"
     else:
@@ -200,13 +205,9 @@ def cmd_simulate(args):
         seed = args.seed if args.seed is not None else 0
         init = admissible_init(stationary, delta, args.shape, seed)
         start_step = 0
-        start_out = 0
-        record_initial = True
+        out_offset = 0
         prev_output = None
         csv_name = "timeseries.csv"
-
-    # a resumed run's first record is the output after the snapshot's
-    out_offset = start_out if record_initial else start_out + 1
 
     def on_output(state, step_index, output_index, record):
         absolute = out_offset + output_index
@@ -217,8 +218,7 @@ def cmd_simulate(args):
 
     try:
         result = simulate(model, init, grid, cfg.solver, stationary,
-                          on_output=on_output, record_initial=record_initial,
-                          prev_output=prev_output)
+                          on_output=on_output, prev_output=prev_output)
     except SpheroidError as exc:
         last = getattr(exc, "last_state", None)
         if last is not None:
@@ -254,8 +254,6 @@ def cmd_stability(args):
     n_ok = sum(c.status == "ok" for c in report.cells)
     print(f"wrote stability.csv: {len(report.cells)} cells, {n_ok} ran, "
           f"{sum(c.converged for c in report.cells)} converged")
-    print(f"largest eps with observed return to the stationary state: "
-          f"{report.largest_decaying_eps}")
     return 0 if report.all_ran else 1
 
 

@@ -326,7 +326,7 @@ class SimResult:
 
 
 def simulate(model, init, grid, config, stationary, on_output=None,
-             record_initial=True, prev_output=None):
+             prev_output=None):
     """Integrate from ``init`` to config.t_end, recording deviation norms.
 
     Parameters
@@ -344,10 +344,11 @@ def simulate(model, init, grid, config, stationary, on_output=None,
     on_output : callable, optional
         ``on_output(state, step_index, output_index, record)`` called at
         every output time (snapshot/persistence hook).
-    record_initial : bool
-        Emit a record at init.t before stepping (disable when resuming).
     prev_output : State, optional
-        Previous output state for time-difference norms when resuming.
+        The output state a resumed run continues from, for the
+        time-difference norms.  Without it the run is a fresh one and
+        records ``init`` at init.t before stepping; with it the first
+        record is the output after ``init``.
 
     Returns
     -------
@@ -385,7 +386,7 @@ def simulate(model, init, grid, config, stationary, on_output=None,
             on_output(state, step_index, out_idx, rec)
         return rec
 
-    if record_initial:
+    if prev_output is None:
         emit(0)
         out_idx += 1
         prev = state.copy()

@@ -46,20 +46,17 @@ class Grid:
         return out
 
     def derivative(self, y, symmetric_origin=False):
-        """Second-order nodal derivative: central inside, one-sided at ends.
+        """Second-order nodal derivative: central inside, one-sided at ends
+        (``np.gradient`` with ``edge_order=2``).
 
         With ``symmetric_origin`` the derivative at r=0 is pinned to zero
         (even profile), and the r=1 end uses a third-order one-sided stencil
         so boundary noise does not dominate flux diagnostics.
         """
         y = np.asarray(y, dtype=float)
-        d = np.empty_like(y)
         h = self.h
-        d[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
+        d = np.gradient(y, h, edge_order=2)
         if symmetric_origin:
             d[0] = 0.0
             d[-1] = (11.0 * y[-1] - 18.0 * y[-2] + 9.0 * y[-3] - 2.0 * y[-4]) / (6.0 * h)
-        else:
-            d[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
-            d[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
         return d

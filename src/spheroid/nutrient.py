@@ -28,6 +28,7 @@ from .rates import check_domain
 _MACHEPS = np.finfo(float).eps
 # relative bound on the max-norm Newton residual of every nutrient solve
 RESIDUAL_TOL = 1e-10
+NEWTON_MAXITER = 60   # Newton iterations before ConvergenceError
 
 
 def operator_rows(grid, beta=0.0):
@@ -89,7 +90,7 @@ def _resid_floor(grid, scale):
     return 50.0 * _MACHEPS * max(1.0, 1.0 / grid.h**2, scale)
 
 
-def solve_nutrient(model, z, grid, guess=None, max_iter=60):
+def solve_nutrient(model, z, grid, guess=None):
     """Solve the nutrient BVP at log-radius ``z``.
 
     Newton stops once the max-norm nonlinear residual is at most
@@ -105,14 +106,13 @@ def solve_nutrient(model, z, grid, guess=None, max_iter=60):
     guess : array, optional
         Warm-start iterate (e.g. the profile at a nearby z); defaults to
         the constant boundary value 1.
-    max_iter : int
-        Newton iteration cap.
 
     Raises
     ------
     ConvergenceError
-        If damped Newton cannot reach the tolerance within ``max_iter``, or
-        the residual is not finite (NaN in ``z`` or ``guess``).
+        If damped Newton cannot reach the tolerance within
+        ``NEWTON_MAXITER`` iterations, or the residual is not finite (NaN in
+        ``z`` or ``guess``).
     """
     z = float(z)
     e2z = np.exp(2.0 * z)
@@ -140,7 +140,7 @@ def solve_nutrient(model, z, grid, guess=None, max_iter=60):
     it = 0
     # a NaN residual fails both tests below and is reported, not accepted
     while not rnorm <= tol_eff:
-        if it >= max_iter or not np.isfinite(rnorm):
+        if it >= NEWTON_MAXITER or not np.isfinite(rnorm):
             raise ConvergenceError(
                 f"nutrient BVP Newton stalled at z={z:g}: residual {rnorm:.3e} "
                 f"(target {tol_eff:.3e})", residual=rnorm)

@@ -96,7 +96,7 @@ def _steady_transport(model, c, grid):
     c1 = float(c[-1])
     p1 = float(equilibrium_fraction(model, c1))
     _, f_c1, f_p1 = f_reaction_partials(model, c1, p1)
-    c_r1 = float((11.0 * c[-1] - 18.0 * c[-2] + 9.0 * c[-3] - 2.0 * c[-4]) / (6.0 * h))
+    c_r1 = float(grid.derivative(c, symmetric_origin=True)[-1])
 
     r_start = 1.0 - 2.0 * h
     r_end = 2.0 * h
@@ -237,7 +237,7 @@ def solve_stationary(model, grid, tol=1e-6, config=None, cross_check=True):
     state = State(t=0.0, z=float(x[0]), c=c, p=x[1:])
     vel = velocity_from_state(model, state, grid)
     prof = solve_nutrient(model, state.z, grid)
-    p_r = np.gradient(state.p, grid.h, edge_order=2)
+    p_r = grid.derivative(state.p)
     transport = -vel.v * p_r + f_reaction(model, state.c, state.p)
     solution = StationarySolution(
         z=state.z, c=state.c, p=state.p, v=vel.v, grid=grid,

@@ -130,8 +130,7 @@ def test_criterion_5_exponential_return(stability_report):
     ok = not problems and rep.elapsed < 180.0
     detail = (f"12-cell matrix: all decayed below delta/10, all fitted rates "
               f"positive, max rate spread across delta {100 * worst_spread:.1f}% "
-              f"(< 20%), largest decaying eps {rep.largest_decaying_eps}, "
-              f"runtime {rep.elapsed:.0f}s (< 180s)")
+              f"(< 20%), runtime {rep.elapsed:.0f}s (< 180s)")
     if problems:
         detail = "; ".join(problems[:4])
     report(5, ok, detail)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from spheroid import (Grid, InsufficientDataError, SolverConfig, State,
                       admissible_init, deviation_norms, fit_decay,
                       solve_nutrient)
-from spheroid.analysis import PERTURBATION_SHAPES
+from spheroid.analysis import PERTURBATION_SHAPES, _convergence_study
 
 
 # ---------------- fit_decay ----------------
@@ -178,3 +178,42 @@ def test_stability_failed_cell_reported(model, grid201, stationary201):
     assert rep.cells[0].status.startswith("error")
     assert rep.cells[1].status == "ok"
     assert not rep.all_ran
+
+
+# ---------------- convergence studies ----------------
+
+def _finals(errors, sizes=(11, 21, 41)):
+    """Final states on nested grids whose error against the limit profile
+    sin(r) at each level is the matching entry of ``errors``."""
+    out = []
+    for n, err in zip(sizes, errors):
+        r = Grid(n).r
+        out.append(State(t=1.0, z=0.3, c=np.sin(r) + err, p=np.full(n, 0.5)))
+    return out
+
+
+def test_convergence_study_quartering_diffs_are_order_two():
+    study = _convergence_study("transport-h", (11, 21, 41),
+                               _finals((1.6e-3, 4e-4, 1e-4)))
+    assert study.levels == [11, 21, 41]
+    assert study.diffs == pytest.approx([1.2e-3, 3e-4], rel=1e-9)
+    assert study.orders == pytest.approx([2.0], rel=1e-9)
+    assert study.conclusive
+    assert study.observed_order == pytest.approx(2.0, rel=1e-9)
+
+
+def test_convergence_study_rising_diff_is_inconclusive():
+    study = _convergence_study("diffusion-h", (11, 21, 41),
+                               _finals((1e-3, 0.0, 2e-3)))
+    assert study.diffs == pytest.approx([1e-3, 2e-3], rel=1e-9)
+    assert study.orders == pytest.approx([-1.0], rel=1e-9)
+    assert not study.conclusive
+
+
+def test_convergence_study_zero_diff_is_inconclusive():
+    # dt study: every level on one grid (stride 1), the last two identical
+    finals = _finals((1e-3, 0.0, 0.0), sizes=(21, 21, 21))
+    study = _convergence_study("dt", (0.08, 0.04, 0.02), finals)
+    assert study.diffs[1] == 0.0
+    assert np.isnan(study.orders[0])
+    assert not study.conclusive

@@ -34,6 +34,8 @@ def test_usage_errors(capsys):
                  ["simulate", "--eps", "inf"], ["stability", "--delta", "-0.01"],
                  ["simulate", "--tend", "nan"], ["stability", "--tend", "inf"],
                  ["simulate", "--seed", "-1"],
+                 ["stationary", "--tol", "0"], ["stationary", "--tol", "-1"],
+                 ["stationary", "--tol", "nan"],
                  ["check-assumptions", "--samples", "1"],
                  ["lemma31", "--z-values", "0,a"], ["lemma31", "--z-values", "inf"],
                  ["simulate", "--shape", "square"]):

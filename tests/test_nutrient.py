@@ -148,10 +148,11 @@ def test_saturating_consumption_profile():
     assert bounds_report(m, [1.0], Grid(201)).all_passed
 
 
-def test_newton_iteration_cap():
+def test_newton_iteration_cap(monkeypatch):
     m = make_model(F=Rate("michaelis", {"vmax": 2.0, "k": 0.5}))
+    monkeypatch.setattr(nutrient, "NEWTON_MAXITER", 1)
     with pytest.raises(ConvergenceError) as err:
-        solve_nutrient(m, 1.5, Grid(101), max_iter=1)
+        solve_nutrient(m, 1.5, Grid(101))
     assert err.value.residual is not None
 
 
