@@ -19,7 +19,7 @@ from .analysis import (CONVERGENCE_THRESHOLDS, PERTURBATION_SHAPES,
 from .config import (config_hash, default_config, load_config, save_config)
 from .errors import SpheroidError
 from .evolution import State, simulate
-from .grid import Grid
+from .grid import MIN_NODES, Grid
 from .nutrient import bounds_report
 from .output import (write_convergence_csv, write_profile_csv,
                      write_stability_csv, write_timeseries_csv)
@@ -63,7 +63,8 @@ _OVERRIDES = {
     "config": dict(help="configuration file path"),
     "out": dict(help="output directory (overrides paths.out_dir)"),
     "seed": dict(type=_bounded(int, 0), help="seed override (u64)"),
-    "grid_n": dict(type=_bounded(int, 3), help="grid node count override"),
+    "grid_n": dict(type=_bounded(int, MIN_NODES),
+                   help="grid node count override"),
     "eps": dict(type=_bounded(float, 0.0), help="diffusion ratio override"),
     "delta": dict(type=_bounded(float, 0.0),
                   help="perturbation amplitude override"),

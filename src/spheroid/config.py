@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .evolution import SolverConfig
+from .grid import MIN_NODES
 from .rates import FAMILIES, RATE_NAMES, Rate, RateModel, default_model
 
 
@@ -132,8 +133,9 @@ def loads_config(text):
 
     solver = values["solver"]
     snapshot_every = solver.pop("snapshot_every")
-    if values["grid"]["n"] < 3:
-        raise ConfigError(f"grid.n: must be >= 3, got {values['grid']['n']}")
+    if values["grid"]["n"] < MIN_NODES:
+        raise ConfigError(
+            f"grid.n: must be >= {MIN_NODES}, got {values['grid']['n']}")
     if snapshot_every < 1:
         raise ConfigError("solver.snapshot_every: must be >= 1")
     try:

@@ -16,14 +16,13 @@ discrete stationary state.
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import LinAlgError
 
 from .errors import ConvergenceError, NumericsError
-from .nutrient import operator_rows, solve_nutrient, tri_solve
-from .rates import f_reaction, g_source
+from .nutrient import _diffusion_rows, solve_nutrient, tri_solve
+from .rates import check_domain, f_reaction, g_source
 from .records import admissibility_report, deviation_norms
 
 log = logging.getLogger("spheroid")
@@ -146,35 +145,6 @@ def pchip_slopes(y, h):
     return d
 
 
-@lru_cache(maxsize=8)
-def _not_a_knot_rows(n):
-    # rows of the uniform-grid not-a-knot system (each divided by h):
-    # s_0 + 2 s_1 and 2 s_{n-2} + s_{n-1} at the ends, s_{i-1} + 4 s_i + s_{i+1}
-    lo = np.ones(n)
-    di = np.full(n, 4.0)
-    up = np.ones(n)
-    di[0] = di[-1] = 1.0
-    up[0] = lo[-1] = 2.0
-    for a in (lo, di, up):
-        a.flags.writeable = False
-    return lo, di, up
-
-
-def spline_slopes(y, h):
-    """Slopes of the not-a-knot cubic spline through ``y`` (n,) on a uniform
-    grid, as scipy's CubicSpline; n = 3 gives the parabola through the
-    three points, since there the not-a-knot rows are singular."""
-    m = (y[1:] - y[:-1]) / h
-    if y.size == 3:
-        return np.array([1.5 * m[0] - 0.5 * m[1], 0.5 * (m[0] + m[1]),
-                         1.5 * m[1] - 0.5 * m[0]])
-    rhs = np.empty_like(y)
-    rhs[1:-1] = 3.0 * (m[:-1] + m[1:])
-    rhs[0] = 0.5 * (5.0 * m[0] + m[1])
-    rhs[-1] = 0.5 * (m[-2] + 5.0 * m[-1])
-    return tri_solve(*_not_a_knot_rows(y.size), rhs)
-
-
 def hermite_eval(y, d, x, h):
     """Cubic Hermite interpolant of ``y`` (n,) or of each row of ``y`` (k, n)
     with nodal slopes ``d`` on the uniform grid r_i = i h, evaluated at
@@ -194,11 +164,13 @@ def transport_step(model, state, vel, dt, grid, c_head=None, w_override=None):
 
     Feet of the backward characteristics of dr/ds = w(r) are traced with
     midpoint RK2 (w frozen over the step, interpolated at the midpoints by
-    its not-a-knot cubic spline), clamped to [0, 1] (they cannot leave,
-    since w vanishes at both endpoints; clamping only absorbs rounding).
-    p and c are interpolated at the feet with the monotonicity-preserving
-    Fritsch-Carlson cubic (PCHIP), in one pass of the uniform-grid Hermite
-    kernel :func:`hermite_eval`, then p is integrated along the
+    the cubic Hermite interpolant with the slopes of
+    :meth:`Grid.derivative`, which are linear in w), clamped to [0, 1]
+    (they cannot leave, since w vanishes at both endpoints; clamping only
+    absorbs rounding).  p and c are interpolated at the feet with the
+    monotonicity-preserving Fritsch-Carlson cubic (PCHIP); both
+    interpolants are the uniform-grid Hermite kernel :func:`hermite_eval`,
+    and p and c share one pass of it.  Then p is integrated along the
     characteristic with Heun's method, evaluating the reaction at the foot
     (nutrient at the step start) and at the head (``c_head``, defaulting to
     the step-start nutrient at the node).
@@ -210,7 +182,7 @@ def transport_step(model, state, vel, dt, grid, c_head=None, w_override=None):
     if not np.all(np.isfinite(w)):
         raise ValueError("non-finite advection velocity in transport")
     r_mid = np.clip(r - 0.5 * dt * w, 0.0, 1.0)
-    w_mid = hermite_eval(w, spline_slopes(w, h), r_mid, h)
+    w_mid = hermite_eval(w, grid.derivative(w), r_mid, h)
     feet = np.clip(r - dt * w_mid, 0.0, 1.0)
     if not np.all(np.isfinite(feet)):
         raise ValueError("non-finite characteristic feet in transport")
@@ -248,7 +220,11 @@ def nutrient_step(model, state, vel, dt, eps, grid, z=None, v1=None):
     with the consumption linearized about the current profile, z and v(1)
     frozen at the step start (overridable for time-centered composites),
     the r = 0 row using the symmetric-limit stencil, and c(1) = 1 imposed
-    strongly.
+    strongly.  The advection term eps e^{2z} v(1) r c_r is added to the
+    grid's shared diffusion rows.
+
+    Raises DomainError if the new profile leaves the rates' validity
+    interval (extended by the model's margin).
     """
     if eps <= 0:
         raise ValueError("nutrient_step requires eps > 0; use solve_nutrient")
@@ -256,21 +232,23 @@ def nutrient_step(model, state, vel, dt, eps, grid, z=None, v1=None):
     v1 = vel.v1 if v1 is None else v1
     e2z = np.exp(2.0 * z)
     beta = eps * e2z / dt
-    lo, di, up = operator_rows(grid, beta=eps * e2z * v1)
+    lo, di, up = _diffusion_rows(grid)
+    adv = eps * e2z * v1 * grid.r / (2.0 * grid.h)
     c = state.c
     fv, dfv = model.F(c)
 
-    a_lo = -lo
+    a_lo = adv - lo
     a_di = beta - (di - e2z * dfv)
-    a_up = -up
+    a_up = -(up + adv)
     rhs = beta * c + e2z * (dfv * c - fv)
     a_lo[-1] = 0.0
     a_di[-1] = 1.0
     rhs[-1] = 1.0
     try:
-        return tri_solve(a_lo, a_di, a_up, rhs)
+        c_new = tri_solve(a_lo, a_di, a_up, rhs)
     except LinAlgError as exc:
         raise NumericsError(f"singular nutrient system at t={state.t:g}") from exc
+    return check_domain(model, c_new, "nutrient_step")
 
 
 def step(model, state, grid, config, clip=None):
@@ -282,7 +260,14 @@ def step(model, state, grid, config, clip=None):
     there); ``splitting="heun"`` also redoes transport and, for eps > 0,
     the nutrient step time-centered.  Fields are clipped to [0, 1]
     afterwards and clip events beyond config.clip_tol recorded.
+
+    The nutrient is checked against the rates' validity interval where it
+    enters: ``state.c`` here, every new profile in :func:`solve_nutrient`
+    or :func:`nutrient_step`.  The feet values are PCHIP interpolants of
+    ``state.c`` and stay within its range, so the rate formulas run
+    unchecked.  Raises DomainError on a violation.
     """
+    check_domain(model, state.c, "step")
     clip = ClipStats() if clip is None else clip
     dt, eps = config.dt, config.eps
     heun = config.splitting == "heun"

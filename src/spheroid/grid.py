@@ -11,14 +11,18 @@ integrands, so v = g0*r/3 holds exactly for constant g0).
 
 import numpy as np
 
+# the smallest grid: the r = 1 stencil of Grid.derivative spans four nodes
+MIN_NODES = 4
+
 
 class Grid:
     """Nodes r_i = i*h, h = 1/(n-1), spanning the rescaled tumor [0, 1]."""
 
     def __init__(self, n):
         n = int(n)
-        if n < 3:
-            raise ValueError(f"grid needs at least 3 nodes, got n={n}")
+        if n < MIN_NODES:
+            raise ValueError(
+                f"grid needs at least {MIN_NODES} nodes, got n={n}")
         self.n = n
         self.r = np.linspace(0.0, 1.0, n)
         self.h = 1.0 / (n - 1)

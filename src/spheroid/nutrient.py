@@ -31,13 +31,15 @@ RESIDUAL_TOL = 1e-10
 NEWTON_MAXITER = 60   # Newton iterations before ConvergenceError
 
 
-def operator_rows(grid, beta=0.0):
-    """Tridiagonal rows of L[c] = c_rr + (2/r + beta*r) c_r.
+@lru_cache(maxsize=8)
+def _diffusion_rows(grid):
+    """Tridiagonal rows of L[c] = c_rr + (2/r) c_r, built once per grid and
+    shared read-only.
 
-    Row 0 encodes the symmetric-limit stencil 6(c_1 - c_0)/h^2 (the
-    beta*r term vanishes at r = 0); the last row is an identity row for a
-    strongly imposed Dirichlet value.  Returns full-length rows (lower,
-    diag, upper) as :func:`tri_solve` takes them; lo[0] and up[-1] unused.
+    Row 0 encodes the symmetric-limit stencil 6(c_1 - c_0)/h^2; the last
+    row is an identity row for a strongly imposed Dirichlet value.  Returns
+    full-length rows (lower, diag, upper) as :func:`tri_solve` takes them;
+    lo[0] and up[-1] unused.
     """
     r, h, n = grid.r, grid.h, grid.n
     lo = np.zeros(n)
@@ -45,21 +47,14 @@ def operator_rows(grid, beta=0.0):
     up = np.zeros(n)
     di[0] = -6.0 / h**2
     up[0] = 6.0 / h**2
-    a = 2.0 / r[1:-1] + beta * r[1:-1]
+    a = 2.0 / r[1:-1]
     lo[1:-1] = 1.0 / h**2 - a / (2.0 * h)
     di[1:-1] = -2.0 / h**2
     up[1:-1] = 1.0 / h**2 + a / (2.0 * h)
     di[-1] = 1.0
+    for row in (lo, di, up):
+        row.flags.writeable = False
     return lo, di, up
-
-
-@lru_cache(maxsize=8)
-def _diffusion_rows(grid):
-    # beta = 0 rows depend on the grid alone: built once, shared read-only
-    rows = operator_rows(grid)
-    for a in rows:
-        a.flags.writeable = False
-    return rows
 
 
 def tri_solve(lo, di, up, rhs):

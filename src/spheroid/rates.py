@@ -90,9 +90,14 @@ class Rate:
 class RateModel:
     """The five rates plus the validity interval for ``c``.
 
-    Evaluations are accepted on the validity interval extended by
-    ``margin`` on each side; beyond that a :class:`DomainError` is raised.
-    Instances are immutable and safe to share between concurrent runs.
+    Concentrations are accepted on the validity interval extended by
+    ``margin`` on each side.  Beyond that :func:`check_domain` raises
+    :class:`DomainError` where ``c`` enters: in :func:`eval_rate`, on the
+    input of ``evolution.step`` and on each new profile of
+    ``solve_nutrient`` and ``nutrient_step``.  The composites
+    :func:`f_reaction`, :func:`g_source` and :func:`f_reaction_partials`
+    are plain formulas.  Instances are immutable and safe to share between
+    concurrent runs.
     """
 
     F: Rate
@@ -176,32 +181,33 @@ def f_reaction(model, c, p):
     f(c, p) = K_P(c) + [K_M(c) - K_N(c)] p - K_M(c) p^2 with
     K_M = K_B + K_D and K_N = K_P + K_Q.  Quadratic and concave in p,
     with f(c, 0) = K_P(c) >= 0 and f(c, 1) = -K_Q(c) <= 0, so [0, 1] is
-    forward-invariant along characteristics.
+    forward-invariant along characteristics.  Unchecked: ``c`` is
+    checked where it enters, by ``evolution.step`` and the nutrient solves
+    (see :class:`RateModel`).
     """
-    km, kn, kp = _kinetics(model, check_domain(model, c, "rate composite"))
+    km, kn, kp = _kinetics(model, c)
     p = np.asarray(p, dtype=float)
     out = kp + (km - kn) * p - km * p * p
     return float(out) if out.ndim == 0 else out
 
 
 def g_source(model, c, p):
-    """Volume source g(c, p) = K_M(c) p - K_D(c); affine in p."""
-    arr = check_domain(model, c, "rate composite")
-    kb, _ = model.K_B(arr)
-    kd, _ = model.K_D(arr)
+    """Volume source g(c, p) = K_M(c) p - K_D(c); affine in p.  Unchecked,
+    as :func:`f_reaction`."""
+    kb, _ = model.K_B(c)
+    kd, _ = model.K_D(c)
     p = np.asarray(p, dtype=float)
     out = (kb + kd) * p - kd
     return float(out) if out.ndim == 0 else out
 
 
 def f_reaction_partials(model, c, p):
-    """Return (f, df/dc, df/dp) at (c, p)."""
-    arr = check_domain(model, c, "reaction partials")
+    """Return (f, df/dc, df/dp) at (c, p); unchecked, as :func:`f_reaction`."""
     p = np.asarray(p, dtype=float)
-    kb, dkb = model.K_B(arr)
-    kp, dkp = model.K_P(arr)
-    kq, dkq = model.K_Q(arr)
-    kd, dkd = model.K_D(arr)
+    kb, dkb = model.K_B(c)
+    kp, dkp = model.K_P(c)
+    kq, dkq = model.K_Q(c)
+    kd, dkd = model.K_D(c)
     km, dkm = kb + kd, dkb + dkd
     kn, dkn = kp + kq, dkp + dkq
     f = kp + (km - kn) * p - km * p * p

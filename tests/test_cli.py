@@ -29,7 +29,8 @@ def test_usage_errors(capsys):
     assert cli(["simulate", "--no-such-flag"]) == 2
     assert cli([]) == 2
     # out-of-range overrides are usage errors that name the flag
-    for argv in (["lemma31", "--grid-n", "2"], ["simulate", "--grid-n", "x"],
+    for argv in (["lemma31", "--grid-n", "2"], ["lemma31", "--grid-n", "3"],
+                 ["simulate", "--grid-n", "x"],
                  ["simulate", "--eps", "-1"], ["stability", "--eps", "nan"],
                  ["simulate", "--eps", "inf"], ["stability", "--delta", "-0.01"],
                  ["simulate", "--tend", "nan"], ["stability", "--tend", "inf"],

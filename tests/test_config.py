@@ -37,8 +37,8 @@ def test_empty_config_is_all_defaults():
 
 def test_grid_validation_names_key():
     with pytest.raises(ConfigError) as err:
-        loads_config("[grid]\nn = 2\n")
-    assert "grid.n" in str(err.value)
+        loads_config("[grid]\nn = 3\n")
+    assert "grid.n: must be >= 4" in str(err.value)
 
 
 def test_unknown_key_and_section():

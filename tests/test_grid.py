@@ -9,8 +9,9 @@ def test_grid_basics():
     assert g.n == 101
     assert g.r[0] == 0.0 and g.r[-1] == 1.0
     assert np.allclose(np.diff(g.r), g.h)
-    with pytest.raises(ValueError):
-        Grid(2)
+    for n in (2, 3):
+        with pytest.raises(ValueError, match="at least 4 nodes"):
+            Grid(n)
 
 
 def test_cumulative_integral_exact_for_constant():

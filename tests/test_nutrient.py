@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
-from spheroid import (ConvergenceError, Grid, Rate, bounds_report,
+from spheroid import (ConvergenceError, Grid, Rate, State, bounds_report,
                       default_model, flux_residual, nutrient_sensitivity,
-                      solve_nutrient)
+                      nutrient_step, solve_nutrient, velocity_from_state)
 from spheroid import nutrient
 
 from conftest import all_zero_model, make_model
@@ -115,27 +115,23 @@ def test_warm_start_converges_fast(monkeypatch):
     assert np.max(np.abs(near.c - solve_nutrient(m, 1.02, grid).c)) < 1e-10
 
 
-def test_diffusion_rows_built_once_per_grid(monkeypatch):
+def test_diffusion_rows_built_once_per_grid():
     nutrient._diffusion_rows.cache_clear()
-    built = []
-    rows_of = nutrient.operator_rows
-
-    def counting(*args, **kwargs):
-        built.append(1)
-        return rows_of(*args, **kwargs)
-
-    monkeypatch.setattr(nutrient, "operator_rows", counting)
     m = default_model()
     grid = Grid(51)
     first = solve_nutrient(m, 0.5, grid)
     nutrient_sensitivity(m, first)
     again = solve_nutrient(m, 0.7, Grid(51), guess=first.c)
-    assert built == [1]
+    state = State(t=0.0, z=0.7, c=again.c, p=np.full(grid.n, 0.5))
+    nutrient_step(m, state, velocity_from_state(m, state, grid), 0.02, 0.05,
+                  grid)
+    assert nutrient._diffusion_rows.cache_info().misses == 1
     assert np.max(np.abs(again.c - solve_nutrient(m, 0.7, grid).c)) < 1e-10
     # the shared rows are read-only and equal to a fresh build
-    for shared, fresh in zip(nutrient._diffusion_rows(grid), rows_of(grid)):
+    fresh = nutrient._diffusion_rows.__wrapped__(grid)
+    for shared, row in zip(nutrient._diffusion_rows(grid), fresh):
         assert not shared.flags.writeable
-        assert np.array_equal(shared, fresh)
+        assert np.array_equal(shared, row)
 
 
 def test_saturating_consumption_profile():

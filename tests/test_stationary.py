@@ -147,8 +147,8 @@ def test_stationary_certified_or_typed_failure(m):
     assert fixed_point_residual(m, s, SolverConfig()) <= 1e-6 / 10
 
 
-# Newton-Krylov stalls on this set at N=51 (the PCHIP limiter makes the
-# step non-smooth); the resumed relaxation certifies it
+# Newton-Krylov stalls on this set at N=51; the resumed relaxation
+# certifies it
 STALLING_SET = RateModel(
     F=Rate("michaelis", {"vmax": 1.1, "k": 1.59}),
     K_B=Rate("michaelis", {"vmax": 3.66, "k": 1.0}),
@@ -160,11 +160,22 @@ STALLING_SET = RateModel(
 @pytest.mark.parametrize("m, force_stall", [(STALLING_SET, False),
                                             (default_model(), True)])
 def test_stationary_certified_after_newton_stall(monkeypatch, m, force_stall):
-    if force_stall:
-        def no_convergence(f, x0, **kwargs):
-            raise NoConvergence(x0)
-        monkeypatch.setattr(stationary, "newton_krylov", no_convergence)
+    def no_convergence(f, x0, **kwargs):
+        raise NoConvergence(x0)
+
+    newton = no_convergence if force_stall else stationary.newton_krylov
+    stalls = []
+
+    def recording(*args, **kwargs):
+        try:
+            return newton(*args, **kwargs)
+        except NoConvergence:
+            stalls.append(1)
+            raise
+
+    monkeypatch.setattr(stationary, "newton_krylov", recording)
     s = solve_stationary(m, Grid(51), cross_check=False)
+    assert stalls == [1]
     assert fixed_point_residual(m, s, SolverConfig()) <= 1e-6 / 10
 
 
