@@ -8,7 +8,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InsufficientDataError
-from .evolution import SolverConfig, State, simulate, step
+from .evolution import (SolverConfig, State, _simulate_batch, simulate,
+                        step)
 from .grid import Grid
 from .nutrient import solve_nutrient
 from .rates import Rate
@@ -166,32 +167,63 @@ def stability_experiment(model, grid, config, eps_list, delta_list, shapes,
     are recorded with the fits skipped.  A failing cell is reported in its
     status, not raised.  Cells are listed in (eps, delta, shape, seed)
     order.
+
+    The cells of one eps share dt and the grid and are stepped as one
+    batch, whose every cell gives the records of its solo
+    :func:`simulate` run, bit for bit.  A batch that raises is run again
+    cell by cell, so a failing cell fails alone.
     """
     if stationary is None:
         stationary = solve_stationary(model, grid, config=config,
                                       cross_check=False)
-    cells = [_run_cell(model, grid, config, stationary, float(eps),
-                       float(delta), shape, int(seed))
-             for eps in eps_list for delta in delta_list
-             for shape in shapes for seed in seeds]
+    cells = []
+    for eps in eps_list:
+        cfg = replace(config, eps=float(eps))
+        keys = [(float(eps), float(delta), shape, int(seed))
+                for delta in delta_list for shape in shapes for seed in seeds]
+        runs = {}   # key -> initial data, then the run's result or error
+        for key in keys:
+            if key[1] != 0.0:
+                try:
+                    runs[key] = admissible_init(stationary, *key[1:])
+                except Exception as exc:  # failed cell is reported, not fatal
+                    runs[key] = exc
+        batch = [key for key, init in runs.items()
+                 if not isinstance(init, Exception)]
+        try:
+            results = _simulate_batch(model, [runs[k] for k in batch], grid,
+                                      cfg, stationary)
+        except Exception as exc:  # the cells alone find the failing one
+            log.info("stability batch (eps=%g) failed: %s; running its "
+                     "cells alone", eps, exc)
+            results = [_simulate_alone(model, runs[k], grid, cfg, stationary)
+                       for k in batch]
+        runs.update(zip(batch, results))
+        cells += [_cell(key, runs.get(key)) for key in keys]
     return StabilityReport(cells=cells, horizon=config.t_end)
 
 
-def _run_cell(model, grid, config, stationary, eps, delta, shape, seed):
-    cfg = replace(config, eps=eps)
-    if delta == 0.0:
+def _simulate_alone(model, init, grid, config, stationary):
+    try:
+        return simulate(model, init, grid, config, stationary)
+    except Exception as exc:  # failed cell is reported, not fatal
+        return exc
+
+
+def _cell(key, result):
+    """The :class:`StabilityCell` of ``key`` = (eps, delta, shape, seed)
+    from its run's result, the exception that ended it, or None (skipped)."""
+    eps, delta, shape, seed = key
+    if result is None:
         return StabilityCell(eps=eps, delta=delta, shape=shape, seed=seed,
                              status="skipped", converged=True,
                              crossing_time=0.0,
                              fits={k: None for k in DeviationRecord.NORM_FIELDS})
-    try:
-        init = admissible_init(stationary, delta, shape, seed)
-        result = simulate(model, init, grid, cfg, stationary)
-    except Exception as exc:  # failed cell is reported, not fatal
+    if isinstance(result, Exception):
         log.warning("stability cell (eps=%g, delta=%g, %s, %d) failed: %s",
-                    eps, delta, shape, seed, exc)
+                    eps, delta, shape, seed, result)
         return StabilityCell(eps=eps, delta=delta, shape=shape, seed=seed,
-                             status=f"error: {exc}", converged=False,
+                             status=f"error: {result}", converged=False,
                              crossing_time=float("nan"), fits={})
     fits = {}
     for name in DeviationRecord.NORM_FIELDS:

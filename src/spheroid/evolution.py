@@ -12,6 +12,13 @@ The nutrient step reuses the same spatial stencil as the quasi-static
 solver, so the scheme's stationary point is independent of eps and dt up
 to interpolation effects: trajectories for every eps decay to the same
 discrete stationary state.
+
+The stepping functions take a batch of states that share t, dt and the
+grid: z of shape (B,), and c and p of shape (B, n).  Every operation acts
+along the last axis or elementwise, and the tridiagonal systems of the
+rows are one LAPACK call, so each row of a batched step is, bit for bit,
+the step of that state alone.  A single :class:`State` (z a float, c and
+p of shape (n,)) is the batch of one.
 """
 
 import logging
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError
 
-from .errors import ConvergenceError, NumericsError
+from .errors import ConvergenceError, DomainError, NumericsError
 from .nutrient import _diffusion_rows, solve_nutrient, tri_solve
 from .rates import check_domain, f_reaction, g_source
 from .records import admissibility_report, deviation_norms
@@ -34,7 +41,11 @@ SPLITTINGS = ("lie", "heun")
 class State:
     """Rescaled fields at one instant: time, log-radius, nutrient c,
     proliferating fraction p.  The quiescent fraction is implicit, q = 1 - p
-    (the two species fill the tumor at constant total density)."""
+    (the two species fill the tumor at constant total density).
+
+    A batch of B states at one time holds z of shape (B,) and c, p of shape
+    (B, n); :meth:`row` takes one of them out, and a single state is the
+    batch of one."""
 
     t: float
     z: float
@@ -46,14 +57,36 @@ class State:
         return float(np.exp(self.z))
 
     def copy(self):
-        return State(t=self.t, z=self.z, c=self.c.copy(), p=self.p.copy())
+        return State(t=self.t, z=np.copy(self.z) if np.ndim(self.z) else self.z,
+                     c=self.c.copy(), p=self.p.copy())
+
+    def row(self, b):
+        """Row ``b`` of a batch, as a single state of its own."""
+        if np.ndim(self.z) == 0:
+            return self.copy()
+        return State(t=self.t, z=float(self.z[b]), c=self.c[b].copy(),
+                     p=self.p[b].copy())
+
+    def take(self, rows):
+        """The batch of the rows selected by ``rows`` (indices or a mask)."""
+        return State(t=self.t, z=self.z[rows], c=self.c[rows], p=self.p[rows])
+
+
+def _stack(states):
+    """The batch of ``states``, which share their time (a copy of the one
+    state when there is one)."""
+    if len(states) == 1:
+        return states[0].copy()
+    return State(t=states[0].t, z=np.array([s.z for s in states], dtype=float),
+                 c=np.stack([s.c for s in states]),
+                 p=np.stack([s.p for s in states]))
 
 
 @dataclass
 class VelocityField:
     v: np.ndarray   # radial velocity, v(0) = 0
     w: np.ndarray   # effective advection w = v - r v(1); w(0) = w(1) = 0
-    v1: float       # boundary velocity v(1)
+    v1: float       # boundary velocity v(1); (B,) for a batch
 
 
 @dataclass
@@ -93,14 +126,22 @@ class ClipStats:
     events: int = 0
     max_excess: float = 0.0
 
-    def clip(self, arr, tol):
-        excess = max(float(-arr.min()), float(arr.max() - 1.0), 0.0)
-        if excess > tol:
-            self.events += 1
-            self.max_excess = max(self.max_excess, excess)
-        if excess > 0.0:
-            return np.clip(arr, 0.0, 1.0)
+
+def _clip_rows(arr, tol, clips):
+    """Clip each row of ``arr`` to [0, 1]; a row's excess beyond ``tol`` is
+    an event in its own ClipStats, one of ``clips``."""
+    if arr.min() >= 0.0 and arr.max() <= 1.0:
         return arr
+    rows = arr.reshape(len(clips), -1)
+    excess = np.maximum(np.maximum(-rows.min(axis=1), rows.max(axis=1) - 1.0),
+                        0.0)
+    for b in np.flatnonzero(excess > tol):
+        clips[b].events += 1
+        clips[b].max_excess = max(clips[b].max_excess, float(excess[b]))
+    over = excess > 0.0
+    rows = rows.copy()
+    rows[over] = np.clip(rows[over], 0.0, 1.0)
+    return rows.reshape(arr.shape)
 
 
 def velocity_from_state(model, state, grid):
@@ -112,36 +153,44 @@ def velocity_from_state(model, state, grid):
     """
     g = g_source(model, state.c, state.p)
     integral = grid.cumulative_radial_integral(g)
-    v = np.zeros(grid.n)
-    v[1:] = integral[1:] / grid.r[1:] ** 2
-    v1 = float(v[-1])
-    w = v - grid.r * v1
-    w[-1] = 0.0
+    v = np.zeros(integral.shape)
+    v[..., 1:] = integral[..., 1:] / grid.r[1:] ** 2
+    v1 = float(v[-1]) if v.ndim == 1 else v[:, -1].copy()
+    w = v - grid.r * _col(v1)
+    w[..., -1] = 0.0
     return VelocityField(v=v, w=w, v1=v1)
 
 
+def _col(x):
+    """Per-row scalars of a batch as a column against its (B, n) rows; a
+    single state's scalar as it is."""
+    return x[:, None] if np.ndim(x) else x
+
+
 def pchip_slopes(y, h):
-    """Fritsch-Carlson slopes of each row of ``y`` (k, n) on a uniform grid.
+    """Fritsch-Carlson slopes of each row of ``y`` (..., n) on a uniform grid.
 
     Inside: the harmonic mean of the adjacent secants, or 0 where they
     differ in sign or either vanishes.  Ends: the shape-preserving
     three-point rule.  This is scipy's PchipInterpolator specialised to a
     uniform grid.
     """
-    m = (y[:, 1:] - y[:, :-1]) / h
+    m = (y[..., 1:] - y[..., :-1]) / h
     sm = np.sign(m)
-    same = sm[:, :-1] * sm[:, 1:] > 0.0
-    m0 = np.where(same, m[:, :-1], 1.0)
-    m1 = np.where(same, m[:, 1:], 1.0)
+    same = sm[..., :-1] * sm[..., 1:] > 0.0
+    m0 = np.where(same, m[..., :-1], 1.0)
+    m1 = np.where(same, m[..., 1:], 1.0)
     d = np.empty_like(y)
-    d[:, 1:-1] = np.where(same, 2.0 / (1.0 / m0 + 1.0 / m1), 0.0)
+    d[..., 1:-1] = np.where(same, 2.0 / (1.0 / m0 + 1.0 / m1), 0.0)
     # end secant and its neighbour, at r = 0 and r = 1
-    e0 = m[:, [0, -1]]
-    e1 = m[:, [1, -2]]
-    de = 0.5 * (3.0 * e0 - e1)
-    overshoot = (np.sign(e0) != np.sign(e1)) & (np.abs(de) > 3.0 * np.abs(e0))
-    de = np.where(overshoot, 3.0 * e0, de)
-    d[:, [0, -1]] = np.where(np.sign(de) != np.sign(e0), 0.0, de)
+    e0 = m[..., [0, -1]]
+    e1 = m[..., [1, -2]]
+    s0 = np.sign(e0)
+    t0 = 3.0 * e0
+    de = 0.5 * (t0 - e1)
+    overshoot = (s0 != np.sign(e1)) & (np.abs(de) > np.abs(t0))
+    de = np.where(overshoot, t0, de)
+    d[..., [0, -1]] = np.where(np.sign(de) != s0, 0.0, de)
     return d
 
 
@@ -149,11 +198,21 @@ def hermite_eval(y, d, x, h):
     """Cubic Hermite interpolant of ``y`` (n,) or of each row of ``y`` (k, n)
     with nodal slopes ``d`` on the uniform grid r_i = i h, evaluated at
     ``x`` in [0, 1]: returns (len(x),) or (k, len(x)).  Cell i = floor(x/h),
-    clamped to n - 2 so x = 1 falls in the last cell."""
-    i = np.minimum((x / h).astype(np.intp), y.shape[-1] - 2)
+    clamped to n - 2 so x = 1 falls in the last cell.
+
+    Per-row points ``x`` of shape (B, m) evaluate row b of ``y`` (..., B, n)
+    at ``x[b]``, returning (..., B, m); the nodes are gathered by flat
+    index into the rows laid end to end."""
+    n = y.shape[-1]
+    i = np.minimum((x / h).astype(np.intp), n - 2)
     s = x - i * h
-    y0, y1 = y.take(i, axis=-1), y.take(i + 1, axis=-1)
-    d0, d1 = d.take(i, axis=-1), d.take(i + 1, axis=-1)
+    if x.ndim > 1:
+        lead = y.shape[:-2] + (-1,)
+        y, d = y.reshape(lead), d.reshape(lead)
+        i = i + n * np.arange(len(x))[:, None]
+    y0, d0 = y.take(i, axis=-1), d.take(i, axis=-1)
+    i = i + 1
+    y1, d1 = y.take(i, axis=-1), d.take(i, axis=-1)
     m = (y1 - y0) / h
     t = (d0 + d1 - 2.0 * m) / h
     return y0 + s * (d0 + s * ((m - d0) / h - t + s * (t / h)))
@@ -179,16 +238,16 @@ def transport_step(model, state, vel, dt, grid, c_head=None, w_override=None):
     """
     r, h = grid.r, grid.h
     w = vel.w if w_override is None else w_override
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("non-finite advection velocity in transport")
-    r_mid = np.clip(r - 0.5 * dt * w, 0.0, 1.0)
+    r_mid = (r - 0.5 * dt * w).clip(0.0, 1.0)
     w_mid = hermite_eval(w, grid.derivative(w), r_mid, h)
-    feet = np.clip(r - dt * w_mid, 0.0, 1.0)
-    if not np.all(np.isfinite(feet)):
+    feet = (r - dt * w_mid).clip(0.0, 1.0)
+    if not np.isfinite(feet).all():
         raise ValueError("non-finite characteristic feet in transport")
     # w(0) = w(1) = 0 by construction: the endpoint feet are exact
-    feet[0] = r[0]
-    feet[-1] = r[-1]
+    feet[..., 0] = r[0]
+    feet[..., -1] = r[-1]
 
     pc = np.stack((state.p, state.c))
     # rest points (w = 0, notably both endpoints) stay on their node and
@@ -230,7 +289,8 @@ def nutrient_step(model, state, vel, dt, eps, grid, z=None, v1=None):
         raise ValueError("nutrient_step requires eps > 0; use solve_nutrient")
     z = state.z if z is None else z
     v1 = vel.v1 if v1 is None else v1
-    e2z = np.exp(2.0 * z)
+    e2z = _col(np.exp(2.0 * z))
+    v1 = _col(v1)
     beta = eps * e2z / dt
     lo, di, up = _diffusion_rows(grid)
     adv = eps * e2z * v1 * grid.r / (2.0 * grid.h)
@@ -241,11 +301,16 @@ def nutrient_step(model, state, vel, dt, eps, grid, z=None, v1=None):
     a_di = beta - (di - e2z * dfv)
     a_up = -(up + adv)
     rhs = beta * c + e2z * (dfv * c - fv)
-    a_lo[-1] = 0.0
-    a_di[-1] = 1.0
-    rhs[-1] = 1.0
+    # the r = 0 row has no lower neighbour and the Dirichlet row is an
+    # identity row, so the rows of a batch laid end to end solve as one
+    a_lo[..., 0] = 0.0
+    a_lo[..., -1] = 0.0
+    a_di[..., -1] = 1.0
+    a_up[..., -1] = 0.0
+    rhs[..., -1] = 1.0
     try:
-        c_new = tri_solve(a_lo, a_di, a_up, rhs)
+        c_new = tri_solve(a_lo.ravel(), a_di.ravel(), a_up.ravel(),
+                          rhs.ravel()).reshape(c.shape)
     except LinAlgError as exc:
         raise NumericsError(f"singular nutrient system at t={state.t:g}") from exc
     return check_domain(model, c_new, "nutrient_step")
@@ -266,9 +331,13 @@ def step(model, state, grid, config, clip=None):
     or :func:`nutrient_step`.  The feet values are PCHIP interpolants of
     ``state.c`` and stay within its range, so the rate formulas run
     unchecked.  Raises DomainError on a violation.
+
+    A batched ``state`` takes ``clip`` as a list of one ClipStats per row.
     """
     check_domain(model, state.c, "step")
-    clip = ClipStats() if clip is None else clip
+    if clip is None:
+        clip = [ClipStats() for _ in np.atleast_1d(state.z)]
+    clips = clip if isinstance(clip, list) else [clip]
     dt, eps = config.dt, config.eps
     heun = config.splitting == "heun"
     vel = velocity_from_state(model, state, grid)
@@ -295,8 +364,8 @@ def step(model, state, grid, config, clip=None):
     else:
         c_new = c_pred
 
-    c_new = clip.clip(c_new, config.clip_tol)
-    p_new = clip.clip(np.asarray(p_new), config.clip_tol)
+    c_new = _clip_rows(c_new, config.clip_tol, clips)
+    p_new = _clip_rows(np.asarray(p_new), config.clip_tol, clips)
     return State(t=state.t + dt, z=z_new, c=c_new, p=p_new)
 
 
@@ -338,38 +407,100 @@ def simulate(model, init, grid, config, stationary, on_output=None,
     Returns
     -------
     SimResult
-        records/aux in output order; a failed step or a non-finite field
-        raises :class:`NumericsError` carrying the last healthy output state.
+        records/aux in output order; non-finite initial data, an initial
+        nutrient outside the rates' validity interval, a failed step or a
+        non-finite field raises :class:`NumericsError`, carrying the last
+        healthy output state once there is one.
     """
+    result, = _simulate_batch(model, [init], grid, config, stationary,
+                             on_output, prev_output)
+    if isinstance(result, NumericsError):
+        raise result
+    return result
+
+
+def _check_init(model, init):
     if not (np.isfinite(init.z) and np.all(np.isfinite(init.c))
             and np.all(np.isfinite(init.p))):
         raise NumericsError("non-finite initial data")
-    report = admissibility_report(init, stationary, grid)
-    for issue in report.issues:
-        log.warning("initial data: %s", issue)
+    try:
+        check_domain(model, init.c, "initial data")
+    except DomainError as exc:
+        raise NumericsError(str(exc)) from exc
 
-    state = init.copy()
+
+def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
+                   prev_output=None):
+    """:func:`simulate` of each of ``inits``, which share their start time,
+    stepped together as one batch.
+
+    Returns one :class:`SimResult` per cell, or the :class:`NumericsError`
+    that cell's own run raises: rejected initial data or a non-finite field
+    ends that cell only, and each cell stops early on its own.  Every
+    cell's records, final state and clip counts are those of its solo
+    run, bit for bit.  A batched step or output that raises, with more
+    than one cell left, raises as it is; run the cells alone to find which
+    one fails.  ``on_output`` gets each cell's state at every output and
+    ``prev_output`` needs a single cell.
+    """
+    results = [None] * len(inits)
+    issues = {}
+    cells = []   # index into inits of each row of the batch
+    for i, init in enumerate(inits):
+        try:
+            _check_init(model, init)
+        except NumericsError as exc:
+            results[i] = exc
+            continue
+        issues[i] = admissibility_report(init, stationary, grid).issues
+        for issue in issues[i]:
+            log.warning("initial data: %s", issue)
+        cells.append(i)
+    if not cells:
+        return results
+
+    state = _stack([inits[i] for i in cells])
     if config.eps == 0.0:
         state.c = solve_nutrient(model, state.z, grid, guess=state.c).c
 
-    records = []
-    aux = []
-    clip = ClipStats()
-    prev = prev_output
-    stopped_early = False
+    records = {i: [] for i in cells}
+    aux = {i: [] for i in cells}
+    clips = {i: ClipStats() for i in cells}
+    prev = None if prev_output is None else prev_output.copy()
     k_out = config.steps_per_output
     n_steps = max(0, round((config.t_end - state.t) / config.dt))
     out_idx = 0
 
+    def finish(b, stopped_early):
+        i = cells[b]
+        if clips[i].events:
+            log.warning("clipped fields beyond tolerance %d times "
+                        "(max excess %.3e)", clips[i].events,
+                        clips[i].max_excess)
+        results[i] = SimResult(records=records[i], aux=aux[i],
+                               final_state=state.row(b), clip=clips[i],
+                               warnings=issues[i], stopped_early=stopped_early)
+
+    def keep(rows):
+        nonlocal state, prev, cells
+        cells = [cells[b] for b in np.flatnonzero(rows)]
+        if cells:
+            state, prev = state.take(rows), prev.take(rows)
+
     def emit(step_index):
         profile = solve_nutrient(model, state.z, grid, guess=state.c)
-        rec = deviation_norms(state, prev, stationary, profile)
-        vel = velocity_from_state(model, state, grid)
-        records.append(rec)
-        aux.append((state.t, state.radius, state.z, vel.v1))
-        if on_output is not None:
-            on_output(state, step_index, out_idx, rec)
-        return rec
+        recs = deviation_norms(state, prev, stationary, profile)
+        recs = recs if isinstance(recs, list) else [recs]
+        v1 = np.atleast_1d(velocity_from_state(model, state, grid).v1)
+        z = np.atleast_1d(state.z)
+        radius = np.exp(z)
+        for b, i in enumerate(cells):
+            records[i].append(recs[b])
+            aux[i].append((state.t, float(radius[b]), float(z[b]),
+                           float(v1[b])))
+            if on_output is not None:
+                on_output(state.row(b), step_index, out_idx, recs[b])
+        return recs
 
     if prev_output is None:
         emit(0)
@@ -378,26 +509,41 @@ def simulate(model, init, grid, config, stationary, on_output=None,
 
     for k in range(1, n_steps + 1):
         try:
-            state = step(model, state, grid, config, clip=clip)
+            state = step(model, state, grid, config,
+                         clip=[clips[i] for i in cells])
         except (ValueError, FloatingPointError, ConvergenceError) as exc:
-            raise NumericsError(f"step failed at t={state.t:g}: {exc}",
-                                last_state=prev) from exc
-        if not (np.isfinite(state.z) and np.all(np.isfinite(state.c))
-                and np.all(np.isfinite(state.p))):
-            raise NumericsError(
-                f"non-finite state at t={state.t:g}",
-                last_state=prev)
+            if len(cells) > 1:
+                raise
+            err = NumericsError(f"step failed at t={state.t:g}: {exc}",
+                                last_state=prev.row(0))
+            err.__cause__ = exc
+            results[cells[0]] = err
+            return results
+        finite = np.atleast_1d(np.isfinite(state.z)
+                               & np.isfinite(state.c).all(axis=-1)
+                               & np.isfinite(state.p).all(axis=-1))
+        if not finite.all():
+            for b in np.flatnonzero(~finite):
+                results[cells[b]] = NumericsError(
+                    f"non-finite state at t={state.t:g}",
+                    last_state=prev.row(b))
+            keep(finite)
+            if not cells:
+                return results
         if k % k_out == 0:
-            rec = emit(k)
+            recs = emit(k)
             out_idx += 1
             prev = state.copy()
-            if (config.early_stop_floor > 0.0
-                    and rec.max_norm() < config.early_stop_floor):
-                stopped_early = True
-                break
+            if config.early_stop_floor > 0.0:
+                stop = np.array([rec.max_norm() < config.early_stop_floor
+                                 for rec in recs])
+                for b in np.flatnonzero(stop):
+                    finish(b, stopped_early=True)
+                if stop.any():
+                    keep(~stop)
+                    if not cells:
+                        return results
 
-    if clip.events:
-        log.warning("clipped fields beyond tolerance %d times (max excess %.3e)",
-                    clip.events, clip.max_excess)
-    return SimResult(records=records, aux=aux, final_state=state, clip=clip,
-                     warnings=report.issues, stopped_early=stopped_early)
+    for b in range(len(cells)):
+        finish(b, stopped_early=False)
+    return results

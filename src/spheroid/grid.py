@@ -43,15 +43,18 @@ class Grid:
         return f"Grid(n={self.n})"
 
     def cumulative_radial_integral(self, f):
-        """Return I_i = integral_0^{r_i} f(rho) rho^2 d rho for nodal f."""
+        """Return I_i = integral_0^{r_i} f(rho) rho^2 d rho for nodal f, along
+        the last axis (each row of a batch on its own)."""
         f = np.asarray(f, dtype=float)
-        out = np.zeros(self.n)
-        np.cumsum(self._w_left * f[:-1] + self._w_right * f[1:], out=out[1:])
+        out = np.zeros(f.shape)
+        np.cumsum(self._w_left * f[..., :-1] + self._w_right * f[..., 1:],
+                  axis=-1, out=out[..., 1:])
         return out
 
     def derivative(self, y, symmetric_origin=False):
-        """Second-order nodal derivative: central inside, one-sided at ends
-        (``np.gradient`` with ``edge_order=2``).
+        """Second-order nodal derivative: central inside, one-sided at ends,
+        along the last axis.  This is ``np.gradient`` with ``edge_order=2``
+        on a uniform grid, written out with its operations in its order.
 
         With ``symmetric_origin`` the derivative at r=0 is pinned to zero
         (even profile), and the r=1 end uses a third-order one-sided stencil
@@ -59,8 +62,14 @@ class Grid:
         """
         y = np.asarray(y, dtype=float)
         h = self.h
-        d = np.gradient(y, h, edge_order=2)
+        d = np.empty_like(y)
+        d[..., 1:-1] = (y[..., 2:] - y[..., :-2]) / (2.0 * h)
+        d[..., 0] = ((-1.5 / h) * y[..., 0] + (2.0 / h) * y[..., 1]
+                     + (-0.5 / h) * y[..., 2])
+        d[..., -1] = ((0.5 / h) * y[..., -3] + (-2.0 / h) * y[..., -2]
+                      + (1.5 / h) * y[..., -1])
         if symmetric_origin:
-            d[0] = 0.0
-            d[-1] = (11.0 * y[-1] - 18.0 * y[-2] + 9.0 * y[-3] - 2.0 * y[-4]) / (6.0 * h)
+            d[..., 0] = 0.0
+            d[..., -1] = (11.0 * y[..., -1] - 18.0 * y[..., -2]
+                          + 9.0 * y[..., -3] - 2.0 * y[..., -4]) / (6.0 * h)
         return d

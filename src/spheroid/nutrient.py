@@ -21,9 +21,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import LinAlgError, lapack
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError
 from .grid import Grid
-from .rates import check_domain
+from .rates import check_domain, outside_domain
 
 _MACHEPS = np.finfo(float).eps
 # relative bound on the max-norm Newton residual of every nutrient solve
@@ -57,8 +57,27 @@ def _diffusion_rows(grid):
     return lo, di, up
 
 
+@lru_cache(maxsize=8)
+def _block_rows(grid, size):
+    """:func:`_diffusion_rows` repeated for ``size`` blocks laid end to end,
+    read-only; each block's zero lo[0] and up[-1] keep it apart."""
+    if size == 1:
+        return _diffusion_rows(grid)
+    rows = tuple(np.tile(row, size) for row in _diffusion_rows(grid))
+    for row in rows:
+        row.flags.writeable = False
+    return rows
+
+
 def tri_solve(lo, di, up, rhs):
-    """Direct solve of the tridiagonal system given by row arrays (dgtsv)."""
+    """Direct solve of the tridiagonal system given by row arrays (dgtsv);
+    lo[0] and up[-1] are unused.
+
+    The systems of a batch, laid end to end, solve as one when each block's
+    own lo[0] and up[-1] are zero: elimination then passes nothing between
+    the blocks, and each block's solution is that of its system alone, bit
+    for bit.
+    """
     *_, x, info = lapack.dgtsv(lo[1:], di, up[:-1], rhs)
     if info > 0:
         raise LinAlgError(f"singular tridiagonal system (pivot {info})")
@@ -67,7 +86,11 @@ def tri_solve(lo, di, up, rhs):
 
 @dataclass
 class NutrientProfile:
-    """Converged profile c(.; z); its radial slope ``c_r`` is derived."""
+    """Converged profile c(.; z); its radial slope ``c_r`` is derived.
+
+    A batch holds ``z`` of shape (B,) and ``c`` of shape (B, n), the
+    largest residual of its rows and the iterations of the row that took
+    the most."""
 
     z: float
     c: np.ndarray
@@ -82,7 +105,7 @@ class NutrientProfile:
 
 def _resid_floor(grid, scale):
     # max-norm residual below this is indistinguishable from rounding
-    return 50.0 * _MACHEPS * max(1.0, 1.0 / grid.h**2, scale)
+    return 50.0 * _MACHEPS * np.maximum(max(1.0, 1.0 / grid.h**2), scale)
 
 
 def solve_nutrient(model, z, grid, guess=None):
@@ -92,75 +115,122 @@ def solve_nutrient(model, z, grid, guess=None):
     ``RESIDUAL_TOL * max(1, e^{2z} F(c_hi))``, floored at the rounding
     level of the h^-2 stencil.
 
+    A batch, ``z`` of shape (B,) and ``guess`` of shape (B, n), solves B
+    problems in one damped Newton iteration: the rows still iterating share
+    one tridiagonal solve, a converged row freezes, and each row's line
+    search halves its own step and rejects its own trials.  Every row's
+    profile is the one its own solve gives, bit for bit.
+
     Parameters
     ----------
     model : RateModel
-    z : float
+    z : float or array (B,)
         Log-radius; the consumption term scales with e^{2z}.
     grid : Grid
-    guess : array, optional
+    guess : array (n,) or (B, n), optional
         Warm-start iterate (e.g. the profile at a nearby z); defaults to
         the constant boundary value 1.
 
+    Returns
+    -------
+    NutrientProfile
+        ``c`` of shape (n,), or (B, n) for a batch.
+
     Raises
     ------
+    DomainError
+        If ``guess`` leaves the rates' validity interval (extended by the
+        model's margin).
     ConvergenceError
         If damped Newton cannot reach the tolerance within
         ``NEWTON_MAXITER`` iterations, or the residual is not finite (NaN in
-        ``z`` or ``guess``).
+        ``z`` or ``guess``), in any row.
     """
-    z = float(z)
-    e2z = np.exp(2.0 * z)
-    fhi, _ = model.F(np.array(model.c_hi))
-    load = e2z * abs(float(fhi))
-    tol_eff = max(RESIDUAL_TOL * max(1.0, load), _resid_floor(grid, load))
-
-    lo, di, up = _diffusion_rows(grid)
-    c = np.ones(grid.n) if guess is None else np.array(guess, dtype=float)
-    c[-1] = 1.0
+    batch = np.ndim(z) > 0
+    zb = np.asarray(z, dtype=float).reshape(-1)
+    n = grid.n
+    load = np.exp(2.0 * zb) * abs(float(model.F.value(model.c_hi)))
+    tol_eff = np.maximum(RESIDUAL_TOL * np.maximum(1.0, load),
+                         _resid_floor(grid, load))
+    # the rows laid end to end: one vector of length B*n, whose blocks the
+    # zero couplings of the diffusion rows keep apart
+    e2z = np.repeat(np.exp(2.0 * zb), n) if batch else np.exp(2.0 * float(z))
+    lo, di, up = _block_rows(grid, zb.size)
+    c = (np.ones(zb.size * n) if guess is None
+         else np.array(guess, dtype=float).reshape(-1))
+    c[n - 1::n] = 1.0
 
     def residual(c):
-        # domain check keeps overshooting Newton trials inside the rates'
-        # validity margin; the line search treats violations as rejections
-        fv, dfv = model.F(check_domain(model, c, "nutrient solve"))
+        fv, dfv = model.F(c)
         R = di * c
         R[:-1] += up[:-1] * c[1:]
         R[1:] += lo[1:] * c[:-1]
-        R[:-1] -= e2z * fv[:-1]
-        R[-1] = c[-1] - 1.0
+        R -= e2z * fv
+        R[n - 1::n] = c[n - 1::n] - 1.0
         return R, dfv
 
-    R, dfv = residual(c)
-    rnorm = np.max(np.abs(R))
+    def row_max(x):
+        return np.abs(x).reshape(-1, n).max(axis=1)
+
+    R, dfv = residual(check_domain(model, c, "nutrient solve"))
+    lo_c, hi_c = model.domain
+    rnorm = row_max(R)
     it = 0
-    # a NaN residual fails both tests below and is reported, not accepted
-    while not rnorm <= tol_eff:
-        if it >= NEWTON_MAXITER or not np.isfinite(rnorm):
+    # a NaN residual iterates, and is reported, not accepted
+    active = ~(rnorm <= tol_eff)
+    while active.any():
+        # the rows still iterating have all iterated ``it`` times
+        if it >= NEWTON_MAXITER or not rnorm.max() < np.inf:
+            # the first row whose residual is not finite, else the first
+            # row still iterating
+            rows = np.flatnonzero(active)
+            b = rows[np.argmin(rnorm[rows] < np.inf)]
             raise ConvergenceError(
-                f"nutrient BVP Newton stalled at z={z:g}: residual {rnorm:.3e} "
-                f"(target {tol_eff:.3e})", residual=rnorm)
-        j_di = di.copy()
-        j_di[:-1] -= e2z * dfv[:-1]
+                f"nutrient BVP Newton stalled at z={zb[b]:g}: residual "
+                f"{rnorm[b]:.3e} (target {tol_eff[b]:.3e})",
+                residual=float(rnorm[b]))
+        # every row is solved; only the rows still iterating take a step
+        j_di = di - e2z * dfv
+        j_di[n - 1::n] = 1.0
         delta = tri_solve(lo, j_di, up, -R)
         alpha = 1.0
+        todo = active   # rows whose trial is not yet accepted
         while True:
             trial = c + alpha * delta
-            try:
+            if lo_c <= trial.min() and trial.max() <= hi_c:
                 R_new, dfv_new = residual(trial)
-                new_norm = np.max(np.abs(R_new))
-            except DomainError:
-                new_norm = np.inf
-            if new_norm <= (1.0 - 0.5 * alpha) * rnorm or new_norm <= tol_eff:
+                new_norm = row_max(R_new)
+            else:
+                # a row whose trial leaves the rates' validity margin
+                # rejects it; its residual is taken at its current iterate
+                bad = outside_domain(model, trial).reshape(-1, n).any(axis=1)
+                R_new, dfv_new = residual(np.where(np.repeat(bad, n), c, trial))
+                new_norm = np.where(bad, np.inf, row_max(R_new))
+            ok = todo & (new_norm <= np.maximum((1.0 - 0.5 * alpha) * rnorm,
+                                                tol_eff))
+            if ok.all():
                 c, R, dfv, rnorm = trial, R_new, dfv_new, new_norm
+                break
+            take = np.repeat(ok, n)
+            c, R, dfv = (np.where(take, trial, c), np.where(take, R_new, R),
+                         np.where(take, dfv_new, dfv))
+            rnorm = np.where(ok, new_norm, rnorm)
+            todo = todo & ~ok
+            if not todo.any():
                 break
             alpha *= 0.5
             if alpha < 1e-8:
+                b = np.flatnonzero(todo)[0]
                 raise ConvergenceError(
-                    f"nutrient BVP line search stalled at z={z:g}: "
-                    f"residual {rnorm:.3e}", residual=rnorm)
+                    f"nutrient BVP line search stalled at z={zb[b]:g}: "
+                    f"residual {rnorm[b]:.3e}", residual=float(rnorm[b]))
         it += 1
+        active = ~(rnorm <= tol_eff)
 
-    return NutrientProfile(z=z, c=c, grid=grid, residual=float(rnorm),
+    if batch:
+        return NutrientProfile(z=zb, c=c.reshape(-1, n), grid=grid,
+                               residual=float(rnorm.max()), iterations=it)
+    return NutrientProfile(z=float(z), c=c, grid=grid, residual=float(rnorm[0]),
                            iterations=it)
 
 

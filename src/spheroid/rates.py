@@ -27,30 +27,35 @@ from .errors import DomainError, UnknownRateError
 RATE_NAMES = ("F", "K_B", "K_P", "K_Q", "K_D")
 
 
-def _linear(c, prm):
+# A family maps (c, params) to the value and, with ``der``, the pair
+# (value, derivative).
+
+
+def _linear(c, prm, der):
     slope = prm["slope"]
-    return slope * c, np.full_like(c, slope)
+    val = slope * c
+    return (val, np.full_like(c, slope)) if der else val
 
 
-def _sigmoid(c, prm):
+def _sigmoid(c, prm, der):
     # amp * (1 - tanh(steepness*(c-center))) / 2: positive, decreasing.
     amp, s, c0 = prm["amp"], prm["steepness"], prm["center"]
     th = np.tanh(s * (c - c0))
     val = amp * (1.0 - th) / 2.0
-    der = -amp * s / 2.0 * (1.0 - th * th)
-    return val, der
+    return (val, -amp * s / 2.0 * (1.0 - th * th)) if der else val
 
 
-def _constant(c, prm):
-    v = prm["value"]
-    return np.full_like(c, v), np.zeros_like(c)
+def _constant(c, prm, der):
+    val = np.full_like(c, prm["value"])
+    return (val, np.zeros_like(c)) if der else val
 
 
-def _michaelis(c, prm):
+def _michaelis(c, prm, der):
     # saturating uptake vmax * c / (k + c); increasing with value 0 at 0
     vmax, k = prm["vmax"], prm["k"]
     den = k + c
-    return vmax * c / den, vmax * k / (den * den)
+    val = vmax * c / den
+    return (val, vmax * k / (den * den)) if der else val
 
 
 # family -> (callable, default parameters)
@@ -82,8 +87,14 @@ class Rate:
         object.__setattr__(self, "params", full)
 
     def __call__(self, c):
+        """(value, derivative) at ``c``."""
         fn, _ = FAMILIES[self.family]
-        return fn(np.asarray(c, dtype=float), self.params)
+        return fn(np.asarray(c, dtype=float), self.params, True)
+
+    def value(self, c):
+        """The value at ``c`` alone, for callers that need no derivative."""
+        fn, _ = FAMILIES[self.family]
+        return fn(np.asarray(c, dtype=float), self.params, False)
 
 
 @dataclass(frozen=True)
@@ -93,8 +104,9 @@ class RateModel:
     Concentrations are accepted on the validity interval extended by
     ``margin`` on each side.  Beyond that :func:`check_domain` raises
     :class:`DomainError` where ``c`` enters: in :func:`eval_rate`, on the
-    input of ``evolution.step`` and on each new profile of
-    ``solve_nutrient`` and ``nutrient_step``.  The composites
+    initial data of ``evolution.simulate``, on the input of
+    ``evolution.step`` and on each new profile of ``solve_nutrient`` and
+    ``nutrient_step``.  The composites
     :func:`f_reaction`, :func:`g_source` and :func:`f_reaction_partials`
     are plain formulas.  Instances are immutable and safe to share between
     concurrent runs.
@@ -108,6 +120,11 @@ class RateModel:
     c_lo: float = 0.0
     c_hi: float = 1.0
     margin: float = 0.5
+
+    @property
+    def domain(self):
+        """The validity interval extended by ``margin`` on each side."""
+        return self.c_lo - self.margin, self.c_hi + self.margin
 
     def rate(self, name):
         if name not in RATE_NAMES:
@@ -130,15 +147,20 @@ def default_model():
     )
 
 
+def outside_domain(model, c):
+    """Mask of the concentrations beyond the extended validity interval."""
+    lo, hi = model.domain
+    return (c < lo) | (c > hi)
+
+
 def check_domain(model, c, context):
     """Validate concentrations against the extended validity interval."""
     arr = np.asarray(c, dtype=float)
-    lo = model.c_lo - model.margin
-    hi = model.c_hi + model.margin
-    if np.any(arr < lo) or np.any(arr > hi):
-        bad = arr[(arr < lo) | (arr > hi)]
+    bad = outside_domain(model, arr)
+    if np.any(bad):
+        lo, hi = model.domain
         raise DomainError(
-            f"{context}: c={np.ravel(bad)[0]:.6g} outside [{lo:g}, {hi:g}]")
+            f"{context}: c={arr[bad][0]:.6g} outside [{lo:g}, {hi:g}]")
     return arr
 
 
@@ -168,10 +190,10 @@ def eval_rate(model, name, c):
 
 def _kinetics(model, c):
     """(K_M, K_N, K_P) = (K_B + K_D, K_P + K_Q, K_P) at unchecked ``c``."""
-    kb, _ = model.K_B(c)
-    kp, _ = model.K_P(c)
-    kq, _ = model.K_Q(c)
-    kd, _ = model.K_D(c)
+    kb = model.K_B.value(c)
+    kp = model.K_P.value(c)
+    kq = model.K_Q.value(c)
+    kd = model.K_D.value(c)
     return kb + kd, kp + kq, kp
 
 
@@ -194,8 +216,8 @@ def f_reaction(model, c, p):
 def g_source(model, c, p):
     """Volume source g(c, p) = K_M(c) p - K_D(c); affine in p.  Unchecked,
     as :func:`f_reaction`."""
-    kb, _ = model.K_B(c)
-    kd, _ = model.K_D(c)
+    kb = model.K_B.value(c)
+    kd = model.K_D.value(c)
     p = np.asarray(p, dtype=float)
     out = (kb + kd) * p - kd
     return float(out) if out.ndim == 0 else out

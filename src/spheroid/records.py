@@ -36,22 +36,23 @@ class DeviationRecord:
 
 
 def deviation_norms(state, prev, stationary, profile):
-    """Build a :class:`DeviationRecord` for ``state``.
+    """Build a :class:`DeviationRecord` for ``state``, or a list of them, one
+    per row, for a batched ``state`` (see ``evolution.State``).
 
     Parameters
     ----------
     state : State
     prev : State or None
-        Previous output state; time derivatives are backward differences
-        against it and zero when absent.
+        Previous output state (the same rows); time derivatives are
+        backward differences against it and zero when absent.
     stationary : StationarySolution
         Reference fields on the same grid.
     profile : NutrientProfile
         Nutrient profile at the state's own z, for the off-manifold norm.
     """
-    if state.c.shape != stationary.c.shape:
+    if state.c.shape[-1] != stationary.c.shape[-1]:
         raise ValueError(
-            f"grid mismatch: state has {state.c.size} nodes, "
+            f"grid mismatch: state has {state.c.shape[-1]} nodes, "
             f"stationary has {stationary.c.size}")
     grid = stationary.grid
     weight = grid.r * (1.0 - grid.r)
@@ -63,23 +64,26 @@ def deviation_norms(state, prev, stationary, profile):
 
     if prev is not None and prev.t != state.t:
         dt_out = state.t - prev.t
-        c_t = float(np.max(np.abs(state.c - prev.c)) / abs(dt_out))
-        z_dot = float(abs(state.z - prev.z) / abs(dt_out))
+        c_t = np.max(np.abs(state.c - prev.c), axis=-1) / abs(dt_out)
+        z_dot = np.abs(state.z - prev.z) / abs(dt_out)
     else:
-        c_t = 0.0
-        z_dot = 0.0
+        c_t = z_dot = np.zeros(np.shape(state.z))
 
-    return DeviationRecord(
-        t=float(state.t),
-        c_dev=float(np.max(np.abs(state.c - stationary.c))),
-        c_r_dev=float(np.max(np.abs(c_r - cstar_r))),
+    norms = dict(
+        c_dev=np.max(np.abs(state.c - stationary.c), axis=-1),
+        c_r_dev=np.max(np.abs(c_r - cstar_r), axis=-1),
         c_t_dev=c_t,
-        p_dev=float(np.max(np.abs(state.p - stationary.p))),
-        p_r_weighted_dev=float(np.max(weight * np.abs(p_r - pstar_r))),
-        z_dev=float(abs(state.z - stationary.z)),
+        p_dev=np.max(np.abs(state.p - stationary.p), axis=-1),
+        p_r_weighted_dev=np.max(weight * np.abs(p_r - pstar_r), axis=-1),
+        z_dev=np.abs(state.z - stationary.z),
         z_dot_dev=z_dot,
-        eta_dev=float(np.max(np.abs(state.c - profile.c))),
+        eta_dev=np.max(np.abs(state.c - profile.c), axis=-1),
     )
+    t = float(state.t)
+    if np.ndim(state.z) == 0:
+        return DeviationRecord(t=t, **{k: float(v) for k, v in norms.items()})
+    return [DeviationRecord(t=t, **{k: float(v[b]) for k, v in norms.items()})
+            for b in range(len(state.z))]
 
 
 @dataclass

@@ -1,12 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheroid import (Grid, InsufficientDataError, SolverConfig, State,
-                      admissible_init, deviation_norms, fit_decay,
-                      solve_nutrient)
+from spheroid import (Grid, InsufficientDataError, NumericsError,
+                      SolverConfig, State, admissible_init, deviation_norms,
+                      fit_decay, simulate, solve_nutrient,
+                      stability_experiment)
+from spheroid import analysis, evolution
 from spheroid.analysis import PERTURBATION_SHAPES, _convergence_study
+from spheroid.evolution import _simulate_batch
 
 
 # ---------------- fit_decay ----------------
@@ -217,3 +222,144 @@ def test_convergence_study_zero_diff_is_inconclusive():
     assert study.diffs[1] == 0.0
     assert np.isnan(study.orders[0])
     assert not study.conclusive
+
+
+# ---------------- batched cells ----------------
+
+def _same_run(a, b):
+    """Bit-for-bit equality of two SimResults' records, final state and clips."""
+    return (a.records == b.records and a.aux == b.aux
+            and a.final_state.t == b.final_state.t
+            and a.final_state.z == b.final_state.z
+            and np.array_equal(a.final_state.c, b.final_state.c)
+            and np.array_equal(a.final_state.p, b.final_state.p)
+            and a.clip == b.clip and a.stopped_early == b.stopped_early)
+
+
+def _capture_batches(monkeypatch):
+    """Record (inits, config, results) of every batch stability_experiment runs."""
+    batches = []
+    run = analysis._simulate_batch
+
+    def recording(model, inits, grid, config, stationary):
+        results = run(model, inits, grid, config, stationary)
+        batches.append((inits, config, results))
+        return results
+
+    monkeypatch.setattr(analysis, "_simulate_batch", recording)
+    return batches
+
+
+def test_stability_batches_match_solo_runs(model, grid201, stationary201,
+                                           monkeypatch):
+    # the cells of one eps run as one batch; each cell's records, final
+    # state and clip counts are those of its solo run, bit for bit
+    batches = _capture_batches(monkeypatch)
+    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=2.0, output_interval=0.2)
+    rep = stability_experiment(model, grid201, cfg, eps_list=(0.0, 0.05),
+                               delta_list=(0.005, 0.01),
+                               shapes=("poly", "cosine"), seeds=(1,),
+                               stationary=stationary201)
+    assert [len(inits) for inits, _, _ in batches] == [4, 4]
+    assert [c.status for c in rep.cells] == ["ok"] * 8
+    for inits, config, results in batches:
+        for init, result in zip(inits, results):
+            solo = simulate(model, init, grid201, config, stationary201)
+            assert _same_run(result, solo)
+            assert len(result.records) == 11
+
+
+def test_batched_cells_stop_early_on_their_own(model, grid201, stationary201):
+    # each cell of a batch stops at its own first output below the floor,
+    # with the records of its solo run
+    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=6.0, output_interval=0.2,
+                       early_stop_floor=2.5e-2)
+    inits = [admissible_init(stationary201, delta, "poly")
+             for delta in (0.005, 0.006, 0.02)]
+    results = _simulate_batch(model, inits, grid201, cfg, stationary201)
+    stops = [r.final_state.t for r in results]
+    assert [r.stopped_early for r in results] == [True, True, False]
+    assert 0.0 < stops[0] < stops[1] < stops[2] == pytest.approx(cfg.t_end)
+    for init, result in zip(inits, results):
+        assert _same_run(result, simulate(model, init, grid201, cfg,
+                                          stationary201))
+
+
+def test_nan_in_one_row_fails_only_that_cell(model, grid201, stationary201,
+                                             monkeypatch):
+    # a NaN in row 1 of the batched state after the step to t = 0.5 ends
+    # that cell; its neighbours run on, bit-identical to their solo runs
+    cfg = SolverConfig(eps=0.05, dt=0.02, t_end=1.0, output_interval=0.2)
+    inits = [admissible_init(stationary201, 0.01, shape)
+             for shape in ("poly", "cosine", "random")]
+    solo = [simulate(model, init, grid201, cfg, stationary201)
+            for init in inits]
+    step = evolution.step
+
+    def poisoning(model, state, grid, config, clip=None):
+        new = step(model, state, grid, config, clip=clip)
+        if np.ndim(new.z) and len(new.z) == 3 and abs(new.t - 0.5) < 1e-9:
+            new.p[1, 100] = np.nan
+        return new
+
+    monkeypatch.setattr(evolution, "step", poisoning)
+    results = _simulate_batch(model, inits, grid201, cfg, stationary201)
+    assert isinstance(results[1], NumericsError)
+    assert str(results[1]) == "non-finite state at t=0.5"
+    last = results[1].last_state
+    at_last = simulate(model, inits[1], grid201, replace(cfg, t_end=0.4),
+                       stationary201).final_state
+    assert last.t == at_last.t == pytest.approx(0.4, abs=1e-12)
+    assert np.array_equal(last.p, at_last.p)
+    for b in (0, 2):
+        assert _same_run(results[b], solo[b])
+
+    rep = stability_experiment(model, grid201, cfg, eps_list=(0.05,),
+                               delta_list=(0.01,),
+                               shapes=("poly", "cosine", "random"),
+                               seeds=(0,), stationary=stationary201)
+    assert [c.status for c in rep.cells] == [
+        "ok", "error: non-finite state at t=0.5", "ok"]
+
+
+def test_rejected_initial_data_fails_only_that_cell(model, grid201,
+                                                    stationary201):
+    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=0.4, output_interval=0.2)
+    inits = [admissible_init(stationary201, 0.01, shape)
+             for shape in ("poly", "cosine")]
+    bad = inits[0].copy()
+    bad.c[10] = model.c_hi + 2.0 * model.margin
+    results = _simulate_batch(model, [inits[0], bad, inits[1]], grid201, cfg,
+                              stationary201)
+    assert isinstance(results[1], NumericsError)
+    assert str(results[1]).startswith("initial data: c=2 outside")
+    for result, init in zip(results[::2], inits):
+        assert _same_run(result, simulate(model, init, grid201, cfg,
+                                          stationary201))
+
+
+def test_failed_batch_reruns_cells_alone(model, grid201, stationary201,
+                                         monkeypatch):
+    # a batched step that raises sends its cells through solo runs, which
+    # report each cell on its own
+    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=2.0, output_interval=0.2)
+    kwargs = dict(eps_list=(0.0,), delta_list=(0.01,),
+                  shapes=("poly", "cosine"), seeds=(1,),
+                  stationary=stationary201)
+    clean = stability_experiment(model, grid201, cfg, **kwargs)
+    transport = evolution.transport_step
+
+    def failing(model, state, *args, **kwargs):
+        if np.ndim(state.z) and state.t > 0.5:
+            raise ValueError("batched transport failed")
+        return transport(model, state, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "transport_step", failing)
+    with pytest.raises(ValueError, match="batched transport failed"):
+        _simulate_batch(model, [admissible_init(stationary201, 0.01, shape)
+                                for shape in ("poly", "cosine")],
+                        grid201, cfg, stationary201)
+    rerun = stability_experiment(model, grid201, cfg, **kwargs)
+    assert [c.status for c in rerun.cells] == ["ok", "ok"]
+    assert [c.fits for c in rerun.cells] == [c.fits for c in clean.cells]
+    assert clean.cells[0].fits["p_dev"] is not None

@@ -199,6 +199,22 @@ def test_hermite_kernel_matches_scipy(data):
     lo = np.minimum(yy[:, i], yy[:, i + 1])
     hi = np.maximum(yy[:, i], yy[:, i + 1])
     assert np.all(got >= lo - tol) and np.all(got <= hi + tol)
+    # per-row feet, as a batched transport step traces them: row b of a
+    # (B, n) batch, and of p and c stacked to (2, B, n), is evaluated at its
+    # own points x[b], exactly as that row alone
+    xx = np.stack((x, x[::-1], np.sort(x)))
+    rows = np.stack((y, y[::-1], -y))
+    for ys in (rows, np.stack((rows, 2.0 * rows))):
+        slopes = evolution.pchip_slopes(ys, grid.h)
+        per_row = evolution.hermite_eval(ys, slopes, xx, grid.h)
+        assert per_row.shape == ys.shape[:-1] + x.shape
+        for idx in np.ndindex(ys.shape[:-1]):
+            xb = xx[idx[-1]]
+            want = PchipInterpolator(grid.r, ys[idx])(xb)
+            assert (np.max(np.abs(per_row[idx] - want))
+                    <= 1e-13 * np.max(np.abs(ys[idx])))
+            alone = evolution.hermite_eval(ys[idx], slopes[idx], xb, grid.h)
+            assert np.array_equal(per_row[idx], alone)
 
 
 def test_transport_rejects_nonfinite_velocity():
@@ -435,16 +451,25 @@ def test_simulate_wraps_nonfinite_velocity(model, grid201, stationary201,
 
 def test_simulate_rejects_nutrient_outside_domain(model, grid201,
                                                   stationary201):
-    # step checks the nutrient it is given; a resumed eps > 0 run meets the
-    # bad profile at its first step
+    # simulate checks the initial nutrient where it checks for non-finite
+    # data, before the first nutrient solve of a fresh run (the projection
+    # at eps = 0, the initial output at eps > 0) and the first step of a
+    # resumed one
     init = State(t=0.0, z=stationary201.z, c=stationary201.c.copy(),
                  p=stationary201.p.copy())
     init.c[10] = model.c_hi + 2.0 * model.margin
-    cfg = SolverConfig(eps=0.05, dt=0.02, t_end=1.0, output_interval=0.2)
-    with pytest.raises(NumericsError) as err:
-        simulate(model, init, grid201, cfg, stationary201, prev_output=init)
-    assert isinstance(err.value.__cause__, DomainError)
-    assert str(err.value.__cause__).startswith("step: c=")
+    for eps in (0.0, 0.05):
+        cfg = SolverConfig(eps=eps, dt=0.02, t_end=1.0, output_interval=0.2)
+        for prev_output in (None, init):
+            with pytest.raises(NumericsError) as err:
+                simulate(model, init, grid201, cfg, stationary201,
+                         prev_output=prev_output)
+            assert str(err.value).startswith("initial data: c=2 outside")
+            assert isinstance(err.value.__cause__, DomainError)
+            assert err.value.last_state is None
+    # step still checks the nutrient it is given
+    with pytest.raises(DomainError, match="^step: c="):
+        step(model, init, grid201, SolverConfig(eps=0.05))
 
 
 def test_simulate_rejects_nutrient_step_outside_domain(model, grid201,

@@ -48,6 +48,12 @@ def test_derivative_exact_for_quadratic():
     assert np.allclose(d, -g.r, atol=1e-12)
     d2 = g.derivative(y)
     assert np.allclose(d2, -g.r, atol=1e-12)
+    # np.gradient's rule, bit for bit, on one profile and on each row of a
+    # batch
+    rows = np.stack((y, np.sin(7.0 * g.r), np.exp(g.r)))
+    assert np.array_equal(d2, np.gradient(y, g.h, edge_order=2))
+    assert np.array_equal(g.derivative(rows),
+                          np.gradient(rows, g.h, edge_order=2, axis=-1))
 
 
 def test_grid_equality():
