@@ -168,39 +168,39 @@ def stability_experiment(model, grid, config, eps_list, delta_list, shapes,
     status, not raised.  Cells are listed in (eps, delta, shape, seed)
     order.
 
-    The cells of one eps share dt and the grid and are stepped as one
-    batch, whose every cell gives the records of its solo
-    :func:`simulate` run, bit for bit.  A batch that raises is run again
-    cell by cell, so a failing cell fails alone.
+    All cells share dt, the grid and the start time, so they are stepped
+    as one batch, each row with its own eps; every cell gives the records
+    of its solo :func:`simulate` run, bit for bit.  A cell listed twice is
+    run once.  A batch that raises is run again cell by cell, so a failing
+    cell fails alone.
     """
     if stationary is None:
         stationary = solve_stationary(model, grid, config=config,
                                       cross_check=False)
-    cells = []
-    for eps in eps_list:
-        cfg = replace(config, eps=float(eps))
-        keys = [(float(eps), float(delta), shape, int(seed))
-                for delta in delta_list for shape in shapes for seed in seeds]
-        runs = {}   # key -> initial data, then the run's result or error
-        for key in keys:
-            if key[1] != 0.0:
-                try:
-                    runs[key] = admissible_init(stationary, *key[1:])
-                except Exception as exc:  # failed cell is reported, not fatal
-                    runs[key] = exc
-        batch = [key for key, init in runs.items()
-                 if not isinstance(init, Exception)]
-        try:
-            results = _simulate_batch(model, [runs[k] for k in batch], grid,
-                                      cfg, stationary)
-        except Exception as exc:  # the cells alone find the failing one
-            log.info("stability batch (eps=%g) failed: %s; running its "
-                     "cells alone", eps, exc)
-            results = [_simulate_alone(model, runs[k], grid, cfg, stationary)
-                       for k in batch]
-        runs.update(zip(batch, results))
-        cells += [_cell(key, runs.get(key)) for key in keys]
-    return StabilityReport(cells=cells, horizon=config.t_end)
+    configs = {float(eps): replace(config, eps=float(eps)) for eps in eps_list}
+    keys = [(float(eps), float(delta), shape, int(seed)) for eps in eps_list
+            for delta in delta_list for shape in shapes for seed in seeds]
+    runs = {}   # key -> initial data, then the run's result or error
+    for key in keys:
+        if key[1] != 0.0:
+            try:
+                runs[key] = admissible_init(stationary, *key[1:])
+            except Exception as exc:  # failed cell is reported, not fatal
+                runs[key] = exc
+    batch = [key for key, init in runs.items()
+             if not isinstance(init, Exception)]
+    try:
+        results = _simulate_batch(model, [runs[k] for k in batch], grid,
+                                  config, stationary,
+                                  eps=[k[0] for k in batch])
+    except Exception as exc:  # the cells alone find the failing one
+        log.info("stability batch of %d cells failed: %s; running its "
+                 "cells alone", len(batch), exc)
+        results = [_simulate_alone(model, runs[k], grid, configs[k[0]],
+                                   stationary) for k in batch]
+    runs.update(zip(batch, results))
+    return StabilityReport(cells=[_cell(key, runs.get(key)) for key in keys],
+                           horizon=config.t_end)
 
 
 def _simulate_alone(model, init, grid, config, stationary):

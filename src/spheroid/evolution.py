@@ -18,11 +18,14 @@ grid: z of shape (B,), and c and p of shape (B, n).  Every operation acts
 along the last axis or elementwise, and the tridiagonal systems of the
 rows are one LAPACK call, so each row of a batched step is, bit for bit,
 the step of that state alone.  A single :class:`State` (z a float, c and
-p of shape (n,)) is the batch of one.
+p of shape (n,)) is the batch of one.  The rows of a batch may differ in
+eps: those with eps = 0 solve the quasi-static nutrient and the others
+take the implicit step, while everything else runs once over all rows.
 """
 
+import copy
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -280,17 +283,21 @@ def nutrient_step(model, state, vel, dt, eps, grid, z=None, v1=None):
     frozen at the step start (overridable for time-centered composites),
     the r = 0 row using the symmetric-limit stencil, and c(1) = 1 imposed
     strongly.  The advection term eps e^{2z} v(1) r c_r is added to the
-    grid's shared diffusion rows.
+    grid's shared diffusion rows.  A batch takes ``eps``, like ``z`` and
+    ``v1``, as one scalar or as a (B,) array of per-row values.
 
-    Raises DomainError if the new profile leaves the rates' validity
-    interval (extended by the model's margin).
+    Raises ValueError unless every eps > 0, and DomainError if the new
+    profile leaves the rates' validity interval (extended by the model's
+    margin).
     """
-    if eps <= 0:
+    per_row = isinstance(eps, np.ndarray)
+    if not ((eps > 0.0).all() if per_row else eps > 0.0):
         raise ValueError("nutrient_step requires eps > 0; use solve_nutrient")
     z = state.z if z is None else z
     v1 = vel.v1 if v1 is None else v1
     e2z = _col(np.exp(2.0 * z))
     v1 = _col(v1)
+    eps = eps[:, None] if per_row else eps
     beta = eps * e2z / dt
     lo, di, up = _diffusion_rows(grid)
     adv = eps * e2z * v1 * grid.r / (2.0 * grid.h)
@@ -316,6 +323,36 @@ def nutrient_step(model, state, vel, dt, eps, grid, z=None, v1=None):
     return check_domain(model, c_new, "nutrient_step")
 
 
+def _rows(x, rows):
+    """Rows ``rows`` of a batch's field, per-row scalars or :class:`State`;
+    all of ``x`` for rows None."""
+    if rows is None:
+        return x
+    return x.take(rows) if isinstance(x, State) else x[rows]
+
+
+def _by_eps(eps, c, quasi, implicit):
+    """The new nutrient of each row of a batch: ``quasi(rows)`` gives it
+    for the rows with eps = 0, ``implicit(rows)`` for those with eps > 0.
+
+    When every row is of one kind (always so for a scalar eps) only that
+    call runs, with rows None for the whole batch; else each gets its row
+    indices, and their profiles fill an array shaped like ``c``.
+    """
+    if not isinstance(eps, np.ndarray):
+        return quasi(None) if eps == 0.0 else implicit(None)
+    zero = eps == 0.0
+    if zero.all():
+        return quasi(None)
+    if not zero.any():
+        return implicit(None)
+    new = np.empty_like(c)
+    for fill, rows in ((quasi, np.flatnonzero(zero)),
+                       (implicit, np.flatnonzero(~zero))):
+        new[rows] = fill(rows)
+    return new
+
+
 def step(model, state, grid, config, clip=None):
     """Advance the state by one splitting step of config.dt.
 
@@ -332,7 +369,10 @@ def step(model, state, grid, config, clip=None):
     ``state.c`` and stay within its range, so the rate formulas run
     unchecked.  Raises DomainError on a violation.
 
-    A batched ``state`` takes ``clip`` as a list of one ClipStats per row.
+    A batched ``state`` takes ``clip`` as a list of one ClipStats per row,
+    and ``config.eps`` may then be a (B,) array of per-row values (the
+    private batched loop sets one): the nutrient of the rows with eps = 0
+    and of the others is updated by their own solver, on their rows only.
     """
     check_domain(model, state.c, "step")
     if clip is None:
@@ -344,10 +384,13 @@ def step(model, state, grid, config, clip=None):
 
     p_new = transport_step(model, state, vel, dt, grid)
     z_pred = state.z + dt * vel.v1
-    if eps == 0.0:
-        c_pred = solve_nutrient(model, z_pred, grid, guess=state.c).c
-    else:
-        c_pred = nutrient_step(model, state, vel, dt, eps, grid)
+    c_pred = _by_eps(
+        eps, state.c,
+        lambda rows: solve_nutrient(model, _rows(z_pred, rows), grid,
+                                    guess=_rows(state.c, rows)).c,
+        lambda rows: nutrient_step(model, _rows(state, rows), vel, dt,
+                                   _rows(eps, rows), grid,
+                                   v1=_rows(vel.v1, rows)))
     pred = State(t=state.t + dt, z=z_pred, c=c_pred, p=p_new)
     vel_pred = velocity_from_state(model, pred, grid)
     z_new = boundary_radius_step(state, vel, dt, vel_pred)
@@ -355,14 +398,20 @@ def step(model, state, grid, config, clip=None):
     if heun:
         p_new = transport_step(model, state, vel, dt, grid, c_head=c_pred,
                                w_override=0.5 * (vel.w + vel_pred.w))
-    if eps == 0.0:
-        c_new = solve_nutrient(model, z_new, grid, guess=c_pred).c
-    elif heun:
-        c_new = nutrient_step(model, state, vel, dt, eps, grid,
-                              z=0.5 * (state.z + z_pred),
-                              v1=0.5 * (vel.v1 + vel_pred.v1))
-    else:
-        c_new = c_pred
+
+    def corrector(rows):
+        if not heun:
+            return _rows(c_pred, rows)
+        return nutrient_step(model, _rows(state, rows), vel, dt,
+                             _rows(eps, rows), grid,
+                             z=_rows(0.5 * (state.z + z_pred), rows),
+                             v1=_rows(0.5 * (vel.v1 + vel_pred.v1), rows))
+
+    c_new = _by_eps(
+        eps, state.c,
+        lambda rows: solve_nutrient(model, _rows(z_new, rows), grid,
+                                    guess=_rows(c_pred, rows)).c,
+        corrector)
 
     c_new = _clip_rows(c_new, config.clip_tol, clips)
     p_new = _clip_rows(np.asarray(p_new), config.clip_tol, clips)
@@ -429,10 +478,22 @@ def _check_init(model, init):
         raise NumericsError(str(exc)) from exc
 
 
+def _config_of_rows(config, eps):
+    """``config`` for a batch whose rows have the eps of the (B,) ``eps``:
+    their one value when they agree, so that such a batch steps as a lone
+    run does, else the array itself, which :func:`step` reads per row."""
+    if (eps == eps[0]).all():
+        return replace(config, eps=float(eps[0]))
+    rows = copy.copy(config)
+    rows.eps = eps
+    return rows
+
+
 def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
-                   prev_output=None):
+                   prev_output=None, eps=None):
     """:func:`simulate` of each of ``inits``, which share their start time,
-    stepped together as one batch.
+    stepped together as one batch.  ``eps``, one per cell, replaces
+    ``config.eps``, so cells of several eps share the batch.
 
     Returns one :class:`SimResult` per cell, or the :class:`NumericsError`
     that cell's own run raises: rejected initial data or a non-finite field
@@ -460,8 +521,14 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
         return results
 
     state = _stack([inits[i] for i in cells])
-    if config.eps == 0.0:
-        state.c = solve_nutrient(model, state.z, grid, guess=state.c).c
+    eps = np.asarray([config.eps] * len(inits) if eps is None else eps,
+                     dtype=float)[cells]
+    config = _config_of_rows(config, eps)
+    state.c = _by_eps(
+        config.eps, state.c,
+        lambda rows: solve_nutrient(model, _rows(state.z, rows), grid,
+                                    guess=_rows(state.c, rows)).c,
+        lambda rows: _rows(state.c, rows))
 
     records = {i: [] for i in cells}
     aux = {i: [] for i in cells}
@@ -482,10 +549,12 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
                                warnings=issues[i], stopped_early=stopped_early)
 
     def keep(rows):
-        nonlocal state, prev, cells
+        nonlocal state, prev, cells, eps, config
         cells = [cells[b] for b in np.flatnonzero(rows)]
         if cells:
             state, prev = state.take(rows), prev.take(rows)
+            eps = eps[rows]
+            config = _config_of_rows(config, eps)
 
     def emit(step_index):
         profile = solve_nutrient(model, state.z, grid, guess=state.c)

@@ -237,13 +237,14 @@ def _same_run(a, b):
 
 
 def _capture_batches(monkeypatch):
-    """Record (inits, config, results) of every batch stability_experiment runs."""
+    """Record (inits, config, eps, results) of every batch
+    stability_experiment runs."""
     batches = []
     run = analysis._simulate_batch
 
-    def recording(model, inits, grid, config, stationary):
-        results = run(model, inits, grid, config, stationary)
-        batches.append((inits, config, results))
+    def recording(model, inits, grid, config, stationary, eps):
+        results = run(model, inits, grid, config, stationary, eps=eps)
+        batches.append((inits, config, eps, results))
         return results
 
     monkeypatch.setattr(analysis, "_simulate_batch", recording)
@@ -252,21 +253,78 @@ def _capture_batches(monkeypatch):
 
 def test_stability_batches_match_solo_runs(model, grid201, stationary201,
                                            monkeypatch):
-    # the cells of one eps run as one batch; each cell's records, final
-    # state and clip counts are those of its solo run, bit for bit
+    # the cells of every eps run as one batch, each row with its own eps;
+    # each cell's records, final state and clip counts are those of its
+    # solo run at its eps, bit for bit
     batches = _capture_batches(monkeypatch)
     cfg = SolverConfig(eps=0.0, dt=0.02, t_end=2.0, output_interval=0.2)
     rep = stability_experiment(model, grid201, cfg, eps_list=(0.0, 0.05),
                                delta_list=(0.005, 0.01),
                                shapes=("poly", "cosine"), seeds=(1,),
                                stationary=stationary201)
-    assert [len(inits) for inits, _, _ in batches] == [4, 4]
+    assert [eps for _, _, eps, _ in batches] == [[0.0] * 4 + [0.05] * 4]
     assert [c.status for c in rep.cells] == ["ok"] * 8
-    for inits, config, results in batches:
-        for init, result in zip(inits, results):
-            solo = simulate(model, init, grid201, config, stationary201)
+    for inits, config, eps, results in batches:
+        for init, e, result in zip(inits, eps, results):
+            solo = simulate(model, init, grid201, replace(config, eps=e),
+                            stationary201)
             assert _same_run(result, solo)
             assert len(result.records) == 11
+
+
+def _mixed_cells(stationary, cells, shape="poly"):
+    """(inits, eps) of a batch from (eps, delta) pairs."""
+    return ([admissible_init(stationary, delta, shape) for _, delta in cells],
+            [eps for eps, _ in cells])
+
+
+def test_mixed_eps_batch_matches_solo_runs_heun(model, grid201,
+                                                stationary201):
+    # interleaved eps = 0 and eps > 0 rows under the time-centred corrector
+    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=1.0, output_interval=0.2,
+                       splitting="heun")
+    inits, eps = _mixed_cells(stationary201, [(0.0, 0.01), (0.05, 0.01),
+                                              (0.0, 0.005), (0.01, 0.005)],
+                              shape="cosine")
+    results = _simulate_batch(model, inits, grid201, cfg, stationary201,
+                              eps=eps)
+    for init, e, result in zip(inits, eps, results):
+        assert _same_run(result, simulate(model, init, grid201,
+                                          replace(cfg, eps=e), stationary201))
+
+
+def test_mixed_eps_batch_stops_early_row_by_row(model, grid201,
+                                                stationary201):
+    # rows of both kinds leave at their own outputs; the last row left is
+    # an eps = 0 row, alone in the batch
+    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=6.0, output_interval=0.2,
+                       early_stop_floor=2.5e-2)
+    inits, eps = _mixed_cells(stationary201, [(0.05, 0.005), (0.0, 0.006),
+                                              (0.05, 0.006), (0.0, 0.02)])
+    results = _simulate_batch(model, inits, grid201, cfg, stationary201,
+                              eps=eps)
+    stops = [r.final_state.t for r in results]
+    assert [r.stopped_early for r in results] == [True, True, True, False]
+    assert 0.0 < stops[0] < stops[1] < stops[2] < stops[3]
+    assert stops[3] == pytest.approx(cfg.t_end)
+    for init, e, result in zip(inits, eps, results):
+        assert _same_run(result, simulate(model, init, grid201,
+                                          replace(cfg, eps=e), stationary201))
+
+
+def test_repeated_matrix_entries_are_each_reported(model, grid201,
+                                                   stationary201):
+    # every listed cell is reported in order, a repeat with its twin's fits
+    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=2.0, output_interval=0.2)
+    rep = stability_experiment(model, grid201, cfg, eps_list=(0.05, 0.05),
+                               delta_list=(0.01,),
+                               shapes=("poly", "cosine", "poly"),
+                               seeds=(1,), stationary=stationary201)
+    assert [(c.eps, c.shape, c.status) for c in rep.cells] == [
+        (0.05, shape, "ok") for shape in ("poly", "cosine", "poly")] * 2
+    poly = [c.fits for c in rep.cells if c.shape == "poly"]
+    assert poly == [poly[0]] * 4 and poly[0]["p_dev"] is not None
+    assert rep.cells[1].fits == rep.cells[4].fits != poly[0]
 
 
 def test_batched_cells_stop_early_on_their_own(model, grid201, stationary201):
@@ -285,6 +343,19 @@ def test_batched_cells_stop_early_on_their_own(model, grid201, stationary201):
                                           stationary201))
 
 
+def _poison_row_1(monkeypatch, size):
+    """Put a NaN into row 1 of a batch of ``size`` after its step to t = 0.5."""
+    step = evolution.step
+
+    def poisoning(model, state, grid, config, clip=None):
+        new = step(model, state, grid, config, clip=clip)
+        if np.ndim(new.z) and len(new.z) == size and abs(new.t - 0.5) < 1e-9:
+            new.p[1, 100] = np.nan
+        return new
+
+    monkeypatch.setattr(evolution, "step", poisoning)
+
+
 def test_nan_in_one_row_fails_only_that_cell(model, grid201, stationary201,
                                              monkeypatch):
     # a NaN in row 1 of the batched state after the step to t = 0.5 ends
@@ -294,15 +365,7 @@ def test_nan_in_one_row_fails_only_that_cell(model, grid201, stationary201,
              for shape in ("poly", "cosine", "random")]
     solo = [simulate(model, init, grid201, cfg, stationary201)
             for init in inits]
-    step = evolution.step
-
-    def poisoning(model, state, grid, config, clip=None):
-        new = step(model, state, grid, config, clip=clip)
-        if np.ndim(new.z) and len(new.z) == 3 and abs(new.t - 0.5) < 1e-9:
-            new.p[1, 100] = np.nan
-        return new
-
-    monkeypatch.setattr(evolution, "step", poisoning)
+    _poison_row_1(monkeypatch, 3)
     results = _simulate_batch(model, inits, grid201, cfg, stationary201)
     assert isinstance(results[1], NumericsError)
     assert str(results[1]) == "non-finite state at t=0.5"
@@ -317,6 +380,30 @@ def test_nan_in_one_row_fails_only_that_cell(model, grid201, stationary201,
     rep = stability_experiment(model, grid201, cfg, eps_list=(0.05,),
                                delta_list=(0.01,),
                                shapes=("poly", "cosine", "random"),
+                               seeds=(0,), stationary=stationary201)
+    assert [c.status for c in rep.cells] == [
+        "ok", "error: non-finite state at t=0.5", "ok"]
+
+
+def test_nan_in_mixed_eps_batch_fails_only_that_cell(model, grid201,
+                                                     stationary201,
+                                                     monkeypatch):
+    # row 1 (eps = 0.01) fails; the eps = 0 and eps = 0.05 rows run on
+    # without it, bit-identical to their solo runs
+    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=1.0, output_interval=0.2)
+    inits, eps = _mixed_cells(stationary201, [(0.0, 0.01), (0.01, 0.01),
+                                              (0.05, 0.01)])
+    solo = [simulate(model, init, grid201, replace(cfg, eps=e), stationary201)
+            for init, e in zip(inits, eps)]
+    _poison_row_1(monkeypatch, 3)
+    results = _simulate_batch(model, inits, grid201, cfg, stationary201,
+                              eps=eps)
+    assert str(results[1]) == "non-finite state at t=0.5"
+    for b in (0, 2):
+        assert _same_run(results[b], solo[b])
+
+    rep = stability_experiment(model, grid201, cfg, eps_list=(0.0, 0.01, 0.05),
+                               delta_list=(0.01,), shapes=("poly",),
                                seeds=(0,), stationary=stationary201)
     assert [c.status for c in rep.cells] == [
         "ok", "error: non-finite state at t=0.5", "ok"]

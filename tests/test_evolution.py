@@ -104,6 +104,30 @@ def test_nutrient_step_contracts_perturbations():
     assert np.max(np.abs(coarse - fine)) < 0.2 * dev_before
 
 
+def test_nutrient_step_takes_eps_per_row():
+    # a (B,) eps gives each row the profile of its own scalar-eps call, bit
+    # for bit; a row with eps <= 0 is rejected as a scalar eps is
+    grid = Grid(201)
+    m = default_model()
+    bump = 1.0 - grid.r**2
+    batch = evolution._stack([
+        State(t=0.0, z=z, c=solve_nutrient(m, z, grid).c + 0.01 * k * bump,
+              p=np.full(grid.n, 0.3 + 0.2 * k))
+        for k, z in enumerate((0.2, 0.5, 0.8))])
+    vel = velocity_from_state(m, batch, grid)
+    eps = np.array([0.01, 0.05, 0.5])
+    c_new = nutrient_step(m, batch, vel, 0.02, eps, grid)
+    for b in range(3):
+        row = batch.row(b)
+        alone = nutrient_step(m, row, velocity_from_state(m, row, grid), 0.02,
+                              float(eps[b]), grid)
+        assert np.array_equal(c_new[b], alone)
+    for bad in (np.array([0.05, 0.0, 0.05]), np.array([0.05, 0.05, -0.1]),
+                0.0):
+        with pytest.raises(ValueError, match="requires eps > 0"):
+            nutrient_step(m, batch, vel, 0.02, bad, grid)
+
+
 # ---------------- transport step ----------------
 
 def test_transport_identity_when_still():
