@@ -3,12 +3,15 @@
 Primary method: the fixed point x = (z, p) of one eps = 0 evolution step,
 with c slaved to z by the quasi-static solve, so simulations measure
 deviations against a state the scheme keeps.  Pseudo-time relaxation
-brings F(x) = (step(x) - x)/dt to |F|_inf <= RELAX_LEVEL; Newton-Krylov
+in steps of max(dt, RELAX_DT) brings F(x) = (step(x) - x)/dt to |F|_inf
+<= RELAX_LEVEL: far from the root the step only has to point the right
+way (pseudo-transient continuation; Kelley & Keyes 1998).  Newton-Krylov
 (Tuckerman & Barkley 2000; Knoll & Keyes 2004) then certifies |F|_inf <=
-tol/10.  Where Newton stalls on the kinks of the PCHIP limiter, the
-relaxation resumes to that level.  At |F|_inf = tol, p is still ~1.6e-6
-from the fixed point (N=201, tol=1e-6), which perturbed runs' deviation
-norms reach while their rates are fitted.
+tol/10 for the caller's own dt.  Where Newton stalls on the kinks of the
+PCHIP limiter, the relaxation resumes with that dt to that level.  Both
+relaxation phases share T_RELAX units of pseudo-time.  At |F|_inf = tol,
+p is still ~1.6e-6 from the fixed point (N=201, tol=1e-6), which
+perturbed runs' deviation norms reach while their rates are fitted.
 
 Cross-check method: direct construction.  For a trial log-radius z the
 nutrient is the quasi-static profile, and the steady transport equation
@@ -22,7 +25,9 @@ reaction's equilibrium there, which attracts inward.  (Outward
 integration amplifies seed errors by exp(int f_p / v dr), up to 1e10 for
 realistic parameters.)  The boundary velocity v(1; z) of the
 self-consistent solution changes sign across the stationary log-radius,
-which brentq then refines.
+which brentq then refines.  Behind ``solve_stationary`` the bracket
+starts at the primary z* +- CHECK_HALF_WIDTH and doubles while v(1; z)
+keeps one sign; each z is solved once.
 """
 
 import logging
@@ -42,9 +47,12 @@ from .rates import _kinetics, f_reaction, f_reaction_partials, g_source
 log = logging.getLogger("spheroid")
 
 Z_INIT = 0.5          # log-radius the relaxation starts from
-T_RELAX = 2000.0      # relaxation horizon
+T_RELAX = 2000.0      # pseudo-time horizon shared by both relaxation phases
 RELAX_LEVEL = 1e-2    # |F|_inf at which relaxation hands over to Newton-Krylov
+RELAX_DT = 0.1        # least pseudo-time step of the relaxation to RELAX_LEVEL
 NK_MAXITER = 50       # Newton iterations before NoConvergence
+CHECK_HALF_WIDTH = 0.01      # first half-width of the cross-check's bracket
+CHECK_MAX_HALF_WIDTH = 1.28  # its last: 0.01 doubled seven times
 
 
 def equilibrium_fraction(model, c):
@@ -148,11 +156,15 @@ def stationary_by_bisection(model, grid, z_bracket=(-1.0, 2.5)):
 
     brentq (xtol 1e-10) on the self-consistent boundary velocity v(1; z)
     over ``z_bracket``; :class:`BracketError` if it keeps one sign there.
+    Each z is solved once.
     """
+    values = {}    # brentq evaluates the ends of the bracket again
+
     def v1_of_z(z):
-        prof = solve_nutrient(model, z, grid)
-        _, v1, _ = _steady_transport(model, prof.c, grid)
-        return v1
+        if z not in values:
+            prof = solve_nutrient(model, z, grid)
+            values[z] = _steady_transport(model, prof.c, grid)[1]
+        return values[z]
 
     lo, hi = z_bracket
     v_lo, v_hi = v1_of_z(lo), v1_of_z(hi)
@@ -178,57 +190,62 @@ def solve_stationary(model, grid, tol=1e-6, config=None, cross_check=True):
         Scheme whose fixed point is sought (eps is forced to 0); runs that
         measure deviations against the result should use the same dt.
     cross_check : bool
-        Also record the direct construction's log-radius in ``z_direct``.
-        The two discretize steady transport differently, so a gap beyond
-        max(10*tol, h^2) (an O(h^2) floor) logs a warning.
+        Also record the direct construction's log-radius, bracketed
+        around z*, in ``z_direct``.  The two discretize steady transport
+        differently, so a gap beyond max(10*tol, h^2) (an O(h^2) floor)
+        logs a warning.
 
     Raises
     ------
     ConvergenceError
-        No certificate within T_RELAX units of relaxation, or a failure
+        No certificate within T_RELAX units of pseudo-time, or a failure
         inside the solve; ``residual`` holds the last |F|_inf.
     BracketError
-        Cross-check enabled and v(1; z) keeps one sign over (-1, 2.5).
+        Cross-check enabled and v(1; z) keeps one sign over z* +- w for
+        every w = CHECK_HALF_WIDTH * 2^k up to CHECK_MAX_HALF_WIDTH; the
+        message names the last bracket.
     """
     config = replace(config or SolverConfig(), eps=0.0)
-    dt = config.dt
+    coarse = replace(config, dt=max(config.dt, RELAX_DT))
     c = solve_nutrient(model, Z_INIT, grid).c
     x = np.concatenate(([Z_INIT], equilibrium_fraction(model, c)))
     norm = np.inf    # last |F|_inf
+    t_left = T_RELAX   # pseudo-time left to both relaxation phases
 
-    def residual(x):
-        # F(x) for x = (z, p); c is re-solved, warm-started, at each call
+    def residual(x, scheme=config):
+        # F(x) for x = (z, p) under the step of ``scheme``; c is re-solved,
+        # warm-started, at each call
         nonlocal c, norm
         c = solve_nutrient(model, x[0], grid, guess=c).c
-        new = step(model, State(0.0, x[0], c, x[1:]), grid, config)
+        new = step(model, State(0.0, x[0], c, x[1:]), grid, scheme)
         c = new.c
-        f = (np.concatenate(([new.z], new.p)) - x) / dt
+        f = (np.concatenate(([new.z], new.p)) - x) / scheme.dt
         norm = float(np.max(np.abs(f)))
         return f
 
-    steps_per_check = max(1, round(1.0 / dt))
-    steps_left = round(T_RELAX / dt)   # shared by both relaxation phases
-
-    def relax(x, level):
+    def relax(x, level, scheme):
         # pseudo-time steps x <- x + dt F(x) until |F|_inf <= level
-        nonlocal steps_left
-        for k in range(steps_left):
-            f = residual(x)
+        nonlocal t_left
+        dt = scheme.dt
+        steps_per_check = max(1, round(1.0 / dt))
+        for k in range(round(t_left / dt)):
+            f = residual(x, scheme)
             if k % steps_per_check == 0 and norm <= level:
-                steps_left -= k
+                t_left -= k * dt
                 return x
             x = x + dt * f
         raise ConvergenceError(f"relaxation not at |F| <= {level:g} by "
                                f"t={T_RELAX:g}", residual=norm)
 
     try:
-        x = relax(x, RELAX_LEVEL)
+        # far from the root the step only has to point the right way
+        x = relax(x, RELAX_LEVEL, coarse)
         try:
             x = newton_krylov(residual, x, f_tol=0.1 * tol, method="lgmres",
                               maxiter=NK_MAXITER)
         except NoConvergence as exc:
             # a stall on the limiter's kinks; relaxation still converges
-            x = relax(exc.args[0], 0.1 * tol)
+            x = relax(exc.args[0], 0.1 * tol, config)
     except (ConvergenceError, ValueError, FloatingPointError) as exc:
         raise ConvergenceError(
             f"stationary solve failed at |F|_inf = {norm:.3e}: {exc}",
@@ -247,7 +264,17 @@ def solve_stationary(model, grid, tol=1e-6, config=None, cross_check=True):
     )
 
     if cross_check:
-        solution.z_direct = stationary_by_bisection(model, grid)
+        # bracket around z*, the half-width doubling while v(1; z) keeps
+        # one sign
+        width = CHECK_HALF_WIDTH
+        while solution.z_direct is None:
+            try:
+                solution.z_direct = stationary_by_bisection(
+                    model, grid, (solution.z - width, solution.z + width))
+            except BracketError:
+                if width >= CHECK_MAX_HALF_WIDTH:
+                    raise
+                width *= 2.0
         solution.method = "newton-krylov+direct"
         gap = abs(solution.z_direct - solution.z)
         if gap > max(10.0 * tol, grid.h**2):

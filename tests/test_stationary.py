@@ -147,6 +147,104 @@ def test_stationary_certified_or_typed_failure(m):
     assert fixed_point_residual(m, s, SolverConfig()) <= 1e-6 / 10
 
 
+def lin(slope):
+    return Rate("linear", {"slope": slope})
+
+
+def mm(vmax, k):
+    return Rate("michaelis", {"vmax": vmax, "k": k})
+
+
+def sig(amp, steepness, center):
+    return Rate("sigmoid", {"amp": amp, "steepness": steepness,
+                            "center": center})
+
+
+# sets of the sweep's strategy that certify at N=51 in well under 1 s
+SOLVABLE_SETS = [
+    RateModel(F=lin(2.82), K_B=lin(0.636), K_P=lin(2.223),
+              K_Q=sig(1.076, 1.965, 0.223), K_D=sig(1.525, 0.645, 0.247)),
+    RateModel(F=lin(1.424), K_B=lin(2.448), K_P=mm(3.06, 1.042),
+              K_Q=sig(1.695, 0.215, 0.666), K_D=sig(1.546, 1.441, 0.857)),
+]
+
+
+@pytest.mark.parametrize("m", SOLVABLE_SETS)
+def test_stationary_certified_on_solvable_sets(m):
+    # the sweep above accepts a typed failure; these sets must certify
+    assert check_assumptions(m).all_passed
+    s = solve_stationary(m, Grid(51), cross_check=False)
+    assert fixed_point_residual(m, s, SolverConfig()) <= 1e-6 / 10
+
+
+def test_stationary_step_count(monkeypatch):
+    # the relaxation to RELAX_LEVEL takes coarse pseudo-time steps: the
+    # default-model N=51 solve makes 342 steps (1182 with the fine step)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(stationary, "step", counting)
+    solve_stationary(default_model(), Grid(51), cross_check=False)
+    assert len(calls) <= 600
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.02, 0.2])
+def test_stationary_certified_for_callers_dt(dt):
+    # the certificate holds for the caller's dt, also above RELAX_DT
+    m = default_model()
+    config = SolverConfig(dt=dt)
+    s = solve_stationary(m, Grid(51), config=config, cross_check=False)
+    assert fixed_point_residual(m, s, config) <= 1e-6 / 10
+
+
+# z* = 3.127 at N=51, outside the fixed bracket (-1, 2.5) of
+# stationary_by_bisection; the direct root lies 0.0117 from z*, so the
+# bracket around z* widens once
+HIGH_Z_SET = RateModel(F=lin(1.527), K_B=mm(2.855, 1.672), K_P=mm(2.699, 0.79),
+                       K_Q=sig(0.423, 2.85, 0.003), K_D=sig(1.579, 0.227, 0.617))
+
+
+def test_cross_check_brackets_around_primary(monkeypatch):
+    solved = []    # one nutrient profile per z at which v(1; z) is solved
+    inner = stationary._steady_transport
+
+    def recording(model, c, grid):
+        solved.append(c.tobytes())
+        return inner(model, c, grid)
+
+    monkeypatch.setattr(stationary, "_steady_transport", recording)
+    s = solve_stationary(HIGH_Z_SET, Grid(51), cross_check=True)
+    assert s.method == "newton-krylov+direct"
+    assert s.z > 2.5
+    assert stationary.CHECK_HALF_WIDTH < abs(s.z_direct - s.z) < 0.02
+    assert len(set(solved)) == len(solved)
+
+
+def test_cross_check_bracket_widens_to_its_limit(monkeypatch):
+    # v(1; z) > 0 everywhere: the half-width doubles up to its limit, then
+    # BracketError names the last bracket
+    monkeypatch.setattr(stationary, "_steady_transport",
+                        lambda model, c, grid: (None, 1.0, 1))
+    brackets = []
+    inner = stationary.stationary_by_bisection
+
+    def recording(model, grid, z_bracket):
+        brackets.append(z_bracket)
+        return inner(model, grid, z_bracket)
+
+    monkeypatch.setattr(stationary, "stationary_by_bisection", recording)
+    with pytest.raises(BracketError) as info:
+        solve_stationary(default_model(), Grid(51), cross_check=True)
+    widths = [(hi - lo) / 2 for lo, hi in brackets]
+    assert widths == pytest.approx([0.01 * 2**k for k in range(8)])
+    assert widths[-1] == pytest.approx(stationary.CHECK_MAX_HALF_WIDTH)
+    lo, hi = brackets[-1]
+    assert f"[{lo:g}, {hi:g}]" in str(info.value)
+
+
 # Newton-Krylov stalls on this set at N=51; the resumed relaxation
 # certifies it
 STALLING_SET = RateModel(
@@ -164,19 +262,30 @@ def test_stationary_certified_after_newton_stall(monkeypatch, m, force_stall):
         raise NoConvergence(x0)
 
     newton = no_convergence if force_stall else stationary.newton_krylov
-    stalls = []
+    events = []    # the dt of each step, and where Newton starts and stalls
 
     def recording(*args, **kwargs):
+        events.append("newton")
         try:
             return newton(*args, **kwargs)
         except NoConvergence:
-            stalls.append(1)
+            events.append("stall")
             raise
 
+    def stepping(model, state, grid, config):
+        events.append(config.dt)
+        return step(model, state, grid, config)
+
     monkeypatch.setattr(stationary, "newton_krylov", recording)
+    monkeypatch.setattr(stationary, "step", stepping)
     s = solve_stationary(m, Grid(51), cross_check=False)
-    assert stalls == [1]
+    assert events.count("newton") == events.count("stall") == 1
     assert fixed_point_residual(m, s, SolverConfig()) <= 1e-6 / 10
+    # only the relaxation to RELAX_LEVEL takes the coarse pseudo-time step;
+    # Newton and the resumed relaxation step with the caller's dt
+    start = events.index("newton")
+    assert set(events[:start]) == {stationary.RELAX_DT}
+    assert set(events[start + 1:]) - {"stall"} == {SolverConfig().dt}
 
 
 @pytest.mark.parametrize("target, after, exc", [
