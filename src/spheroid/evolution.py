@@ -170,33 +170,6 @@ def _col(x):
     return x[:, None] if np.ndim(x) else x
 
 
-def pchip_slopes(y, h):
-    """Fritsch-Carlson slopes of each row of ``y`` (..., n) on a uniform grid.
-
-    Inside: the harmonic mean of the adjacent secants, or 0 where they
-    differ in sign or either vanishes.  Ends: the shape-preserving
-    three-point rule.  This is scipy's PchipInterpolator specialised to a
-    uniform grid.
-    """
-    m = (y[..., 1:] - y[..., :-1]) / h
-    sm = np.sign(m)
-    same = sm[..., :-1] * sm[..., 1:] > 0.0
-    m0 = np.where(same, m[..., :-1], 1.0)
-    m1 = np.where(same, m[..., 1:], 1.0)
-    d = np.empty_like(y)
-    d[..., 1:-1] = np.where(same, 2.0 / (1.0 / m0 + 1.0 / m1), 0.0)
-    # end secant and its neighbour, at r = 0 and r = 1
-    e0 = m[..., [0, -1]]
-    e1 = m[..., [1, -2]]
-    s0 = np.sign(e0)
-    t0 = 3.0 * e0
-    de = 0.5 * (t0 - e1)
-    overshoot = (s0 != np.sign(e1)) & (np.abs(de) > np.abs(t0))
-    de = np.where(overshoot, t0, de)
-    d[..., [0, -1]] = np.where(np.sign(de) != s0, 0.0, de)
-    return d
-
-
 def hermite_eval(y, d, x, h):
     """Cubic Hermite interpolant of ``y`` (n,) or of each row of ``y`` (k, n)
     with nodal slopes ``d`` on the uniform grid r_i = i h, evaluated at
@@ -225,17 +198,19 @@ def transport_step(model, state, vel, dt, grid, c_head=None, w_override=None):
     """Semi-Lagrangian update of the proliferating fraction over one step.
 
     Feet of the backward characteristics of dr/ds = w(r) are traced with
-    midpoint RK2 (w frozen over the step, interpolated at the midpoints by
-    the cubic Hermite interpolant with the slopes of
-    :meth:`Grid.derivative`, which are linear in w), clamped to [0, 1]
-    (they cannot leave, since w vanishes at both endpoints; clamping only
-    absorbs rounding).  p and c are interpolated at the feet with the
-    monotonicity-preserving Fritsch-Carlson cubic (PCHIP); both
-    interpolants are the uniform-grid Hermite kernel :func:`hermite_eval`,
-    and p and c share one pass of it.  Then p is integrated along the
-    characteristic with Heun's method, evaluating the reaction at the foot
-    (nutrient at the step start) and at the head (``c_head``, defaulting to
-    the step-start nutrient at the node).
+    midpoint RK2 (w frozen over the step, interpolated at the midpoints),
+    clamped to [0, 1] (they cannot leave, since w vanishes at both
+    endpoints; clamping only absorbs rounding), and p and c are
+    interpolated at the feet.  All three interpolants are the cubic
+    Hermite kernel :func:`hermite_eval` with the slopes of
+    :meth:`Grid.derivative`, which are linear in the field, so the step is
+    a smooth map of the state; p and c share one pass of the kernel.
+    Unlike a limited (monotone) cubic, it may overshoot the nodes that
+    bracket a foot; :func:`step` clips p to [0, 1] and counts the events.
+    Then p is integrated along the characteristic with Heun's method,
+    evaluating the reaction at the foot (nutrient at the step start) and at
+    the head (``c_head``, defaulting to the step-start nutrient at the
+    node).
 
     Raises ValueError if the advection velocity or the feet are not finite.
     """
@@ -256,7 +231,7 @@ def transport_step(model, state, vel, dt, grid, c_head=None, w_override=None):
     # rest points (w = 0, notably both endpoints) stay on their node and
     # evolve by the local reaction ODE alone; bypass interpolation noise
     p_foot, c_foot = np.where(feet == r, pc,
-                              hermite_eval(pc, pchip_slopes(pc, h), feet, h))
+                              hermite_eval(pc, grid.derivative(pc), feet, h))
     head = state.c if c_head is None else c_head
 
     k1 = f_reaction(model, c_foot, p_foot)
@@ -365,9 +340,10 @@ def step(model, state, grid, config, clip=None):
 
     The nutrient is checked against the rates' validity interval where it
     enters: ``state.c`` here, every new profile in :func:`solve_nutrient`
-    or :func:`nutrient_step`.  The feet values are PCHIP interpolants of
-    ``state.c`` and stay within its range, so the rate formulas run
-    unchecked.  Raises DomainError on a violation.
+    or :func:`nutrient_step`.  The feet values are cubic interpolants of
+    ``state.c``, which may leave its range by O(h^3), far inside the
+    rates' margin (0.5 by default) beyond the validity interval, so the
+    rate formulas run unchecked.  Raises DomainError on a violation.
 
     A batched ``state`` takes ``clip`` as a list of one ClipStats per row,
     and ``config.eps`` may then be a (B,) array of per-row values (the

@@ -29,6 +29,9 @@ _MACHEPS = np.finfo(float).eps
 # relative bound on the max-norm Newton residual of every nutrient solve
 RESIDUAL_TOL = 1e-10
 NEWTON_MAXITER = 60   # Newton iterations before ConvergenceError
+# largest log-radius solved for: e^{2z} stays below 1e154, so its products
+# with the rates and the stencil cannot overflow
+Z_MAX = 0.25 * np.log(np.finfo(float).max)
 
 
 @lru_cache(maxsize=8)
@@ -144,10 +147,14 @@ def solve_nutrient(model, z, grid, guess=None):
     ConvergenceError
         If damped Newton cannot reach the tolerance within
         ``NEWTON_MAXITER`` iterations, or the residual is not finite (NaN in
-        ``z`` or ``guess``), in any row.
+        ``z`` or ``guess``), in any row; or if any z exceeds ``Z_MAX``.
     """
     batch = np.ndim(z) > 0
     zb = np.asarray(z, dtype=float).reshape(-1)
+    if (zb > Z_MAX).any():
+        raise ConvergenceError(
+            f"nutrient BVP at z={zb[np.argmax(zb > Z_MAX)]:g}: the log-radius "
+            f"ran away past {Z_MAX:.0f}, where e^(2z) nears overflow")
     n = grid.n
     load = np.exp(2.0 * zb) * abs(float(model.F.value(model.c_hi)))
     tol_eff = np.maximum(RESIDUAL_TOL * np.maximum(1.0, load),

@@ -5,13 +5,18 @@ with c slaved to z by the quasi-static solve, so simulations measure
 deviations against a state the scheme keeps.  Pseudo-time relaxation
 in steps of max(dt, RELAX_DT) brings F(x) = (step(x) - x)/dt to |F|_inf
 <= RELAX_LEVEL: far from the root the step only has to point the right
-way (pseudo-transient continuation; Kelley & Keyes 1998).  Newton-Krylov
-(Tuckerman & Barkley 2000; Knoll & Keyes 2004) then certifies |F|_inf <=
-tol/10 for the caller's own dt.  Where Newton stalls on the kinks of the
-PCHIP limiter, the relaxation resumes with that dt to that level.  Both
-relaxation phases share T_RELAX units of pseudo-time.  At |F|_inf = tol,
-p is still ~1.6e-6 from the fixed point (N=201, tol=1e-6), which
-perturbed runs' deviation norms reach while their rates are fitted.
+way (pseudo-transient continuation; Kelley & Keyes 1998).  Newton on F
+for the caller's own dt (a timestepper's Newton; Tuckerman & Barkley
+2000) then certifies |F|_inf <= tol/10.  Its Jacobian is the dense
+forward-difference one, whose 1 + n columns are stepped as the rows of
+batches of at most JACOBIAN_ROWS states; the linear system is solved
+directly and the step backtracks on |F|_2.  The transport step is a
+smooth map (its cubic has unlimited slopes), so Newton converges fast;
+where it still stalls, the relaxation resumes with the caller's dt to
+the same level.  Both relaxation phases share T_RELAX units of
+pseudo-time.  At |F|_inf = tol, p is still ~1.6e-6 from the fixed point
+(N=201, tol=1e-6), which perturbed runs' deviation norms reach while
+their rates are fitted.
 
 Cross-check method: direct construction.  For a trial log-radius z the
 nutrient is the quasi-static profile, and the steady transport equation
@@ -27,30 +32,32 @@ realistic parameters.)  The boundary velocity v(1; z) of the
 self-consistent solution changes sign across the stationary log-radius,
 which brentq then refines.  Behind ``solve_stationary`` the bracket
 starts at the primary z* +- CHECK_HALF_WIDTH and doubles while v(1; z)
-keeps one sign; each z is solved once.
+keeps one sign; each z is solved once.  Only the cross-check uses
+scipy's integrate, interpolate and optimize, which it imports when it
+runs.
 """
 
 import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
-from scipy.optimize import NoConvergence, brentq, newton_krylov
 
 from .errors import BracketError, ConvergenceError
 from .evolution import SolverConfig, State, step, velocity_from_state
 from .grid import Grid
 from .nutrient import solve_nutrient
-from .rates import _kinetics, f_reaction, f_reaction_partials, g_source
+from .rates import (RateModel, _kinetics, f_reaction, f_reaction_partials,
+                    g_source)
 
 log = logging.getLogger("spheroid")
 
 Z_INIT = 0.5          # log-radius the relaxation starts from
 T_RELAX = 2000.0      # pseudo-time horizon shared by both relaxation phases
-RELAX_LEVEL = 1e-2    # |F|_inf at which relaxation hands over to Newton-Krylov
+RELAX_LEVEL = 1e-2    # |F|_inf at which relaxation hands over to Newton
 RELAX_DT = 0.1        # least pseudo-time step of the relaxation to RELAX_LEVEL
-NK_MAXITER = 50       # Newton iterations before NoConvergence
+NEWTON_MAXITER = 20   # Newton iterations before a stall
+MIN_DAMPING = 2.0**-10    # shortest Newton step tried before a stall
+JACOBIAN_ROWS = 32    # most Jacobian columns stepped in one batch
 CHECK_HALF_WIDTH = 0.01      # first half-width of the cross-check's bracket
 CHECK_MAX_HALF_WIDTH = 1.28  # its last: 0.01 doubled seven times
 
@@ -83,7 +90,7 @@ class StationarySolution:
     transport_residual: float   # max interior |-v p' + f(c, p)|
     nutrient_gap: float         # sup |c - m(.; z)|
     z_direct: float = None      # cross-check value, if computed
-    method: str = "newton-krylov"
+    method: str = "newton"
 
     @property
     def radius(self):
@@ -98,6 +105,9 @@ def _steady_transport(model, c, grid):
     r = 1 - 2h, until p moves by less than 1e-12 (at most 80 sweeps).
     Returns (p, v1, iterations).
     """
+    from scipy.integrate import solve_ivp
+    from scipy.interpolate import CubicSpline
+
     r, h = grid.r, grid.h
     c_sp = CubicSpline(r, c)
     p = equilibrium_fraction(model, c)
@@ -158,6 +168,8 @@ def stationary_by_bisection(model, grid, z_bracket=(-1.0, 2.5)):
     over ``z_bracket``; :class:`BracketError` if it keeps one sign there.
     Each z is solved once.
     """
+    from scipy.optimize import brentq
+
     values = {}    # brentq evaluates the ends of the bracket again
 
     def v1_of_z(z):
@@ -173,6 +185,74 @@ def stationary_by_bisection(model, grid, z_bracket=(-1.0, 2.5)):
             f"v(1; z) keeps sign over [{lo:g}, {hi:g}]: "
             f"v1({lo:g})={v_lo:.3e}, v1({hi:g})={v_hi:.3e}")
     return float(brentq(v1_of_z, lo, hi, xtol=1e-10))
+
+
+@dataclass
+class StepMap:
+    """Fixed-point residual F(x) = (step(x) - x)/dt of the eps = 0 step.
+
+    x = (z, p) has shape (1 + n,), or (B, 1 + n) for B states that step
+    together as one batch; c is slaved to z by the quasi-static solve.
+    Each row of a batch is, bit for bit, F of that row alone.
+    """
+
+    model: RateModel
+    grid: Grid
+    config: SolverConfig
+
+    def __call__(self, x, guess):
+        """F(x) and the stepped nutrient, a warm start near x; ``guess``
+        (n,) or (B, n) warm-starts the solve for c at z."""
+        z, p = x[..., 0], x[..., 1:]
+        c = solve_nutrient(self.model, z, self.grid, guess=guess).c
+        new = step(self.model, State(0.0, z, c, p), self.grid, self.config)
+        moved = np.concatenate((np.expand_dims(new.z, -1), new.p), axis=-1)
+        return (moved - x) / self.config.dt, new.c
+
+
+def _jacobian(F, x, f, c):
+    """Forward-difference Jacobian of ``F`` at x, where F(x) = f: column j
+    is (F(x + h_j e_j) - f)/h_j with h_j = sqrt(machine eps) max(1, |x_j|),
+    and the columns are stepped as the rows of batches of at most
+    JACOBIAN_ROWS, each warm-started from the nutrient c."""
+    size = x.size
+    h = (x + np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))) - x
+    jac = np.empty((size, size))
+    for cols in np.array_split(np.arange(size),
+                               -(-size // JACOBIAN_ROWS)):
+        rows = np.tile(x, (cols.size, 1))
+        rows[np.arange(cols.size), cols] += h[cols]
+        f_cols, _ = F(rows, np.tile(c, (cols.size, 1)))
+        jac[:, cols] = ((f_cols - f) / h[cols, None]).T
+    return jac
+
+
+def _newton(F, x, c, f_tol):
+    """Newton on ``F`` from x, warm-started from the nutrient c, until
+    |F|_inf <= f_tol.  Each step solves the dense Jacobian system and
+    halves its length until |F|_2 falls by the Armijo fraction; a trial
+    with a non-finite F is rejected.  Returns (x, c, |F(x)|_inf) at the
+    last accepted iterate, which a stall leaves above f_tol."""
+    f, c = F(x, c)
+    norm = float(np.max(np.abs(f)))
+    for _ in range(NEWTON_MAXITER):
+        if norm <= f_tol:
+            break
+        dx = np.linalg.solve(_jacobian(F, x, f, c), -f)
+        norm2 = np.linalg.norm(f)
+        damping = 1.0
+        while True:
+            trial = x + damping * dx
+            f_trial, c_trial = F(trial, c)
+            if (np.isfinite(f_trial).all() and np.linalg.norm(f_trial)
+                    <= (1.0 - 1e-4 * damping) * norm2):
+                break
+            damping *= 0.5
+            if damping < MIN_DAMPING:
+                return x, c, norm
+        x, f, c = trial, f_trial, c_trial
+        norm = float(np.max(np.abs(f)))
+    return x, c, norm
 
 
 def solve_stationary(model, grid, tol=1e-6, config=None, cross_check=True):
@@ -199,37 +279,34 @@ def solve_stationary(model, grid, tol=1e-6, config=None, cross_check=True):
     ------
     ConvergenceError
         No certificate within T_RELAX units of pseudo-time, or a failure
-        inside the solve; ``residual`` holds the last |F|_inf.
+        inside the solve (a singular Newton system, or a log-radius that
+        runs away past ``nutrient.Z_MAX``, whose message names z);
+        ``residual`` holds the last |F|_inf.
     BracketError
         Cross-check enabled and v(1; z) keeps one sign over z* +- w for
         every w = CHECK_HALF_WIDTH * 2^k up to CHECK_MAX_HALF_WIDTH; the
         message names the last bracket.
     """
     config = replace(config or SolverConfig(), eps=0.0)
-    coarse = replace(config, dt=max(config.dt, RELAX_DT))
+    fine = StepMap(model, grid, config)
+    coarse_dt = max(config.dt, RELAX_DT)
+    coarse = StepMap(model, grid, replace(
+        config, dt=coarse_dt,
+        output_interval=max(config.output_interval, coarse_dt)))
     c = solve_nutrient(model, Z_INIT, grid).c
     x = np.concatenate(([Z_INIT], equilibrium_fraction(model, c)))
     norm = np.inf    # last |F|_inf
     t_left = T_RELAX   # pseudo-time left to both relaxation phases
 
-    def residual(x, scheme=config):
-        # F(x) for x = (z, p) under the step of ``scheme``; c is re-solved,
-        # warm-started, at each call
-        nonlocal c, norm
-        c = solve_nutrient(model, x[0], grid, guess=c).c
-        new = step(model, State(0.0, x[0], c, x[1:]), grid, scheme)
-        c = new.c
-        f = (np.concatenate(([new.z], new.p)) - x) / scheme.dt
-        norm = float(np.max(np.abs(f)))
-        return f
-
-    def relax(x, level, scheme):
-        # pseudo-time steps x <- x + dt F(x) until |F|_inf <= level
-        nonlocal t_left
-        dt = scheme.dt
+    def relax(x, level, F):
+        # pseudo-time steps x <- x + dt F(x) until |F|_inf <= level; c is
+        # re-solved, warm-started, at each step
+        nonlocal c, norm, t_left
+        dt = F.config.dt
         steps_per_check = max(1, round(1.0 / dt))
         for k in range(round(t_left / dt)):
-            f = residual(x, scheme)
+            f, c = F(x, c)
+            norm = float(np.max(np.abs(f)))
             if k % steps_per_check == 0 and norm <= level:
                 t_left -= k * dt
                 return x
@@ -240,12 +317,10 @@ def solve_stationary(model, grid, tol=1e-6, config=None, cross_check=True):
     try:
         # far from the root the step only has to point the right way
         x = relax(x, RELAX_LEVEL, coarse)
-        try:
-            x = newton_krylov(residual, x, f_tol=0.1 * tol, method="lgmres",
-                              maxiter=NK_MAXITER)
-        except NoConvergence as exc:
-            # a stall on the limiter's kinks; relaxation still converges
-            x = relax(exc.args[0], 0.1 * tol, config)
+        x, c, norm = _newton(fine, x, c, 0.1 * tol)
+        if norm > 0.1 * tol:
+            # a stall; relaxation still converges
+            x = relax(x, 0.1 * tol, fine)
     except (ConvergenceError, ValueError, FloatingPointError) as exc:
         raise ConvergenceError(
             f"stationary solve failed at |F|_inf = {norm:.3e}: {exc}",
@@ -275,7 +350,7 @@ def solve_stationary(model, grid, tol=1e-6, config=None, cross_check=True):
                 if width >= CHECK_MAX_HALF_WIDTH:
                     raise
                 width *= 2.0
-        solution.method = "newton-krylov+direct"
+        solution.method = "newton+direct"
         gap = abs(solution.z_direct - solution.z)
         if gap > max(10.0 * tol, grid.h**2):
             log.warning("stationary methods disagree: |dz| = %.3e "

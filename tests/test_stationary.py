@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import NoConvergence
 
+import spheroid
 from spheroid import (BracketError, ConvergenceError, Grid, Rate, RateModel,
                       SolverConfig, check_assumptions, default_model,
                       equilibrium_fraction, f_reaction, solve_nutrient,
@@ -42,7 +47,7 @@ def test_stationary_residuals(stationary201):
     assert s.v1_residual <= 1e-6
     assert s.transport_residual <= 1e-4
     assert s.nutrient_gap <= 1e-9
-    assert s.method == "newton-krylov+direct"
+    assert s.method == "newton+direct"
 
 
 def test_stationary_profile_structure(model, stationary201):
@@ -169,17 +174,10 @@ SOLVABLE_SETS = [
 ]
 
 
-@pytest.mark.parametrize("m", SOLVABLE_SETS)
-def test_stationary_certified_on_solvable_sets(m):
-    # the sweep above accepts a typed failure; these sets must certify
-    assert check_assumptions(m).all_passed
-    s = solve_stationary(m, Grid(51), cross_check=False)
-    assert fixed_point_residual(m, s, SolverConfig()) <= 1e-6 / 10
-
-
 def test_stationary_step_count(monkeypatch):
-    # the relaxation to RELAX_LEVEL takes coarse pseudo-time steps: the
-    # default-model N=51 solve makes 342 steps (1182 with the fine step)
+    # the relaxation to RELAX_LEVEL takes coarse pseudo-time steps and
+    # Newton steps its Jacobian columns in batches: the default-model N=51
+    # solve makes 221 step calls (1182 with a fine-step relaxation)
     calls = []
 
     def counting(*args, **kwargs):
@@ -193,9 +191,10 @@ def test_stationary_step_count(monkeypatch):
 
 @pytest.mark.parametrize("dt", [0.01, 0.02, 0.2])
 def test_stationary_certified_for_callers_dt(dt):
-    # the certificate holds for the caller's dt, also above RELAX_DT
+    # the certificate holds for the caller's dt, also above RELAX_DT, and
+    # an output interval below RELAX_DT does not hinder the coarse steps
     m = default_model()
-    config = SolverConfig(dt=dt)
+    config = SolverConfig(dt=dt, output_interval=dt)
     s = solve_stationary(m, Grid(51), config=config, cross_check=False)
     assert fixed_point_residual(m, s, config) <= 1e-6 / 10
 
@@ -217,7 +216,7 @@ def test_cross_check_brackets_around_primary(monkeypatch):
 
     monkeypatch.setattr(stationary, "_steady_transport", recording)
     s = solve_stationary(HIGH_Z_SET, Grid(51), cross_check=True)
-    assert s.method == "newton-krylov+direct"
+    assert s.method == "newton+direct"
     assert s.z > 2.5
     assert stationary.CHECK_HALF_WIDTH < abs(s.z_direct - s.z) < 0.02
     assert len(set(solved)) == len(solved)
@@ -245,8 +244,8 @@ def test_cross_check_bracket_widens_to_its_limit(monkeypatch):
     assert f"[{lo:g}, {hi:g}]" in str(info.value)
 
 
-# Newton-Krylov stalls on this set at N=51; the resumed relaxation
-# certifies it
+# Newton-Krylov stalled on this set at N=51 while the transport step had
+# a limited (PCHIP) cubic
 STALLING_SET = RateModel(
     F=Rate("michaelis", {"vmax": 1.1, "k": 1.59}),
     K_B=Rate("michaelis", {"vmax": 3.66, "k": 1.0}),
@@ -255,42 +254,58 @@ STALLING_SET = RateModel(
     K_D=Rate("sigmoid", {"amp": 0.803, "steepness": 2.26, "center": 0.321}))
 
 
-@pytest.mark.parametrize("m, force_stall", [(STALLING_SET, False),
-                                            (default_model(), True)])
-def test_stationary_certified_after_newton_stall(monkeypatch, m, force_stall):
-    def no_convergence(f, x0, **kwargs):
-        raise NoConvergence(x0)
+def record_steps(monkeypatch, events):
+    """Record the dt of each step of the solve, and "newton" and "done"
+    around its Newton solve."""
+    newton = stationary._newton
 
-    newton = no_convergence if force_stall else stationary.newton_krylov
-    events = []    # the dt of each step, and where Newton starts and stalls
-
-    def recording(*args, **kwargs):
+    def recording(*args):
         events.append("newton")
-        try:
-            return newton(*args, **kwargs)
-        except NoConvergence:
-            events.append("stall")
-            raise
+        out = newton(*args)
+        events.append("done")
+        return out
 
     def stepping(model, state, grid, config):
         events.append(config.dt)
         return step(model, state, grid, config)
 
-    monkeypatch.setattr(stationary, "newton_krylov", recording)
+    monkeypatch.setattr(stationary, "_newton", recording)
     monkeypatch.setattr(stationary, "step", stepping)
+
+
+@pytest.mark.parametrize("m", SOLVABLE_SETS + [STALLING_SET, HIGH_Z_SET])
+def test_stationary_certified_on_solvable_sets(monkeypatch, m):
+    # the sweep above accepts a typed failure; these sets must certify, by
+    # Newton alone: no relaxation step follows it
+    assert check_assumptions(m).all_passed
+    events = []
+    record_steps(monkeypatch, events)
     s = solve_stationary(m, Grid(51), cross_check=False)
-    assert events.count("newton") == events.count("stall") == 1
+    assert fixed_point_residual(m, s, SolverConfig()) <= 1e-6 / 10
+    assert events.count("newton") == 1
+    assert events[-1] == "done"
+
+
+def test_stationary_certified_after_newton_stall(monkeypatch):
+    # Newton stopped before its first iteration stalls; the relaxation
+    # resumes with the caller's dt and certifies
+    monkeypatch.setattr(stationary, "NEWTON_MAXITER", 0)
+    events = []
+    record_steps(monkeypatch, events)
+    m = default_model()
+    s = solve_stationary(m, Grid(51), cross_check=False)
     assert fixed_point_residual(m, s, SolverConfig()) <= 1e-6 / 10
     # only the relaxation to RELAX_LEVEL takes the coarse pseudo-time step;
     # Newton and the resumed relaxation step with the caller's dt
-    start = events.index("newton")
+    start, stall = events.index("newton"), events.index("done")
     assert set(events[:start]) == {stationary.RELAX_DT}
-    assert set(events[start + 1:]) - {"stall"} == {SolverConfig().dt}
+    assert events[start + 1:stall] == [SolverConfig().dt]
+    assert len(events) > stall + 1
+    assert set(events[stall + 1:]) == {SolverConfig().dt}
 
 
 @pytest.mark.parametrize("target, after, exc", [
-    ("newton_krylov", 0,
-     ValueError("Jacobian inversion yielded zero vector")),
+    ("_newton", 0, np.linalg.LinAlgError("Singular matrix")),
     ("solve_nutrient", 100,
      ConvergenceError("nutrient stalled", residual=np.nan)),
 ])
@@ -311,3 +326,65 @@ def test_stationary_failure_is_typed(monkeypatch, target, after, exc):
         solve_stationary(default_model(), Grid(51), cross_check=False)
     assert np.isfinite(info.value.residual)
     assert info.value.__cause__ is exc
+
+
+def test_jacobian_columns_match_solo_steps():
+    # each column stepped in a batch is, bit for bit, the difference
+    # quotient of a solo step
+    m, grid = default_model(), Grid(51)
+    F = stationary.StepMap(m, grid, SolverConfig())
+    c = solve_nutrient(m, 1.5, grid).c
+    x = np.concatenate(([1.5], equilibrium_fraction(m, c)))
+    f, _ = F(x, c)
+    jac = stationary._jacobian(F, x, f, c)
+    h = (x + np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))) - x
+    assert x.size > stationary.JACOBIAN_ROWS
+    for j in range(x.size):
+        moved = x.copy()
+        moved[j] += h[j]
+        f_j, _ = F(moved, c)
+        assert np.array_equal(jac[:, j], (f_j - f) / h[j])
+
+
+def test_import_leaves_out_cross_check_scipy():
+    # only the cross-check needs scipy's integrate, interpolate and
+    # optimize; the package and the primary solve load none of them
+    code = ("import sys, spheroid\n"
+            "spheroid.solve_stationary(spheroid.default_model(), "
+            "spheroid.Grid(21), cross_check=False)\n"
+            "print([m for m in ('scipy.optimize', 'scipy.integrate', "
+            "'scipy.interpolate') if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(spheroid.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
+
+
+def runaway_step(model, state, grid, config):
+    # a step whose log-radius runs away by 20 per call
+    new = step(model, state, grid, config)
+    new.z = new.z + 20.0
+    return new
+
+
+def runaway_solve(a, b):
+    # a Newton step that sends z to about 1000
+    dx = np.zeros_like(b)
+    dx[0] = 1e3
+    return dx
+
+
+@pytest.mark.parametrize("where", ["relaxation", "newton_trial"])
+def test_runaway_z_is_typed_without_warnings(monkeypatch, where):
+    # a z whose e^{2z} would overflow ends in a ConvergenceError naming
+    # it, and numpy warns of nothing on the way
+    if where == "relaxation":
+        monkeypatch.setattr(stationary, "step", runaway_step)
+    else:
+        monkeypatch.setattr(stationary.np.linalg, "solve", runaway_solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match=r"z=\S+: the log-radius "
+                                                   r"ran away"):
+            solve_stationary(default_model(), Grid(51), cross_check=False)
