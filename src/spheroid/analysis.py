@@ -8,8 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InsufficientDataError
-from .evolution import (SolverConfig, State, _simulate_batch, simulate,
-                        step)
+from .evolution import SolverConfig, State, _simulate_batch, step
 from .grid import Grid
 from .nutrient import solve_nutrient
 from .rates import Rate
@@ -171,13 +170,12 @@ def stability_experiment(model, grid, config, eps_list, delta_list, shapes,
     All cells share dt, the grid and the start time, so they are stepped
     as one batch, each row with its own eps; every cell gives the records
     of its solo :func:`simulate` run, bit for bit.  A cell listed twice is
-    run once.  A batch that raises is run again cell by cell, so a failing
-    cell fails alone.
+    run once.  A cell that fails leaves the batch where it fails, and the
+    others run on.
     """
     if stationary is None:
         stationary = solve_stationary(model, grid, config=config,
                                       cross_check=False)
-    configs = {float(eps): replace(config, eps=float(eps)) for eps in eps_list}
     keys = [(float(eps), float(delta), shape, int(seed)) for eps in eps_list
             for delta in delta_list for shape in shapes for seed in seeds]
     runs = {}   # key -> initial data, then the run's result or error
@@ -189,25 +187,11 @@ def stability_experiment(model, grid, config, eps_list, delta_list, shapes,
                 runs[key] = exc
     batch = [key for key, init in runs.items()
              if not isinstance(init, Exception)]
-    try:
-        results = _simulate_batch(model, [runs[k] for k in batch], grid,
-                                  config, stationary,
-                                  eps=[k[0] for k in batch])
-    except Exception as exc:  # the cells alone find the failing one
-        log.info("stability batch of %d cells failed: %s; running its "
-                 "cells alone", len(batch), exc)
-        results = [_simulate_alone(model, runs[k], grid, configs[k[0]],
-                                   stationary) for k in batch]
-    runs.update(zip(batch, results))
+    runs.update(zip(batch, _simulate_batch(
+        model, [runs[k] for k in batch], grid, config, stationary,
+        eps=[k[0] for k in batch])))
     return StabilityReport(cells=[_cell(key, runs.get(key)) for key in keys],
                            horizon=config.t_end)
-
-
-def _simulate_alone(model, init, grid, config, stationary):
-    try:
-        return simulate(model, init, grid, config, stationary)
-    except Exception as exc:  # failed cell is reported, not fatal
-        return exc
 
 
 def _cell(key, result):

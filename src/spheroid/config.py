@@ -53,8 +53,7 @@ _SCHEMA = {
     "grid": {"n": int},
     "solver": {"eps": float, "dt": float, "t_end": float,
                "output_interval": float, "splitting": str,
-               "clip_tol": float, "early_stop_floor": float,
-               "snapshot_every": int},
+               "clip_tol": float, "snapshot_every": int},
     "experiment": {"eps_list": (float,), "delta_list": (float,),
                    "shapes": (str,), "seeds": (int,)},
     "paths": {"out_dir": str, "resume": str},

@@ -102,7 +102,6 @@ class SolverConfig:
     output_interval: float = 0.2
     splitting: str = "lie"       # "heun" enables the second-order composite
     clip_tol: float = 1e-10
-    early_stop_floor: float = 0.0   # stop once all deviation norms drop below; 0 disables
 
     def __post_init__(self):
         for name in ("eps", "dt", "t_end", "output_interval"):
@@ -401,7 +400,6 @@ class SimResult:
     final_state: State
     clip: ClipStats
     warnings: list         # admissibility issues found at start
-    stopped_early: bool
 
 
 def simulate(model, init, grid, config, stationary, on_output=None,
@@ -433,9 +431,10 @@ def simulate(model, init, grid, config, stationary, on_output=None,
     -------
     SimResult
         records/aux in output order; non-finite initial data, an initial
-        nutrient outside the rates' validity interval, a failed step or a
-        non-finite field raises :class:`NumericsError`, carrying the last
-        healthy output state once there is one.
+        nutrient outside the rates' validity interval, a failed step or
+        nutrient solve, or a non-finite field raises
+        :class:`NumericsError`, carrying the last healthy output state
+        once there is one.
     """
     result, = _simulate_batch(model, [init], grid, config, stationary,
                              on_output, prev_output)
@@ -465,6 +464,19 @@ def _config_of_rows(config, eps):
     return rows
 
 
+# what a failed initial projection, step or output nutrient solve raises
+_STEP_ERRORS = (ValueError, FloatingPointError, ConvergenceError,
+                NumericsError)
+
+
+def _attempt(call, *args):
+    """``call(*args)``, or the error in :data:`_STEP_ERRORS` it raises."""
+    try:
+        return call(*args)
+    except _STEP_ERRORS as exc:
+        return exc
+
+
 def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
                    prev_output=None, eps=None):
     """:func:`simulate` of each of ``inits``, which share their start time,
@@ -472,12 +484,13 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
     ``config.eps``, so cells of several eps share the batch.
 
     Returns one :class:`SimResult` per cell, or the :class:`NumericsError`
-    that cell's own run raises: rejected initial data or a non-finite field
-    ends that cell only, and each cell stops early on its own.  Every
-    cell's records, final state and clip counts are those of its solo
-    run, bit for bit.  A batched step or output that raises, with more
-    than one cell left, raises as it is; run the cells alone to find which
-    one fails.  ``on_output`` gets each cell's state at every output and
+    that cell's own run raises, so a failing cell ends alone: rejected
+    initial data, a non-finite row, or a row whose initial projection,
+    step or output nutrient solve raises when run alone.  A call that
+    raises for the batch runs again for each row alone; the rows that
+    still raise leave the batch there.  Every other cell's records, final
+    state and clip counts are those of its solo run, bit for bit.
+    ``on_output`` gets each cell's state at every output and
     ``prev_output`` needs a single cell.
     """
     results = [None] * len(inits)
@@ -489,7 +502,7 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
         except NumericsError as exc:
             results[i] = exc
             continue
-        issues[i] = admissibility_report(init, stationary, grid).issues
+        issues[i] = admissibility_report(init, grid).issues
         for issue in issues[i]:
             log.warning("initial data: %s", issue)
         cells.append(i)
@@ -500,12 +513,6 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
     eps = np.asarray([config.eps] * len(inits) if eps is None else eps,
                      dtype=float)[cells]
     config = _config_of_rows(config, eps)
-    state.c = _by_eps(
-        config.eps, state.c,
-        lambda rows: solve_nutrient(model, _rows(state.z, rows), grid,
-                                    guess=_rows(state.c, rows)).c,
-        lambda rows: _rows(state.c, rows))
-
     records = {i: [] for i in cells}
     aux = {i: [] for i in cells}
     clips = {i: ClipStats() for i in cells}
@@ -514,26 +521,58 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
     n_steps = max(0, round((config.t_end - state.t) / config.dt))
     out_idx = 0
 
-    def finish(b, stopped_early):
-        i = cells[b]
-        if clips[i].events:
-            log.warning("clipped fields beyond tolerance %d times "
-                        "(max excess %.3e)", clips[i].events,
-                        clips[i].max_excess)
-        results[i] = SimResult(records=records[i], aux=aux[i],
-                               final_state=state.row(b), clip=clips[i],
-                               warnings=issues[i], stopped_early=stopped_early)
-
     def keep(rows):
+        # a batch narrowed to one row is a lone state, as in its solo run
         nonlocal state, prev, cells, eps, config
-        cells = [cells[b] for b in np.flatnonzero(rows)]
+        if rows.all():
+            return
+        kept = np.flatnonzero(rows)
+        cells = [cells[b] for b in kept]
         if cells:
-            state, prev = state.take(rows), prev.take(rows)
-            eps = eps[rows]
+            state = _stack([state.row(b) for b in kept])
+            if prev is not None:
+                prev = _stack([prev.row(b) for b in kept])
+            eps = eps[kept]
             config = _config_of_rows(config, eps)
 
+    def each_row(call):
+        # call(state, config, cells) -> State on the batch; where it raises,
+        # on each row alone (a lone row is not re-run), and a row that
+        # raises alone ends its cell; the rows left return stacked
+        try:
+            return call(state, config, cells)
+        except _STEP_ERRORS as exc:
+            outs = [exc] if len(cells) == 1 else [
+                _attempt(call, state.row(b), _config_of_rows(config, eps[[b]]),
+                         [i]) for b, i in enumerate(cells)]
+        failed = np.array([isinstance(out, Exception) for out in outs])
+        for b in np.flatnonzero(failed):
+            last = None if prev is None else prev.row(b)
+            err = NumericsError(f"step failed at t={state.t:g}: {outs[b]}",
+                                last_state=last)
+            err.__cause__ = outs[b]
+            results[cells[b]] = err
+        keep(~failed)
+        if cells:
+            return _stack([out for out, bad in zip(outs, failed) if not bad])
+
+    def project(s, cfg, _):
+        # eps = 0 slaves c to z: c = m(.; z)
+        return replace(s, c=_by_eps(
+            cfg.eps, s.c,
+            lambda rows: solve_nutrient(model, _rows(s.z, rows), grid,
+                                        guess=_rows(s.c, rows)).c,
+            lambda rows: _rows(s.c, rows)))
+
+    def advance(s, cfg, rows):
+        return step(model, s, grid, cfg, clip=[clips[i] for i in rows])
+
     def emit(step_index):
-        profile = solve_nutrient(model, state.z, grid, guess=state.c)
+        # the state's own quasi-static profile m(.; z), for eta_dev
+        profile = each_row(lambda s, cfg, _: replace(
+            s, c=solve_nutrient(model, s.z, grid, guess=s.c).c))
+        if not cells:
+            return
         recs = deviation_norms(state, prev, stationary, profile)
         recs = recs if isinstance(recs, list) else [recs]
         v1 = np.atleast_1d(velocity_from_state(model, state, grid).v1)
@@ -545,50 +584,37 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
                            float(v1[b])))
             if on_output is not None:
                 on_output(state.row(b), step_index, out_idx, recs[b])
-        return recs
 
-    if prev_output is None:
+    state = each_row(project)
+    if cells and prev_output is None:
         emit(0)
         out_idx += 1
         prev = state.copy()
 
     for k in range(1, n_steps + 1):
-        try:
-            state = step(model, state, grid, config,
-                         clip=[clips[i] for i in cells])
-        except (ValueError, FloatingPointError, ConvergenceError) as exc:
-            if len(cells) > 1:
-                raise
-            err = NumericsError(f"step failed at t={state.t:g}: {exc}",
-                                last_state=prev.row(0))
-            err.__cause__ = exc
-            results[cells[0]] = err
-            return results
-        finite = np.atleast_1d(np.isfinite(state.z)
-                               & np.isfinite(state.c).all(axis=-1)
-                               & np.isfinite(state.p).all(axis=-1))
-        if not finite.all():
+        if not cells:
+            break
+        state = each_row(advance)
+        if cells:
+            finite = np.atleast_1d(np.isfinite(state.z)
+                                   & np.isfinite(state.c).all(axis=-1)
+                                   & np.isfinite(state.p).all(axis=-1))
             for b in np.flatnonzero(~finite):
                 results[cells[b]] = NumericsError(
                     f"non-finite state at t={state.t:g}",
                     last_state=prev.row(b))
             keep(finite)
-            if not cells:
-                return results
-        if k % k_out == 0:
-            recs = emit(k)
+        if cells and k % k_out == 0:
+            emit(k)
             out_idx += 1
             prev = state.copy()
-            if config.early_stop_floor > 0.0:
-                stop = np.array([rec.max_norm() < config.early_stop_floor
-                                 for rec in recs])
-                for b in np.flatnonzero(stop):
-                    finish(b, stopped_early=True)
-                if stop.any():
-                    keep(~stop)
-                    if not cells:
-                        return results
 
-    for b in range(len(cells)):
-        finish(b, stopped_early=False)
+    for b, i in enumerate(cells):
+        if clips[i].events:
+            log.warning("clipped fields beyond tolerance %d times "
+                        "(max excess %.3e)", clips[i].events,
+                        clips[i].max_excess)
+        results[i] = SimResult(records=records[i], aux=aux[i],
+                               final_state=state.row(b), clip=clips[i],
+                               warnings=issues[i])
     return results

@@ -47,8 +47,9 @@ def deviation_norms(state, prev, stationary, profile):
         backward differences against it and zero when absent.
     stationary : StationarySolution
         Reference fields on the same grid.
-    profile : NutrientProfile
-        Nutrient profile at the state's own z, for the off-manifold norm.
+    profile : NutrientProfile or State
+        Its ``c`` is the quasi-static nutrient profile m(.; z) at the
+        state's own z (the same rows), for the off-manifold norm.
     """
     if state.c.shape[-1] != stationary.c.shape[-1]:
         raise ValueError(
@@ -91,17 +92,13 @@ class AdmissibilityReport:
     """Outcome of the initial-data conditions check.
 
     Conditions: (i) c0 smooth with c0'(0) = 0, c0(1) = 1, 0 <= c0 <= 1;
-    (ii) p0 in [0, 1] with p0(1) = 1 at the boundary rest point;
-    (iii, iv) deviations from the stationary fields are finite and small.
+    (ii) p0 in [0, 1] with p0(1) = 1 at the boundary rest point.
     Violations are listed in ``issues``, not raised.  (ii)'s p0(1) = 1 is
     only recorded in ``p_boundary``: it is typically inherited false
     because the boundary rest point of the reaction sits below 1 whenever
     K_Q(1) > 0.
     """
     issues: list
-    c_dev: float
-    p_dev: float
-    z_dev: float
     p_boundary: float   # p0(1)
 
     @property
@@ -109,7 +106,7 @@ class AdmissibilityReport:
         return not self.issues
 
 
-def admissibility_report(state, stationary, grid):
+def admissibility_report(state, grid):
     tol = 1e-8   # rounding slack on c(1) = 1 and on the [0, 1] ranges
     issues = []
     c, p = state.c, state.p
@@ -122,10 +119,4 @@ def admissibility_report(state, stationary, grid):
         issues.append(f"c range [{c.min():.3g}, {c.max():.3g}] outside [0, 1]")
     if p.min() < -tol or p.max() > 1.0 + tol:
         issues.append(f"p range [{p.min():.3g}, {p.max():.3g}] outside [0, 1]")
-    return AdmissibilityReport(
-        issues=issues,
-        c_dev=float(np.max(np.abs(c - stationary.c))),
-        p_dev=float(np.max(np.abs(p - stationary.p))),
-        z_dev=float(abs(state.z - stationary.z)),
-        p_boundary=float(p[-1]),
-    )
+    return AdmissibilityReport(issues=issues, p_boundary=float(p[-1]))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheroid import (Grid, InsufficientDataError, NumericsError,
-                      SolverConfig, State, admissible_init, deviation_norms,
-                      fit_decay, simulate, solve_nutrient,
+from spheroid import (ConvergenceError, Grid, InsufficientDataError,
+                      NumericsError, SolverConfig, State, admissible_init,
+                      deviation_norms, fit_decay, simulate, solve_nutrient,
                       stability_experiment)
 from spheroid import analysis, evolution
 from spheroid.analysis import PERTURBATION_SHAPES, _convergence_study
@@ -233,7 +233,7 @@ def _same_run(a, b):
             and a.final_state.z == b.final_state.z
             and np.array_equal(a.final_state.c, b.final_state.c)
             and np.array_equal(a.final_state.p, b.final_state.p)
-            and a.clip == b.clip and a.stopped_early == b.stopped_early)
+            and a.clip == b.clip)
 
 
 def _capture_batches(monkeypatch):
@@ -293,25 +293,6 @@ def test_mixed_eps_batch_matches_solo_runs_heun(model, grid201,
                                           replace(cfg, eps=e), stationary201))
 
 
-def test_mixed_eps_batch_stops_early_row_by_row(model, grid201,
-                                                stationary201):
-    # rows of both kinds leave at their own outputs; the last row left is
-    # an eps = 0 row, alone in the batch
-    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=6.0, output_interval=0.2,
-                       early_stop_floor=2.5e-2)
-    inits, eps = _mixed_cells(stationary201, [(0.05, 0.005), (0.0, 0.006),
-                                              (0.05, 0.006), (0.0, 0.02)])
-    results = _simulate_batch(model, inits, grid201, cfg, stationary201,
-                              eps=eps)
-    stops = [r.final_state.t for r in results]
-    assert [r.stopped_early for r in results] == [True, True, True, False]
-    assert 0.0 < stops[0] < stops[1] < stops[2] < stops[3]
-    assert stops[3] == pytest.approx(cfg.t_end)
-    for init, e, result in zip(inits, eps, results):
-        assert _same_run(result, simulate(model, init, grid201,
-                                          replace(cfg, eps=e), stationary201))
-
-
 def test_repeated_matrix_entries_are_each_reported(model, grid201,
                                                    stationary201):
     # every listed cell is reported in order, a repeat with its twin's fits
@@ -325,22 +306,6 @@ def test_repeated_matrix_entries_are_each_reported(model, grid201,
     poly = [c.fits for c in rep.cells if c.shape == "poly"]
     assert poly == [poly[0]] * 4 and poly[0]["p_dev"] is not None
     assert rep.cells[1].fits == rep.cells[4].fits != poly[0]
-
-
-def test_batched_cells_stop_early_on_their_own(model, grid201, stationary201):
-    # each cell of a batch stops at its own first output below the floor,
-    # with the records of its solo run
-    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=6.0, output_interval=0.2,
-                       early_stop_floor=2.5e-2)
-    inits = [admissible_init(stationary201, delta, "poly")
-             for delta in (0.005, 0.006, 0.02)]
-    results = _simulate_batch(model, inits, grid201, cfg, stationary201)
-    stops = [r.final_state.t for r in results]
-    assert [r.stopped_early for r in results] == [True, True, False]
-    assert 0.0 < stops[0] < stops[1] < stops[2] == pytest.approx(cfg.t_end)
-    for init, result in zip(inits, results):
-        assert _same_run(result, simulate(model, init, grid201, cfg,
-                                          stationary201))
 
 
 def _poison_row_1(monkeypatch, size):
@@ -425,28 +390,104 @@ def test_rejected_initial_data_fails_only_that_cell(model, grid201,
                                           stationary201))
 
 
-def test_failed_batch_reruns_cells_alone(model, grid201, stationary201,
-                                         monkeypatch):
-    # a batched step that raises sends its cells through solo runs, which
-    # report each cell on its own
+def _failing_step(monkeypatch, fails):
+    """Make evolution.step raise from t = 0.5 on whenever ``fails(state,
+    config)`` holds; return the number of rows of each call."""
+    calls = []
+    step = evolution.step
+
+    def failing(model, state, grid, config, clip=None):
+        calls.append(np.size(state.z))
+        if state.t > 0.49 and fails(state, config):
+            raise ConvergenceError("injected failure")
+        return step(model, state, grid, config, clip=clip)
+
+    monkeypatch.setattr(evolution, "step", failing)
+    return calls
+
+
+def test_failing_row_leaves_the_batch_where_it_fails(model, grid201,
+                                                    stationary201,
+                                                    monkeypatch):
+    # a step raises whenever the eps = 0 row is in it: that row alone ends
+    # its cell; the two eps = 0.05 rows step on as a batch of one eps, each
+    # bit-identical to its solo run
+    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=1.0, output_interval=0.2)
+    inits, eps = _mixed_cells(stationary201, [(0.0, 0.01), (0.05, 0.01),
+                                              (0.05, 0.005)])
+    solo = [simulate(model, init, grid201, replace(cfg, eps=e), stationary201)
+            for init, e in zip(inits, eps)]
+    at_last = simulate(model, inits[0], grid201, replace(cfg, t_end=0.4),
+                       stationary201).final_state
+    calls = _failing_step(monkeypatch,
+                          lambda state, config: np.any(config.eps == 0.0))
+    results = _simulate_batch(model, inits, grid201, cfg, stationary201,
+                              eps=eps)
+    assert isinstance(results[0], NumericsError)
+    assert str(results[0]) == "step failed at t=0.5: injected failure"
+    assert isinstance(results[0].__cause__, ConvergenceError)
+    last = results[0].last_state
+    assert last.t == at_last.t == pytest.approx(0.4, abs=1e-12)
+    assert np.array_equal(last.p, at_last.p)
+    for b in (1, 2):
+        assert _same_run(results[b], solo[b])
+    # 50 batched steps, the one at t = 0.5 re-run for each of the 3 rows
+    assert calls == [3] * 26 + [1] * 3 + [2] * 24
+
+    rep = stability_experiment(model, grid201, cfg, eps_list=(0.0, 0.05),
+                               delta_list=(0.01,), shapes=("poly", "cosine"),
+                               seeds=(0,), stationary=stationary201)
+    assert [c.status for c in rep.cells] == [
+        "error: step failed at t=0.5: injected failure"] * 2 + ["ok"] * 2
+
+
+def test_failing_output_solve_ends_only_that_cell(model, grid201,
+                                                 stationary201, monkeypatch):
+    # at eps > 0 only the outputs solve the quasi-static nutrient; from the
+    # output at t = 0.4 on it raises for the cosine row (z below z*), and
+    # the poly row runs on as a lone state
+    cfg = SolverConfig(eps=0.05, dt=0.02, t_end=1.0, output_interval=0.2)
+    inits = [admissible_init(stationary201, 0.01, shape)
+             for shape in ("poly", "cosine")]
+    solo = [simulate(model, init, grid201, cfg, stationary201)
+            for init in inits]
+    calls = []
+    solve = evolution.solve_nutrient
+
+    def failing(model, z, grid, guess=None):
+        calls.append(np.size(z))
+        if len(calls) >= 3 and np.any(z < stationary201.z - 0.005):
+            raise ConvergenceError("injected failure")
+        return solve(model, z, grid, guess=guess)
+
+    monkeypatch.setattr(evolution, "solve_nutrient", failing)
+    results = _simulate_batch(model, inits, grid201, cfg, stationary201)
+    assert str(results[1]) == "step failed at t=0.4: injected failure"
+    assert results[1].last_state.t == pytest.approx(0.2, abs=1e-12)
+    assert _same_run(results[0], solo[0])
+    assert calls == [2, 2, 2, 1, 1, 1, 1, 1]
+
+
+def test_batch_that_fails_only_as_a_batch_runs_rows_alone(model, grid201,
+                                                          stationary201,
+                                                          monkeypatch):
+    # every batched step from t = 0.5 on raises; each row steps alone
+    # there, so every cell ends ok, bit-identical to its solo run
     cfg = SolverConfig(eps=0.0, dt=0.02, t_end=2.0, output_interval=0.2)
-    kwargs = dict(eps_list=(0.0,), delta_list=(0.01,),
+    kwargs = dict(eps_list=(0.0, 0.05), delta_list=(0.01,),
                   shapes=("poly", "cosine"), seeds=(1,),
                   stationary=stationary201)
     clean = stability_experiment(model, grid201, cfg, **kwargs)
-    transport = evolution.transport_step
-
-    def failing(model, state, *args, **kwargs):
-        if np.ndim(state.z) and state.t > 0.5:
-            raise ValueError("batched transport failed")
-        return transport(model, state, *args, **kwargs)
-
-    monkeypatch.setattr(evolution, "transport_step", failing)
-    with pytest.raises(ValueError, match="batched transport failed"):
-        _simulate_batch(model, [admissible_init(stationary201, 0.01, shape)
-                                for shape in ("poly", "cosine")],
-                        grid201, cfg, stationary201)
-    rerun = stability_experiment(model, grid201, cfg, **kwargs)
-    assert [c.status for c in rerun.cells] == ["ok", "ok"]
-    assert [c.fits for c in rerun.cells] == [c.fits for c in clean.cells]
+    inits, eps = _mixed_cells(stationary201, [(0.0, 0.01), (0.05, 0.01)],
+                              shape="cosine")
+    solo = [simulate(model, init, grid201, replace(cfg, eps=e), stationary201)
+            for init, e in zip(inits, eps)]
+    _failing_step(monkeypatch, lambda state, config: np.ndim(state.z) > 0)
+    results = _simulate_batch(model, inits, grid201, cfg, stationary201,
+                              eps=eps)
+    for result, alone in zip(results, solo):
+        assert _same_run(result, alone)
+    rep = stability_experiment(model, grid201, cfg, **kwargs)
+    assert [c.status for c in rep.cells] == ["ok"] * 4
+    assert [c.fits for c in rep.cells] == [c.fits for c in clean.cells]
     assert clean.cells[0].fits["p_dev"] is not None

@@ -57,7 +57,9 @@ def test_unknown_key_and_section():
                       ("[experiment]\nfit_window = 0.5\n",
                        "experiment.fit_window"),
                       ("[experiment]\nfit_floor = 1e-13\n",
-                       "experiment.fit_floor")):
+                       "experiment.fit_floor"),
+                      ("[solver]\nearly_stop_floor = 1e-3\n",
+                       "solver.early_stop_floor")):
         with pytest.raises(ConfigError) as err:
             loads_config(text)
         assert key in str(err.value)

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
+from scipy.linalg import LinAlgError
 
 from spheroid import (ConvergenceError, DomainError, Grid, NumericsError,
                       Rate, SolverConfig, State, VelocityField,
                       admissibility_report, admissible_init,
                       boundary_radius_step, default_model, nutrient_step,
-                      simulate, solve_nutrient, step, transport_step,
-                      velocity_from_state)
+                      simulate, solve_nutrient, solve_stationary, step,
+                      transport_step, velocity_from_state)
 from spheroid import evolution, rates
 from spheroid.grid import MIN_NODES
 
@@ -379,16 +380,28 @@ def test_simulate_deterministic(model, grid201, stationary201):
     assert np.array_equal(a.final_state.p, b.final_state.p)
 
 
-def test_simulate_early_stop(model, grid201, stationary201):
-    init = admissible_init(stationary201, 0.01, "poly")
-    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=60.0, output_interval=0.5,
-                       early_stop_floor=2e-3)
-    result = simulate(model, init, grid201, cfg, stationary201)
-    assert result.stopped_early
-    assert result.final_state.t < 60.0
-    assert result.records[-1].max_norm() < 2e-3
+def test_singular_nutrient_system_keeps_last_state(model, monkeypatch):
+    # a singular implicit nutrient system in the step from t = 0.58 ends
+    # the run with the output at t = 0.4 as its last healthy state
+    grid = Grid(51)
+    stat = solve_stationary(model, grid, cross_check=False)
+    init = admissible_init(stat, 0.01, "poly")
+    cfg = SolverConfig(eps=0.05, dt=0.02, t_end=1.0, output_interval=0.2)
+    calls = []
+    solve = evolution.tri_solve
 
+    def singular(*args):
+        calls.append(1)
+        if len(calls) == 30:
+            raise LinAlgError("singular tridiagonal system (pivot 3)")
+        return solve(*args)
 
+    monkeypatch.setattr(evolution, "tri_solve", singular)
+    with pytest.raises(NumericsError) as info:
+        simulate(model, init, grid, cfg, stat)
+    assert str(info.value).startswith(
+        "step failed at t=0.58: singular nutrient system at t=0.58")
+    assert info.value.last_state.t == pytest.approx(0.4, abs=1e-12)
 def test_simulate_warns_only_on_real_violations(model, grid201, stationary201,
                                                 caplog):
     # p0(1) = p*(1) < 1 is the expected boundary rest point, not a violation
@@ -398,7 +411,7 @@ def test_simulate_warns_only_on_real_violations(model, grid201, stationary201,
                           stationary201)
     assert [r.getMessage() for r in caplog.records] == []
     assert result.warnings == []
-    report = admissibility_report(init, stationary201, grid201)
+    report = admissibility_report(init, grid201)
     assert report.admissible and report.p_boundary == init.p[-1] < 1.0
 
     init.c[-1] = 0.9

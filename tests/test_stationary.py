@@ -304,6 +304,31 @@ def test_stationary_certified_after_newton_stall(monkeypatch):
     assert set(events[stall + 1:]) == {SolverConfig().dt}
 
 
+# set 14 of the 30-set sweep (ROADMAP), at its drawn values: at N=201
+# Newton stalls (|F|_inf about 5e-6 against 1e-7) and the resumed
+# relaxation certifies; at N=51, 101 and 151 Newton alone certifies it
+SWEEP_SET_14 = RateModel(F=mm(2.6495653517067512, 1.8271718898477842),
+                         K_B=lin(1.3439261698987865),
+                         K_P=mm(1.5479670968831754, 0.9673492915925026),
+                         K_Q=sig(1.2186487615422055, 0.3074867025321939,
+                                 0.3398111548971746),
+                         K_D=sig(0.05043231443508144, 2.0336429636063573,
+                                 0.6080006650804403))
+
+
+def test_stationary_certified_after_real_newton_stall(monkeypatch):
+    assert check_assumptions(SWEEP_SET_14).all_passed
+    events = []
+    record_steps(monkeypatch, events)
+    s = solve_stationary(SWEEP_SET_14, Grid(201), cross_check=False)
+    assert fixed_point_residual(SWEEP_SET_14, s, SolverConfig()) <= 1e-6 / 10
+    # Newton returns once, short of the certificate; relaxation follows
+    assert events.count("newton") == 1
+    stall = events.index("done")
+    assert len(events) > stall + 1
+    assert set(events[stall + 1:]) == {SolverConfig().dt}
+
+
 @pytest.mark.parametrize("target, after, exc", [
     ("_newton", 0, np.linalg.LinAlgError("Singular matrix")),
     ("solve_nutrient", 100,
