@@ -28,7 +28,6 @@ print(f"  direct-construction z* = {solution.z_direct:.8f}  "
 print("\nResiduals of the returned fields:")
 print(f"  |v(1)|                = {solution.v1_residual:.2e}")
 print(f"  max |-v p' + f(c, p)| = {solution.transport_residual:.2e}")
-print(f"  ||c - m(.; z*)||      = {solution.nutrient_gap:.2e}")
 
 print("\nProfiles (selected radii):")
 print("   r      c*      p*      v*")

@@ -166,7 +166,6 @@ def cmd_stationary(args):
     print(f"z* = {solution.z!r}  (R* = {solution.radius!r})")
     print(f"|v(1)| = {solution.v1_residual:.3e}")
     print(f"max interior |-v p' + f| = {solution.transport_residual:.3e}")
-    print(f"||c - m(.;z*)|| = {solution.nutrient_gap:.3e}")
     if solution.z_direct is not None:
         print(f"z* (direct construction) = {solution.z_direct!r}  "
               f"gap = {abs(solution.z_direct - solution.z):.3e}")
@@ -210,12 +209,17 @@ def cmd_simulate(args):
         prev_output = None
         csv_name = "timeseries.csv"
 
+    # the step and output index of the latest output, which a failed run
+    # saves with its last healthy state (a resumed run starts at its
+    # snapshot's)
+    latest = dict(step=start_step, output_index=out_offset - 1)
+
     def on_output(state, step_index, output_index, record):
         absolute = out_offset + output_index
+        latest.update(step=start_step + step_index, output_index=absolute)
         if absolute % cfg.snapshot_every == 0:
             save_snapshot(state, os.path.join(out, f"snap_{absolute:06d}.snap"),
-                          step=start_step + step_index, output_index=absolute,
-                          config_hash=chash)
+                          config_hash=chash, **latest)
 
     try:
         result = simulate(model, init, grid, cfg.solver, stationary,
@@ -224,7 +228,7 @@ def cmd_simulate(args):
         last = getattr(exc, "last_state", None)
         if last is not None:
             save_snapshot(last, os.path.join(out, "emergency.snap"),
-                          config_hash=chash)
+                          config_hash=chash, **latest)
             print(f"run aborted: {exc}; last good state saved to emergency.snap",
                   file=sys.stderr)
         else:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import LinAlgError
 
-from .errors import ConvergenceError, DomainError, NumericsError
+from .errors import ConvergenceError, NumericsError
 from .nutrient import _diffusion_rows, solve_nutrient, tri_solve
 from .rates import check_domain, f_reaction, g_source
 from .records import admissibility_report, deviation_norms
@@ -311,13 +311,13 @@ def _by_eps(eps, c, quasi, implicit):
 
     When every row is of one kind (always so for a scalar eps) only that
     call runs, with rows None for the whole batch; else each gets its row
-    indices, and their profiles fill an array shaped like ``c``.
+    indices, and their profiles fill an array shaped like ``c``.  An
+    array ``eps`` is never all zero: :func:`_config_of_rows` turns any
+    all-equal eps into a scalar.
     """
     if not isinstance(eps, np.ndarray):
         return quasi(None) if eps == 0.0 else implicit(None)
     zero = eps == 0.0
-    if zero.all():
-        return quasi(None)
     if not zero.any():
         return implicit(None)
     new = np.empty_like(c)
@@ -430,27 +430,19 @@ def simulate(model, init, grid, config, stationary, on_output=None,
     Returns
     -------
     SimResult
-        records/aux in output order; non-finite initial data, an initial
-        nutrient outside the rates' validity interval, a failed step or
-        nutrient solve, or a non-finite field raises
-        :class:`NumericsError`, carrying the last healthy output state
-        once there is one.
+        records/aux in output order.  Non-finite initial data, an initial
+        nutrient outside the rates' validity interval, a failed initial
+        projection, step or output nutrient solve, or a non-finite state
+        after a step all raise one :class:`NumericsError`, "step failed at
+        t=<step start>: <cause>", chained to its cause and carrying the
+        last healthy output state (None if the run fails in its initial
+        projection or, when fresh, in its first output).
     """
     result, = _simulate_batch(model, [init], grid, config, stationary,
                              on_output, prev_output)
     if isinstance(result, NumericsError):
         raise result
     return result
-
-
-def _check_init(model, init):
-    if not (np.isfinite(init.z) and np.all(np.isfinite(init.c))
-            and np.all(np.isfinite(init.p))):
-        raise NumericsError("non-finite initial data")
-    try:
-        check_domain(model, init.c, "initial data")
-    except DomainError as exc:
-        raise NumericsError(str(exc)) from exc
 
 
 def _config_of_rows(config, eps):
@@ -477,6 +469,13 @@ def _attempt(call, *args):
         return exc
 
 
+def _finite(state):
+    """Whether every field of ``state`` (a batch or a single state) is
+    finite."""
+    return (np.isfinite(state.z).all() and np.isfinite(state.c).all()
+            and np.isfinite(state.p).all())
+
+
 def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
                    prev_output=None, eps=None):
     """:func:`simulate` of each of ``inits``, which share their start time,
@@ -484,79 +483,68 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
     ``config.eps``, so cells of several eps share the batch.
 
     Returns one :class:`SimResult` per cell, or the :class:`NumericsError`
-    that cell's own run raises, so a failing cell ends alone: rejected
-    initial data, a non-finite row, or a row whose initial projection,
-    step or output nutrient solve raises when run alone.  A call that
-    raises for the batch runs again for each row alone; the rows that
-    still raise leave the batch there.  Every other cell's records, final
-    state and clip counts are those of its solo run, bit for bit.
-    ``on_output`` gets each cell's state at every output and
-    ``prev_output`` needs a single cell.
+    that cell's own run raises, so a failing cell ends alone.  A cell
+    leaves the batch one way, whatever the cause: the initial projection
+    (which first rejects non-finite initial data and a nutrient outside
+    the rates' interval), a step (which rejects a non-finite result) or
+    an output's nutrient solve raises for the batch, the call runs again
+    for each row alone, and the rows that still raise leave the batch
+    there.  Every other cell's records, final state and clip counts are
+    those of its solo run, bit for bit.  ``on_output`` gets each cell's
+    state at every output and ``prev_output`` needs a single cell.
     """
+    if not inits:
+        return []
     results = [None] * len(inits)
-    issues = {}
-    cells = []   # index into inits of each row of the batch
-    for i, init in enumerate(inits):
-        try:
-            _check_init(model, init)
-        except NumericsError as exc:
-            results[i] = exc
-            continue
-        issues[i] = admissibility_report(init, grid).issues
-        for issue in issues[i]:
-            log.warning("initial data: %s", issue)
-        cells.append(i)
-    if not cells:
-        return results
-
-    state = _stack([inits[i] for i in cells])
+    cells = list(range(len(inits)))   # index into inits of each row
+    state = _stack(inits)
     eps = np.asarray([config.eps] * len(inits) if eps is None else eps,
-                     dtype=float)[cells]
+                     dtype=float)
     config = _config_of_rows(config, eps)
     records = {i: [] for i in cells}
     aux = {i: [] for i in cells}
     clips = {i: ClipStats() for i in cells}
-    prev = None if prev_output is None else prev_output.copy()
+    prev = None
     k_out = config.steps_per_output
     n_steps = max(0, round((config.t_end - state.t) / config.dt))
     out_idx = 0
 
-    def keep(rows):
-        # a batch narrowed to one row is a lone state, as in its solo run
-        nonlocal state, prev, cells, eps, config
-        if rows.all():
-            return
-        kept = np.flatnonzero(rows)
-        cells = [cells[b] for b in kept]
-        if cells:
-            state = _stack([state.row(b) for b in kept])
-            if prev is not None:
-                prev = _stack([prev.row(b) for b in kept])
-            eps = eps[kept]
-            config = _config_of_rows(config, eps)
-
     def each_row(call):
         # call(state, config, cells) -> State on the batch; where it raises,
         # on each row alone (a lone row is not re-run), and a row that
-        # raises alone ends its cell; the rows left return stacked
+        # raises alone ends its cell; the batch narrows to the rows left,
+        # a lone state when one is left, as in its solo run, and their
+        # outputs return stacked
+        nonlocal state, prev, cells, eps, config
         try:
             return call(state, config, cells)
         except _STEP_ERRORS as exc:
             outs = [exc] if len(cells) == 1 else [
                 _attempt(call, state.row(b), _config_of_rows(config, eps[[b]]),
                          [i]) for b, i in enumerate(cells)]
-        failed = np.array([isinstance(out, Exception) for out in outs])
-        for b in np.flatnonzero(failed):
-            last = None if prev is None else prev.row(b)
-            err = NumericsError(f"step failed at t={state.t:g}: {outs[b]}",
-                                last_state=last)
-            err.__cause__ = outs[b]
-            results[cells[b]] = err
-        keep(~failed)
-        if cells:
-            return _stack([out for out, bad in zip(outs, failed) if not bad])
+        for b, out in enumerate(outs):
+            if isinstance(out, Exception):
+                last = None if prev is None else prev.row(b)
+                err = NumericsError(f"step failed at t={state.t:g}: {out}",
+                                    last_state=last)
+                err.__cause__ = out
+                results[cells[b]] = err
+        kept = [b for b, out in enumerate(outs)
+                if not isinstance(out, Exception)]
+        cells = [cells[b] for b in kept]
+        if not cells:
+            return None
+        state = _stack([state.row(b) for b in kept])
+        if prev is not None:
+            prev = _stack([prev.row(b) for b in kept])
+        eps = eps[kept]
+        config = _config_of_rows(config, eps)
+        return _stack([outs[b] for b in kept])
 
     def project(s, cfg, _):
+        if not _finite(s):
+            raise ValueError("non-finite initial data")
+        check_domain(model, s.c, "initial data")
         # eps = 0 slaves c to z: c = m(.; z)
         return replace(s, c=_by_eps(
             cfg.eps, s.c,
@@ -565,7 +553,14 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
             lambda rows: _rows(s.c, rows)))
 
     def advance(s, cfg, rows):
-        return step(model, s, grid, cfg, clip=[clips[i] for i in rows])
+        # the rows' clip counts change only when the step succeeds, so a
+        # row re-run alone counts its clips once
+        counts = [replace(clips[i]) for i in rows]
+        new = step(model, s, grid, cfg, clip=counts)
+        if not _finite(new):
+            raise FloatingPointError(f"non-finite state at t={new.t:g}")
+        clips.update(zip(rows, counts))
+        return new
 
     def emit(step_index):
         # the state's own quasi-static profile m(.; z), for eta_dev
@@ -586,7 +581,13 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
                 on_output(state.row(b), step_index, out_idx, recs[b])
 
     state = each_row(project)
-    if cells and prev_output is None:
+    issues = {i: admissibility_report(inits[i], grid).issues for i in cells}
+    for i in cells:
+        for issue in issues[i]:
+            log.warning("initial data: %s", issue)
+    if prev_output is not None:
+        prev = prev_output.copy()
+    elif cells:
         emit(0)
         out_idx += 1
         prev = state.copy()
@@ -595,15 +596,6 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
         if not cells:
             break
         state = each_row(advance)
-        if cells:
-            finite = np.atleast_1d(np.isfinite(state.z)
-                                   & np.isfinite(state.c).all(axis=-1)
-                                   & np.isfinite(state.p).all(axis=-1))
-            for b in np.flatnonzero(~finite):
-                results[cells[b]] = NumericsError(
-                    f"non-finite state at t={state.t:g}",
-                    last_state=prev.row(b))
-            keep(finite)
         if cells and k % k_out == 0:
             emit(k)
             out_idx += 1

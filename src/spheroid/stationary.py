@@ -88,7 +88,6 @@ class StationarySolution:
     grid: Grid
     v1_residual: float          # |v(1)| of the returned fields
     transport_residual: float   # max interior |-v p' + f(c, p)|
-    nutrient_gap: float         # sup |c - m(.; z)|
     z_direct: float = None      # cross-check value, if computed
     method: str = "newton"
 
@@ -328,14 +327,12 @@ def solve_stationary(model, grid, tol=1e-6, config=None, cross_check=True):
     c = solve_nutrient(model, x[0], grid, guess=c).c
     state = State(t=0.0, z=float(x[0]), c=c, p=x[1:])
     vel = velocity_from_state(model, state, grid)
-    prof = solve_nutrient(model, state.z, grid)
     p_r = grid.derivative(state.p)
     transport = -vel.v * p_r + f_reaction(model, state.c, state.p)
     solution = StationarySolution(
         z=state.z, c=state.c, p=state.p, v=vel.v, grid=grid,
         v1_residual=abs(vel.v1),
         transport_residual=float(np.max(np.abs(transport[1:-1]))),
-        nutrient_gap=float(np.max(np.abs(state.c - prof.c))),
     )
 
     if cross_check:

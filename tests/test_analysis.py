@@ -253,23 +253,26 @@ def _capture_batches(monkeypatch):
 
 def test_stability_batches_match_solo_runs(model, grid201, stationary201,
                                            monkeypatch):
-    # the cells of every eps run as one batch, each row with its own eps;
-    # each cell's records, final state and clip counts are those of its
-    # solo run at its eps, bit for bit
+    # the cells of every eps run as one batch, each row with its own eps
+    # (all of them > 0 for the second list); each cell's records, final
+    # state and clip counts are those of its solo run at its eps, bit for
+    # bit
     batches = _capture_batches(monkeypatch)
     cfg = SolverConfig(eps=0.0, dt=0.02, t_end=2.0, output_interval=0.2)
-    rep = stability_experiment(model, grid201, cfg, eps_list=(0.0, 0.05),
-                               delta_list=(0.005, 0.01),
-                               shapes=("poly", "cosine"), seeds=(1,),
-                               stationary=stationary201)
-    assert [eps for _, _, eps, _ in batches] == [[0.0] * 4 + [0.05] * 4]
-    assert [c.status for c in rep.cells] == ["ok"] * 8
-    for inits, config, eps, results in batches:
-        for init, e, result in zip(inits, eps, results):
-            solo = simulate(model, init, grid201, replace(config, eps=e),
-                            stationary201)
-            assert _same_run(result, solo)
-            assert len(result.records) == 11
+    for low, high in ((0.0, 0.05), (0.01, 0.05)):
+        batches.clear()
+        rep = stability_experiment(model, grid201, cfg, eps_list=(low, high),
+                                   delta_list=(0.005, 0.01),
+                                   shapes=("poly", "cosine"), seeds=(1,),
+                                   stationary=stationary201)
+        assert [eps for _, _, eps, _ in batches] == [[low] * 4 + [high] * 4]
+        assert [c.status for c in rep.cells] == ["ok"] * 8
+        for inits, config, eps, results in batches:
+            for init, e, result in zip(inits, eps, results):
+                solo = simulate(model, init, grid201, replace(config, eps=e),
+                                stationary201)
+                assert _same_run(result, solo)
+                assert len(result.records) == 11
 
 
 def _mixed_cells(stationary, cells, shape="poly"):
@@ -308,70 +311,91 @@ def test_repeated_matrix_entries_are_each_reported(model, grid201,
     assert rep.cells[1].fits == rep.cells[4].fits != poly[0]
 
 
-def _poison_row_1(monkeypatch, size):
-    """Put a NaN into row 1 of a batch of ``size`` after its step to t = 0.5."""
+def _poison_cell(monkeypatch, model, init, grid, config, stationary):
+    """Put a NaN into the row of the cell started from ``init`` when it
+    steps to t = 0.5, whether it steps in a batch or alone: the row is the
+    one whose z at t = 0.48 is that of the cell's solo run, bit for bit.
+    Every step also counts one clip event per row, so a row whose step is
+    counted twice (batched, then alone) shows.  Returns the cell's solo
+    final state at t = 0.4."""
+    z_at = simulate(model, init, grid, replace(config, t_end=0.48),
+                    stationary).final_state.z
     step = evolution.step
 
     def poisoning(model, state, grid, config, clip=None):
         new = step(model, state, grid, config, clip=clip)
-        if np.ndim(new.z) and len(new.z) == size and abs(new.t - 0.5) < 1e-9:
-            new.p[1, 100] = np.nan
+        for stats in clip:
+            stats.events += 1
+        if abs(new.t - 0.5) < 1e-9:
+            rows = np.atleast_1d(state.z) == z_at
+            new.p.reshape(-1, grid.n)[rows, 100] = np.nan
         return new
 
+    at_last = simulate(model, init, grid, replace(config, t_end=0.4),
+                       stationary).final_state
     monkeypatch.setattr(evolution, "step", poisoning)
+    return at_last
+
+
+def _assert_last_state(err, at_last):
+    assert isinstance(err, NumericsError)
+    assert str(err) == "step failed at t=0.48: non-finite state at t=0.5"
+    assert isinstance(err.__cause__, FloatingPointError)
+    last = err.last_state
+    assert last.t == at_last.t == pytest.approx(0.4, abs=1e-12)
+    assert last.z == at_last.z
+    assert np.array_equal(last.c, at_last.c)
+    assert np.array_equal(last.p, at_last.p)
 
 
 def test_nan_in_one_row_fails_only_that_cell(model, grid201, stationary201,
                                              monkeypatch):
-    # a NaN in row 1 of the batched state after the step to t = 0.5 ends
-    # that cell; its neighbours run on, bit-identical to their solo runs
+    # a NaN in the cosine cell's state after its step to t = 0.5, batched
+    # or alone, ends that cell; its neighbours run on, bit-identical to
+    # their solo runs
     cfg = SolverConfig(eps=0.05, dt=0.02, t_end=1.0, output_interval=0.2)
     inits = [admissible_init(stationary201, 0.01, shape)
              for shape in ("poly", "cosine", "random")]
-    solo = [simulate(model, init, grid201, cfg, stationary201)
-            for init in inits]
-    _poison_row_1(monkeypatch, 3)
+    at_last = _poison_cell(monkeypatch, model, inits[1], grid201, cfg,
+                           stationary201)
+    solo = [simulate(model, inits[b], grid201, cfg, stationary201)
+            for b in (0, 2)]
     results = _simulate_batch(model, inits, grid201, cfg, stationary201)
-    assert isinstance(results[1], NumericsError)
-    assert str(results[1]) == "non-finite state at t=0.5"
-    last = results[1].last_state
-    at_last = simulate(model, inits[1], grid201, replace(cfg, t_end=0.4),
-                       stationary201).final_state
-    assert last.t == at_last.t == pytest.approx(0.4, abs=1e-12)
-    assert np.array_equal(last.p, at_last.p)
-    for b in (0, 2):
-        assert _same_run(results[b], solo[b])
+    _assert_last_state(results[1], at_last)
+    for b, alone in zip((0, 2), solo):
+        assert _same_run(results[b], alone)
+        assert alone.clip.events == 50
 
     rep = stability_experiment(model, grid201, cfg, eps_list=(0.05,),
                                delta_list=(0.01,),
                                shapes=("poly", "cosine", "random"),
                                seeds=(0,), stationary=stationary201)
     assert [c.status for c in rep.cells] == [
-        "ok", "error: non-finite state at t=0.5", "ok"]
+        "ok", "error: step failed at t=0.48: non-finite state at t=0.5", "ok"]
 
 
 def test_nan_in_mixed_eps_batch_fails_only_that_cell(model, grid201,
                                                      stationary201,
                                                      monkeypatch):
-    # row 1 (eps = 0.01) fails; the eps = 0 and eps = 0.05 rows run on
+    # the eps = 0.01 cell fails; the eps = 0 and eps = 0.05 rows run on
     # without it, bit-identical to their solo runs
     cfg = SolverConfig(eps=0.0, dt=0.02, t_end=1.0, output_interval=0.2)
     inits, eps = _mixed_cells(stationary201, [(0.0, 0.01), (0.01, 0.01),
                                               (0.05, 0.01)])
-    solo = [simulate(model, init, grid201, replace(cfg, eps=e), stationary201)
-            for init, e in zip(inits, eps)]
-    _poison_row_1(monkeypatch, 3)
+    at_last = _poison_cell(monkeypatch, model, inits[1], grid201,
+                           replace(cfg, eps=0.01), stationary201)
     results = _simulate_batch(model, inits, grid201, cfg, stationary201,
                               eps=eps)
-    assert str(results[1]) == "non-finite state at t=0.5"
+    _assert_last_state(results[1], at_last)
     for b in (0, 2):
-        assert _same_run(results[b], solo[b])
+        assert _same_run(results[b], simulate(
+            model, inits[b], grid201, replace(cfg, eps=eps[b]), stationary201))
 
     rep = stability_experiment(model, grid201, cfg, eps_list=(0.0, 0.01, 0.05),
                                delta_list=(0.01,), shapes=("poly",),
                                seeds=(0,), stationary=stationary201)
     assert [c.status for c in rep.cells] == [
-        "ok", "error: non-finite state at t=0.5", "ok"]
+        "ok", "error: step failed at t=0.48: non-finite state at t=0.5", "ok"]
 
 
 def test_rejected_initial_data_fails_only_that_cell(model, grid201,
@@ -384,7 +408,9 @@ def test_rejected_initial_data_fails_only_that_cell(model, grid201,
     results = _simulate_batch(model, [inits[0], bad, inits[1]], grid201, cfg,
                               stationary201)
     assert isinstance(results[1], NumericsError)
-    assert str(results[1]).startswith("initial data: c=2 outside")
+    assert str(results[1]).startswith(
+        "step failed at t=0: initial data: c=2 outside")
+    assert results[1].last_state is None
     for result, init in zip(results[::2], inits):
         assert _same_run(result, simulate(model, init, grid201, cfg,
                                           stationary201))

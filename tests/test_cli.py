@@ -148,6 +148,65 @@ def test_simulate_deterministic_and_resume(tmp_path, config_path):
     assert np.array_equal(state_c.p, state_a.p)
 
 
+def test_aborted_run_saves_and_resumes_from_its_last_output(
+        tmp_path, config_path, monkeypatch, capsys):
+    # a step that raises from t = 0.5 on ends the run; emergency.snap holds
+    # the t = 0.4 output with its step and output index, so the run
+    # resumed from it continues as the uninterrupted one
+    from spheroid import ConvergenceError, evolution, load_snapshot
+    args = ["simulate", "--config", config_path, "--grid-n", "51",
+            "--tend", "1", "--delta", "0.01", "--seed", "1"]
+    out_a = str(tmp_path / "a")
+    assert cli(args + ["--out", out_a]) == 0
+    step = evolution.step
+
+    def failing(model, state, grid, config, clip=None):
+        if state.t > 0.49:
+            raise ConvergenceError("injected failure")
+        return step(model, state, grid, config, clip=clip)
+
+    out_b = str(tmp_path / "b")
+    with monkeypatch.context() as mp:
+        mp.setattr(evolution, "step", failing)
+        capsys.readouterr()
+        assert cli(args + ["--out", out_b]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "run aborted: step failed at t=0.5: injected failure; last good "
+        "state saved to emergency.snap")
+    snap = os.path.join(out_b, "emergency.snap")
+    state, header = load_snapshot(snap)
+    assert state.t == pytest.approx(0.4, abs=1e-12)
+    assert (header["step"], header["output_index"]) == (20, 2)
+
+    assert cli(args + ["--out", out_b, "--resume", snap]) == 0
+    rows_a = _read_rows(os.path.join(out_a, "timeseries.csv"))
+    rows_b = _read_rows(os.path.join(out_b, "timeseries_resumed.csv"))
+    assert rows_b[0] == rows_a[0]
+    assert rows_b[1:] == [row for row in rows_a[1:]
+                          if float(row.split(",")[0]) > 0.5]
+    assert len(rows_b) == 4
+
+
+def test_rejected_initial_data_aborts_without_snapshot(
+        tmp_path, config_path, monkeypatch, capsys):
+    import spheroid.cli as cli_mod
+    perturb = cli_mod.admissible_init
+
+    def non_finite(*args):
+        init = perturb(*args)
+        init.p[5] = np.nan
+        return init
+
+    monkeypatch.setattr(cli_mod, "admissible_init", non_finite)
+    out_dir = str(tmp_path / "x")
+    capsys.readouterr()
+    assert cli(["simulate", "--config", config_path, "--grid-n", "51",
+                "--tend", "1", "--out", out_dir]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "run aborted: step failed at t=0: non-finite initial data")
+    assert not os.path.exists(os.path.join(out_dir, "emergency.snap"))
+
+
 def test_simulate_zero_amplitude_stays_at_floor(tmp_path, config_path):
     out_dir = str(tmp_path / "z")
     assert cli(["simulate", "--config", config_path, "--out", out_dir,

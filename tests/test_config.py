@@ -86,6 +86,8 @@ def test_solver_validation_wrapped():
         with pytest.raises(ConfigError) as err:
             loads_config(f"[solver]\n{text}\n")
         assert "finite" in str(err.value)
+    with pytest.raises(ConfigError, match="snapshot_every: must be >= 1"):
+        loads_config("[solver]\nsnapshot_every = 0\n")
 
 
 def test_rate_params_validated():

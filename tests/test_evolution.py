@@ -486,10 +486,10 @@ def test_simulate_wraps_nonfinite_velocity(model, grid201, stationary201,
 
 def test_simulate_rejects_nutrient_outside_domain(model, grid201,
                                                   stationary201):
-    # simulate checks the initial nutrient where it checks for non-finite
-    # data, before the first nutrient solve of a fresh run (the projection
-    # at eps = 0, the initial output at eps > 0) and the first step of a
-    # resumed one
+    # the initial projection checks the initial nutrient where it checks
+    # for non-finite data, before the first nutrient solve of a fresh run
+    # (the projection at eps = 0, the initial output at eps > 0) and the
+    # first step of a resumed one; there is no healthy output state yet
     init = State(t=0.0, z=stationary201.z, c=stationary201.c.copy(),
                  p=stationary201.p.copy())
     init.c[10] = model.c_hi + 2.0 * model.margin
@@ -499,7 +499,8 @@ def test_simulate_rejects_nutrient_outside_domain(model, grid201,
             with pytest.raises(NumericsError) as err:
                 simulate(model, init, grid201, cfg, stationary201,
                          prev_output=prev_output)
-            assert str(err.value).startswith("initial data: c=2 outside")
+            assert str(err.value).startswith(
+                "step failed at t=0: initial data: c=2 outside")
             assert isinstance(err.value.__cause__, DomainError)
             assert err.value.last_state is None
     # step still checks the nutrient it is given

@@ -152,6 +152,16 @@ def test_newton_iteration_cap(monkeypatch):
     assert err.value.residual is not None
 
 
+def test_line_search_stall_raises(monkeypatch):
+    # a Newton direction that points uphill halves the step until it gives up
+    solve = nutrient.tri_solve
+    monkeypatch.setattr(nutrient, "tri_solve", lambda *rows: -solve(*rows))
+    with pytest.raises(ConvergenceError, match="^nutrient BVP line search "
+                       r"stalled at z=1: residual 1\.108e\+01$") as err:
+        solve_nutrient(default_model(), 1.0, Grid(51))
+    assert np.isfinite(err.value.residual)
+
+
 @pytest.mark.parametrize("z, guess_nan", [(0.5, True), (float("nan"), False)])
 def test_nonfinite_residual_raises(z, guess_nan):
     grid = Grid(51)

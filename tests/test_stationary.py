@@ -46,7 +46,6 @@ def test_stationary_residuals(stationary201):
     s = stationary201
     assert s.v1_residual <= 1e-6
     assert s.transport_residual <= 1e-4
-    assert s.nutrient_gap <= 1e-9
     assert s.method == "newton+direct"
 
 
@@ -351,6 +350,19 @@ def test_stationary_failure_is_typed(monkeypatch, target, after, exc):
         solve_stationary(default_model(), Grid(51), cross_check=False)
     assert np.isfinite(info.value.residual)
     assert info.value.__cause__ is exc
+
+
+def test_relaxation_out_of_pseudo_time_is_typed(monkeypatch):
+    # one unit of pseudo-time does not bring |F| down to RELAX_LEVEL
+    monkeypatch.setattr(stationary, "T_RELAX", 1.0)
+    with pytest.raises(ConvergenceError) as info:
+        solve_stationary(default_model(), Grid(51), cross_check=False)
+    assert str(info.value) == (
+        "stationary solve failed at |F|_inf = 1.184e-01: relaxation not at "
+        "|F| <= 0.01 by t=1")
+    assert np.isfinite(info.value.residual)
+    assert isinstance(info.value.__cause__, ConvergenceError)
+    assert info.value.__cause__.residual == info.value.residual
 
 
 def test_jacobian_columns_match_solo_steps():
