@@ -2,14 +2,15 @@
 
 Primary method: the fixed point of one evolution step.  Pseudo-time
 relaxation of the quasi-static evolution (the stationary state is
-asymptotically stable), in coarse steps of at least 0.1, brings the
+asymptotically stable), in coarse steps of at least 0.25, brings the
 fixed-point residual |step(x) - x|/dt down to 1e-2; Newton on that
 residual, for the scheme's own dt, then certifies it below tol/10, tight
 enough that the reference error stays under what the rate fits of
 perturbed runs resolve.  Newton's Jacobian is a finite-difference one
-whose columns are stepped together as one batch of states.  Where Newton
-stalls, the relaxation resumes with the scheme's dt and runs to the same
-level.  Cross-check: a direct construction that solves the steady
+whose columns are stepped together as one batch of states; it is kept
+while its steps halve the residual, and rebuilt when one does not.
+Where Newton stalls, the relaxation resumes with the scheme's dt and
+runs to the same level.  Cross-check: a direct construction that solves the steady
 transport equation self-consistently at trial log-radii and bisects on
 the boundary velocity v(1; z), in a bracket around the primary z*.  The
 two must agree tightly, or something is off.

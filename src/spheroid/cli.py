@@ -166,6 +166,9 @@ def cmd_stationary(args):
     print(f"z* = {solution.z!r}  (R* = {solution.radius!r})")
     print(f"|v(1)| = {solution.v1_residual:.3e}")
     print(f"max interior |-v p' + f| = {solution.transport_residual:.3e}")
+    print(f"work: {solution.step_calls} step calls, "
+          f"{solution.states_stepped} states stepped, "
+          f"{solution.jacobians} Jacobians")
     if solution.z_direct is not None:
         print(f"z* (direct construction) = {solution.z_direct!r}  "
               f"gap = {abs(solution.z_direct - solution.z):.3e}")

@@ -10,7 +10,10 @@ for the caller's own dt (a timestepper's Newton; Tuckerman & Barkley
 2000) then certifies |F|_inf <= tol/10.  Its Jacobian is the dense
 forward-difference one, whose 1 + n columns are stepped as the rows of
 batches of at most JACOBIAN_ROWS states; the linear system is solved
-directly and the step backtracks on |F|_2.  The transport step is a
+directly.  The Jacobian is kept while its full step contracts |F|_2 by
+CHORD_CONTRACTION (the chord method; Kelley, "Solving Nonlinear
+Equations with Newton's Method", 2003); otherwise it is rebuilt and the
+step backtracks on |F|_2.  The transport step is a
 smooth map (its cubic has unlimited slopes), so Newton converges fast;
 where it still stalls, the relaxation resumes with the caller's dt to
 the same level.  Both relaxation phases share T_RELAX units of
@@ -38,7 +41,7 @@ runs.
 """
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,8 +57,9 @@ log = logging.getLogger("spheroid")
 Z_INIT = 0.5          # log-radius the relaxation starts from
 T_RELAX = 2000.0      # pseudo-time horizon shared by both relaxation phases
 RELAX_LEVEL = 1e-2    # |F|_inf at which relaxation hands over to Newton
-RELAX_DT = 0.1        # least pseudo-time step of the relaxation to RELAX_LEVEL
+RELAX_DT = 0.25       # least pseudo-time step of the relaxation to RELAX_LEVEL
 NEWTON_MAXITER = 20   # Newton iterations before a stall
+CHORD_CONTRACTION = 0.5   # least |F|_2 contraction of a kept-Jacobian step
 MIN_DAMPING = 2.0**-10    # shortest Newton step tried before a stall
 JACOBIAN_ROWS = 32    # most Jacobian columns stepped in one batch
 CHECK_HALF_WIDTH = 0.01      # first half-width of the cross-check's bracket
@@ -88,6 +92,9 @@ class StationarySolution:
     grid: Grid
     v1_residual: float          # |v(1)| of the returned fields
     transport_residual: float   # max interior |-v p' + f(c, p)|
+    step_calls: int             # step calls of the solve, batched or not
+    states_stepped: int         # states those calls stepped
+    jacobians: int              # dense Jacobians Newton built
     z_direct: float = None      # cross-check value, if computed
     method: str = "newton"
 
@@ -160,7 +167,7 @@ def _steady_transport(model, c, grid):
     return p, vel.v1, it
 
 
-def stationary_by_bisection(model, grid, z_bracket=(-1.0, 2.5)):
+def stationary_by_bisection(model, grid, z_bracket):
     """Direct construction of the stationary log-radius.
 
     brentq (xtol 1e-10) on the self-consistent boundary velocity v(1; z)
@@ -192,12 +199,15 @@ class StepMap:
 
     x = (z, p) has shape (1 + n,), or (B, 1 + n) for B states that step
     together as one batch; c is slaved to z by the quasi-static solve.
-    Each row of a batch is, bit for bit, F of that row alone.
+    Each row of a batch is, bit for bit, F of that row alone.  ``calls``
+    and ``states`` count the step calls made and the states they stepped.
     """
 
     model: RateModel
     grid: Grid
     config: SolverConfig
+    calls: int = field(default=0, init=False)
+    states: int = field(default=0, init=False)
 
     def __call__(self, x, guess):
         """F(x) and the stepped nutrient, a warm start near x; ``guess``
@@ -205,6 +215,8 @@ class StepMap:
         z, p = x[..., 0], x[..., 1:]
         c = solve_nutrient(self.model, z, self.grid, guess=guess).c
         new = step(self.model, State(0.0, z, c, p), self.grid, self.config)
+        self.calls += 1
+        self.states += z.size
         moved = np.concatenate((np.expand_dims(new.z, -1), new.p), axis=-1)
         return (moved - x) / self.config.dt, new.c
 
@@ -228,30 +240,44 @@ def _jacobian(F, x, f, c):
 
 def _newton(F, x, c, f_tol):
     """Newton on ``F`` from x, warm-started from the nutrient c, until
-    |F|_inf <= f_tol.  Each step solves the dense Jacobian system and
-    halves its length until |F|_2 falls by the Armijo fraction; a trial
-    with a non-finite F is rejected.  Returns (x, c, |F(x)|_inf) at the
-    last accepted iterate, which a stall leaves above f_tol."""
+    |F|_inf <= f_tol.  Each iteration first takes the full step of the
+    kept Jacobian and accepts it if F is finite and |F|_2 falls by the
+    factor CHORD_CONTRACTION.  Otherwise (and at the first iteration) it
+    rebuilds the dense Jacobian at x and halves that step until |F|_2
+    falls by the Armijo fraction; a trial with a non-finite F is
+    rejected.  Returns (x, c, |F(x)|_inf, Jacobians built) at the last
+    accepted iterate, which a stall leaves above f_tol."""
     f, c = F(x, c)
     norm = float(np.max(np.abs(f)))
+    jac, built = None, 0
     for _ in range(NEWTON_MAXITER):
         if norm <= f_tol:
             break
-        dx = np.linalg.solve(_jacobian(F, x, f, c), -f)
         norm2 = np.linalg.norm(f)
-        damping = 1.0
-        while True:
-            trial = x + damping * dx
+        if jac is not None:
+            trial = x + np.linalg.solve(jac, -f)
             f_trial, c_trial = F(trial, c)
-            if (np.isfinite(f_trial).all() and np.linalg.norm(f_trial)
-                    <= (1.0 - 1e-4 * damping) * norm2):
-                break
-            damping *= 0.5
-            if damping < MIN_DAMPING:
-                return x, c, norm
+        if jac is None or not _below(f_trial, CHORD_CONTRACTION * norm2):
+            jac = _jacobian(F, x, f, c)
+            built += 1
+            dx = np.linalg.solve(jac, -f)
+            damping = 1.0
+            while True:
+                trial = x + damping * dx
+                f_trial, c_trial = F(trial, c)
+                if _below(f_trial, (1.0 - 1e-4 * damping) * norm2):
+                    break
+                damping *= 0.5
+                if damping < MIN_DAMPING:
+                    return x, c, norm, built
         x, f, c = trial, f_trial, c_trial
         norm = float(np.max(np.abs(f)))
-    return x, c, norm
+    return x, c, norm, built
+
+
+def _below(f, bound):
+    """Whether f is finite with |f|_2 <= bound."""
+    return bool(np.isfinite(f).all() and np.linalg.norm(f) <= bound)
 
 
 def solve_stationary(model, grid, tol=1e-6, config=None, cross_check=True):
@@ -316,7 +342,7 @@ def solve_stationary(model, grid, tol=1e-6, config=None, cross_check=True):
     try:
         # far from the root the step only has to point the right way
         x = relax(x, RELAX_LEVEL, coarse)
-        x, c, norm = _newton(fine, x, c, 0.1 * tol)
+        x, c, norm, jacobians = _newton(fine, x, c, 0.1 * tol)
         if norm > 0.1 * tol:
             # a stall; relaxation still converges
             x = relax(x, 0.1 * tol, fine)
@@ -333,6 +359,8 @@ def solve_stationary(model, grid, tol=1e-6, config=None, cross_check=True):
         z=state.z, c=state.c, p=state.p, v=vel.v, grid=grid,
         v1_residual=abs(vel.v1),
         transport_residual=float(np.max(np.abs(transport[1:-1]))),
+        step_calls=coarse.calls + fine.calls,
+        states_stepped=coarse.states + fine.states, jacobians=jacobians,
     )
 
     if cross_check:

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,8 @@ def test_stationary_subcommand(tmp_path, config_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "z*" in printed and "direct" in printed
+    assert re.search(r"^work: \d+ step calls, \d+ states stepped, \d+ "
+                     r"Jacobians$", printed, re.MULTILINE)
     assert os.path.exists(os.path.join(out_dir, "stationary.snap"))
     assert os.path.exists(os.path.join(out_dir, "stationary.csv"))
     with open(os.path.join(out_dir, "stationary.csv")) as fh:

@@ -173,19 +173,64 @@ SOLVABLE_SETS = [
 ]
 
 
-def test_stationary_step_count(monkeypatch):
+def sweep_sets(count=30):
+    """The first ``count`` rate sets that pass check_assumptions, drawn from
+    numpy.random.default_rng(0) in the order F, K_B, K_P, K_Q, K_D over the
+    ranges of the strategies above (the 30-set sweep of ROADMAP)."""
+    rng = np.random.default_rng(0)
+
+    def increasing():
+        if rng.random() < 0.5:
+            return lin(rng.uniform(0.1, 3.0))
+        return mm(rng.uniform(0.2, 4.0), rng.uniform(0.1, 2.0))
+
+    def decreasing():
+        return sig(rng.uniform(0.05, 2.0), rng.uniform(0.2, 4.0),
+                   rng.uniform(0.0, 1.0))
+
+    sets = []
+    while len(sets) < count:
+        m = RateModel(F=increasing(), K_B=increasing(), K_P=increasing(),
+                      K_Q=decreasing(), K_D=decreasing())
+        if check_assumptions(m).all_passed:
+            sets.append(m)
+    return sets
+
+
+# sets 11 and 25 of the sweep fail at N=51 for lack of resolution: the
+# nutrient boundary layer, of width ~e^{-z}, leaves v(1; z) > 0 up to z=8;
+# at N=101 they certify
+UNRESOLVED_AT_51 = (11, 25)
+
+
+def test_sweep_sets_certify_within_step_budget():
+    # the other 28 sets certify at N=51, in 4484 step calls in all; a
+    # relaxation in steps of 0.1 and a Jacobian rebuilt at every Newton
+    # iteration took 10513
+    calls = 0
+    for number, m in enumerate(sweep_sets(), 1):
+        if number in UNRESOLVED_AT_51:
+            continue
+        s = solve_stationary(m, Grid(51), cross_check=False)
+        assert fixed_point_residual(m, s, SolverConfig()) <= 1e-6 / 10, number
+        calls += s.step_calls
+    assert calls <= 6000
+
+
+def test_stationary_step_count():
     # the relaxation to RELAX_LEVEL takes coarse pseudo-time steps and
     # Newton steps its Jacobian columns in batches: the default-model N=51
-    # solve makes 221 step calls (1182 with a fine-step relaxation)
-    calls = []
+    # solve makes 93 step calls (1182 with a fine-step relaxation)
+    s = solve_stationary(default_model(), Grid(51), cross_check=False)
+    assert s.step_calls <= 150
+    # 2 of the calls step the 52 Jacobian columns, the rest one state each
+    assert s.states_stepped == s.step_calls - 2 + 52
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return step(*args, **kwargs)
 
-    monkeypatch.setattr(stationary, "step", counting)
-    solve_stationary(default_model(), Grid(51), cross_check=False)
-    assert len(calls) <= 600
+def test_stationary_builds_one_jacobian():
+    # Newton keeps its first Jacobian while each full step halves |F|_2
+    s = solve_stationary(default_model(), Grid(51), cross_check=False)
+    assert s.jacobians == 1
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.02, 0.2])
@@ -198,9 +243,9 @@ def test_stationary_certified_for_callers_dt(dt):
     assert fixed_point_residual(m, s, config) <= 1e-6 / 10
 
 
-# z* = 3.127 at N=51, outside the fixed bracket (-1, 2.5) of
-# stationary_by_bisection; the direct root lies 0.0117 from z*, so the
-# bracket around z* widens once
+# z* = 3.127 at N=51, twice the default model's and above 2.5, so no one
+# fixed bracket serves every rate set; the direct root lies 0.0117 from
+# z*, so the bracket around z* widens once
 HIGH_Z_SET = RateModel(F=lin(1.527), K_B=mm(2.855, 1.672), K_P=mm(2.699, 0.79),
                        K_Q=sig(0.423, 2.85, 0.003), K_D=sig(1.579, 0.227, 0.617))
 
@@ -283,6 +328,8 @@ def test_stationary_certified_on_solvable_sets(monkeypatch, m):
     assert fixed_point_residual(m, s, SolverConfig()) <= 1e-6 / 10
     assert events.count("newton") == 1
     assert events[-1] == "done"
+    # the solution's counter sees every step call
+    assert s.step_calls == sum(isinstance(e, float) for e in events)
 
 
 def test_stationary_certified_after_newton_stall(monkeypatch):
@@ -330,12 +377,13 @@ def test_stationary_certified_after_real_newton_stall(monkeypatch):
 
 @pytest.mark.parametrize("target, after, exc", [
     ("_newton", 0, np.linalg.LinAlgError("Singular matrix")),
-    ("solve_nutrient", 100,
+    ("solve_nutrient", 50,
      ConvergenceError("nutrient stalled", residual=np.nan)),
 ])
 def test_stationary_failure_is_typed(monkeypatch, target, after, exc):
     # a failure inside the solve surfaces as ConvergenceError carrying
-    # the last finite |F|_inf, chained to its cause
+    # the last finite |F|_inf, chained to its cause; the solve makes 95
+    # nutrient solves, so the 51st fails inside the relaxation
     inner = getattr(stationary, target)
     calls = []
 
@@ -358,7 +406,7 @@ def test_relaxation_out_of_pseudo_time_is_typed(monkeypatch):
     with pytest.raises(ConvergenceError) as info:
         solve_stationary(default_model(), Grid(51), cross_check=False)
     assert str(info.value) == (
-        "stationary solve failed at |F|_inf = 1.184e-01: relaxation not at "
+        "stationary solve failed at |F|_inf = 1.193e-01: relaxation not at "
         "|F| <= 0.01 by t=1")
     assert np.isfinite(info.value.residual)
     assert isinstance(info.value.__cause__, ConvergenceError)
