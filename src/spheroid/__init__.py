@@ -8,6 +8,8 @@ The package computes the stationary solution, integrates the coupled
 system, and measures the exponential return to the stationary state.
 """
 
+__version__ = "0.1.0"   # the metadata's too; set before snapshot imports it
+
 from .analysis import (DecayFit, admissible_init, fit_decay,
                        stability_experiment, standard_convergence_suite)
 from .config import (RunConfig, config_hash, default_config, dumps_config,
@@ -28,5 +30,3 @@ from .records import (AdmissibilityReport, DeviationRecord,
 from .snapshot import load_snapshot, save_snapshot
 from .stationary import (StationarySolution, equilibrium_fraction,
                          solve_stationary, stationary_by_bisection)
-
-__version__ = "0.1.0"

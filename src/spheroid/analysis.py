@@ -18,6 +18,9 @@ from .stationary import solve_stationary
 log = logging.getLogger("spheroid")
 
 PERTURBATION_SHAPES = ("poly", "cosine", "random")
+# fraction of a norm series' usable samples, counted from the end, that
+# fit_decay fits; the discarded head absorbs the nonmodal transient
+FIT_WINDOW = 0.5
 
 
 def _shape_profiles(shape, r, rng):
@@ -33,19 +36,14 @@ def _shape_profiles(shape, r, rng):
         phi = np.cos(np.pi * r / 2.0)
         return phi, phi, -1.0
     if shape == "random":
-        # smooth random combination of even cosine modes vanishing at r=1
-        coef = rng.standard_normal(4)
-        phi = np.zeros_like(r)
-        for k, a in enumerate(coef):
-            phi += a * np.cos((2 * k + 1) * np.pi * r / 2.0)
-        phi /= np.max(np.abs(phi))
-        coef2 = rng.standard_normal(4)
-        psi = np.zeros_like(r)
-        for k, a in enumerate(coef2):
-            psi += a * np.cos((2 * k + 1) * np.pi * r / 2.0)
-        psi /= np.max(np.abs(psi))
-        xi = float(rng.uniform(-1.0, 1.0))
-        return phi, psi, xi
+        def modes():
+            # smooth random combination of even cosine modes vanishing at r=1
+            mix = np.zeros_like(r)
+            for k, a in enumerate(rng.standard_normal(4)):
+                mix += a * np.cos((2 * k + 1) * np.pi * r / 2.0)
+            return mix / np.max(np.abs(mix))
+        phi = modes()
+        return phi, modes(), float(rng.uniform(-1.0, 1.0))
     raise ValueError(f"unknown perturbation shape {shape!r}; "
                      f"choose from {PERTURBATION_SHAPES}")
 
@@ -86,16 +84,14 @@ class DecayFit:
     n_points: int
 
 
-def fit_decay(series, window=0.5, floor=1e-13):
-    """Least-squares exponential fit on the tail of a norm time series.
+def fit_decay(series, floor=1e-13):
+    """Least-squares exponential fit on the tail of a norm time series:
+    the last :data:`FIT_WINDOW` of its usable samples (those above
+    ``floor``).
 
     Parameters
     ----------
     series : sequence of (t, value)
-    window : float
-        Fraction of the usable samples (those above ``floor``), counted
-        from the end, used for the fit; the discarded head absorbs the
-        nonmodal transient.
     floor : float
         Values at or below this are treated as numerical noise and
         excluded.
@@ -114,7 +110,7 @@ def fit_decay(series, window=0.5, floor=1e-13):
     """
     pts = [(float(t), float(y)) for t, y in series if y > floor]
     if len(pts) >= 1:
-        start = int(np.floor(len(pts) * (1.0 - window)))
+        start = int(np.floor(len(pts) * (1.0 - FIT_WINDOW)))
         pts = pts[start:]
     if len(pts) < 5:
         raise InsufficientDataError(
@@ -148,7 +144,6 @@ class StabilityCell:
 @dataclass
 class StabilityReport:
     cells: list
-    horizon: float
 
     @property
     def all_ran(self):
@@ -161,7 +156,7 @@ def stability_experiment(model, grid, config, eps_list, delta_list, shapes,
 
     For each cell (eps, delta, shape, seed): perturb the stationary
     solution, simulate to config.t_end, fit an exponential to every
-    deviation norm with :func:`fit_decay`'s default window and floor, and
+    deviation norm with :func:`fit_decay`'s default floor, and
     record whether all norms fell below delta/10 and when.  delta = 0 cells
     are recorded with the fits skipped.  A failing cell is reported in its
     status, not raised.  Cells are listed in (eps, delta, shape, seed)
@@ -190,8 +185,7 @@ def stability_experiment(model, grid, config, eps_list, delta_list, shapes,
     runs.update(zip(batch, _simulate_batch(
         model, [runs[k] for k in batch], grid, config, stationary,
         eps=[k[0] for k in batch])))
-    return StabilityReport(cells=[_cell(key, runs.get(key)) for key in keys],
-                           horizon=config.t_end)
+    return StabilityReport(cells=[_cell(key, runs.get(key)) for key in keys])
 
 
 def _cell(key, result):

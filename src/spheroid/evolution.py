@@ -116,10 +116,6 @@ class SolverConfig:
         if self.output_interval < self.dt:
             raise ValueError("output_interval must be >= dt")
 
-    @property
-    def steps_per_output(self):
-        return max(1, round(self.output_interval / self.dt))
-
 
 @dataclass
 class ClipStats:
@@ -193,28 +189,26 @@ def hermite_eval(y, d, x, h):
     return y0 + s * (d0 + s * ((m - d0) / h - t + s * (t / h)))
 
 
-def transport_step(model, state, vel, dt, grid, c_head=None, w_override=None):
+def transport_step(model, state, w, c_head, dt, grid):
     """Semi-Lagrangian update of the proliferating fraction over one step.
 
-    Feet of the backward characteristics of dr/ds = w(r) are traced with
-    midpoint RK2 (w frozen over the step, interpolated at the midpoints),
-    clamped to [0, 1] (they cannot leave, since w vanishes at both
-    endpoints; clamping only absorbs rounding), and p and c are
-    interpolated at the feet.  All three interpolants are the cubic
-    Hermite kernel :func:`hermite_eval` with the slopes of
+    Feet of the backward characteristics of dr/ds = w(r), with the
+    advection ``w`` frozen over the step, are traced with midpoint RK2 (w
+    interpolated at the midpoints), clamped to [0, 1] (they cannot leave,
+    since w vanishes at both endpoints; clamping only absorbs rounding),
+    and p and c are interpolated at the feet.  All three interpolants are
+    the cubic Hermite kernel :func:`hermite_eval` with the slopes of
     :meth:`Grid.derivative`, which are linear in the field, so the step is
     a smooth map of the state; p and c share one pass of the kernel.
     Unlike a limited (monotone) cubic, it may overshoot the nodes that
     bracket a foot; :func:`step` clips p to [0, 1] and counts the events.
     Then p is integrated along the characteristic with Heun's method,
     evaluating the reaction at the foot (nutrient at the step start) and at
-    the head (``c_head``, defaulting to the step-start nutrient at the
-    node).
+    the head (``c_head``, the nutrient at the node).
 
     Raises ValueError if the advection velocity or the feet are not finite.
     """
     r, h = grid.r, grid.h
-    w = vel.w if w_override is None else w_override
     if not np.isfinite(w).all():
         raise ValueError("non-finite advection velocity in transport")
     r_mid = (r - 0.5 * dt * w).clip(0.0, 1.0)
@@ -231,44 +225,38 @@ def transport_step(model, state, vel, dt, grid, c_head=None, w_override=None):
     # evolve by the local reaction ODE alone; bypass interpolation noise
     p_foot, c_foot = np.where(feet == r, pc,
                               hermite_eval(pc, grid.derivative(pc), feet, h))
-    head = state.c if c_head is None else c_head
 
     k1 = f_reaction(model, c_foot, p_foot)
     p_pred = p_foot + dt * k1
-    k2 = f_reaction(model, head, p_pred)
+    k2 = f_reaction(model, c_head, p_pred)
     return p_foot + 0.5 * dt * (k1 + k2)
 
 
-def boundary_radius_step(state, vel, dt, vel_pred=None):
-    """Heun update of the log-radius, dz/dt = v(1).
-
-    ``vel_pred`` is the velocity re-evaluated at the predictor state; when
-    omitted the step reduces to Euler, exact for v(1) constant in time.
-    """
-    v1_pred = vel.v1 if vel_pred is None else vel_pred.v1
-    return state.z + 0.5 * dt * (vel.v1 + v1_pred)
+def boundary_radius_step(state, vel, dt, vel_pred):
+    """Heun update of the log-radius, dz/dt = v(1), with ``vel_pred`` the
+    velocity re-evaluated at the predictor state."""
+    return state.z + 0.5 * dt * (vel.v1 + vel_pred.v1)
 
 
-def nutrient_step(model, state, vel, dt, eps, grid, z=None, v1=None):
+def nutrient_step(model, state, z, v1, dt, eps, grid):
     """One fully implicit step of the nutrient equation (eps > 0).
 
     eps e^{2z} c_t = c_rr + [2/r + eps e^{2z} r v(1)] c_r - e^{2z} F(c),
-    with the consumption linearized about the current profile, z and v(1)
-    frozen at the step start (overridable for time-centered composites),
+    with the consumption linearized about the current profile, the
+    log-radius ``z`` and boundary velocity ``v1`` frozen over the step
+    (their step-start values, or time-centered ones for a composite),
     the r = 0 row using the symmetric-limit stencil, and c(1) = 1 imposed
     strongly.  The advection term eps e^{2z} v(1) r c_r is added to the
     grid's shared diffusion rows.  A batch takes ``eps``, like ``z`` and
     ``v1``, as one scalar or as a (B,) array of per-row values.
 
     Raises ValueError unless every eps > 0, and DomainError if the new
-    profile leaves the rates' validity interval (extended by the model's
-    margin).
+    profile leaves the rates' validity interval (extended by
+    ``rates.MARGIN``).
     """
     per_row = isinstance(eps, np.ndarray)
     if not ((eps > 0.0).all() if per_row else eps > 0.0):
         raise ValueError("nutrient_step requires eps > 0; use solve_nutrient")
-    z = state.z if z is None else z
-    v1 = vel.v1 if v1 is None else v1
     e2z = _col(np.exp(2.0 * z))
     v1 = _col(v1)
     eps = eps[:, None] if per_row else eps
@@ -294,7 +282,7 @@ def nutrient_step(model, state, vel, dt, eps, grid, z=None, v1=None):
                           rhs.ravel()).reshape(c.shape)
     except LinAlgError as exc:
         raise NumericsError(f"singular nutrient system at t={state.t:g}") from exc
-    return check_domain(model, c_new, "nutrient_step")
+    return check_domain(c_new, "nutrient_step")
 
 
 def _rows(x, rows):
@@ -341,15 +329,15 @@ def step(model, state, grid, config, clip=None):
     enters: ``state.c`` here, every new profile in :func:`solve_nutrient`
     or :func:`nutrient_step`.  The feet values are cubic interpolants of
     ``state.c``, which may leave its range by O(h^3), far inside the
-    rates' margin (0.5 by default) beyond the validity interval, so the
-    rate formulas run unchecked.  Raises DomainError on a violation.
+    margin ``rates.MARGIN`` = 0.5 beyond the validity interval, so the rate
+    formulas run unchecked.  Raises DomainError on a violation.
 
     A batched ``state`` takes ``clip`` as a list of one ClipStats per row,
     and ``config.eps`` may then be a (B,) array of per-row values (the
     private batched loop sets one): the nutrient of the rows with eps = 0
     and of the others is updated by their own solver, on their rows only.
     """
-    check_domain(model, state.c, "step")
+    check_domain(state.c, "step")
     if clip is None:
         clip = [ClipStats() for _ in np.atleast_1d(state.z)]
     clips = clip if isinstance(clip, list) else [clip]
@@ -357,30 +345,30 @@ def step(model, state, grid, config, clip=None):
     heun = config.splitting == "heun"
     vel = velocity_from_state(model, state, grid)
 
-    p_new = transport_step(model, state, vel, dt, grid)
+    p_new = transport_step(model, state, vel.w, state.c, dt, grid)
     z_pred = state.z + dt * vel.v1
     c_pred = _by_eps(
         eps, state.c,
         lambda rows: solve_nutrient(model, _rows(z_pred, rows), grid,
                                     guess=_rows(state.c, rows)).c,
-        lambda rows: nutrient_step(model, _rows(state, rows), vel, dt,
-                                   _rows(eps, rows), grid,
-                                   v1=_rows(vel.v1, rows)))
+        lambda rows: nutrient_step(model, _rows(state, rows),
+                                   _rows(state.z, rows), _rows(vel.v1, rows),
+                                   dt, _rows(eps, rows), grid))
     pred = State(t=state.t + dt, z=z_pred, c=c_pred, p=p_new)
     vel_pred = velocity_from_state(model, pred, grid)
     z_new = boundary_radius_step(state, vel, dt, vel_pred)
 
     if heun:
-        p_new = transport_step(model, state, vel, dt, grid, c_head=c_pred,
-                               w_override=0.5 * (vel.w + vel_pred.w))
+        p_new = transport_step(model, state, 0.5 * (vel.w + vel_pred.w),
+                               c_pred, dt, grid)
 
     def corrector(rows):
         if not heun:
             return _rows(c_pred, rows)
-        return nutrient_step(model, _rows(state, rows), vel, dt,
-                             _rows(eps, rows), grid,
-                             z=_rows(0.5 * (state.z + z_pred), rows),
-                             v1=_rows(0.5 * (vel.v1 + vel_pred.v1), rows))
+        return nutrient_step(model, _rows(state, rows),
+                             _rows(0.5 * (state.z + z_pred), rows),
+                             _rows(0.5 * (vel.v1 + vel_pred.v1), rows),
+                             dt, _rows(eps, rows), grid)
 
     c_new = _by_eps(
         eps, state.c,
@@ -505,7 +493,7 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
     aux = {i: [] for i in cells}
     clips = {i: ClipStats() for i in cells}
     prev = None
-    k_out = config.steps_per_output
+    k_out = max(1, round(config.output_interval / config.dt))
     n_steps = max(0, round((config.t_end - state.t) / config.dt))
     out_idx = 0
 
@@ -544,7 +532,7 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
     def project(s, cfg, _):
         if not _finite(s):
             raise ValueError("non-finite initial data")
-        check_domain(model, s.c, "initial data")
+        check_domain(s.c, "initial data")
         # eps = 0 slaves c to z: c = m(.; z)
         return replace(s, c=_by_eps(
             cfg.eps, s.c,

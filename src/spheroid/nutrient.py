@@ -23,7 +23,7 @@ from scipy.linalg import LinAlgError, lapack
 
 from .errors import ConvergenceError
 from .grid import Grid
-from .rates import check_domain, outside_domain
+from .rates import C_HI, DOMAIN, check_domain, outside_domain
 
 _MACHEPS = np.finfo(float).eps
 # relative bound on the max-norm Newton residual of every nutrient solve
@@ -106,16 +106,11 @@ class NutrientProfile:
         return self.grid.derivative(self.c, symmetric_origin=True)
 
 
-def _resid_floor(grid, scale):
-    # max-norm residual below this is indistinguishable from rounding
-    return 50.0 * _MACHEPS * np.maximum(max(1.0, 1.0 / grid.h**2), scale)
-
-
 def solve_nutrient(model, z, grid, guess=None):
     """Solve the nutrient BVP at log-radius ``z``.
 
     Newton stops once the max-norm nonlinear residual is at most
-    ``RESIDUAL_TOL * max(1, e^{2z} F(c_hi))``, floored at the rounding
+    ``RESIDUAL_TOL * max(1, e^{2z} F(C_HI))``, floored at the rounding
     level of the h^-2 stencil.
 
     A batch, ``z`` of shape (B,) and ``guess`` of shape (B, n), solves B
@@ -142,8 +137,8 @@ def solve_nutrient(model, z, grid, guess=None):
     Raises
     ------
     DomainError
-        If ``guess`` leaves the rates' validity interval (extended by the
-        model's margin).
+        If ``guess`` leaves the rates' validity interval (extended by
+        ``rates.MARGIN``).
     ConvergenceError
         If damped Newton cannot reach the tolerance within
         ``NEWTON_MAXITER`` iterations, or the residual is not finite (NaN in
@@ -156,9 +151,10 @@ def solve_nutrient(model, z, grid, guess=None):
             f"nutrient BVP at z={zb[np.argmax(zb > Z_MAX)]:g}: the log-radius "
             f"ran away past {Z_MAX:.0f}, where e^(2z) nears overflow")
     n = grid.n
-    load = np.exp(2.0 * zb) * abs(float(model.F.value(model.c_hi)))
-    tol_eff = np.maximum(RESIDUAL_TOL * np.maximum(1.0, load),
-                         _resid_floor(grid, load))
+    load = np.exp(2.0 * zb) * abs(float(model.F.value(C_HI)))
+    # a max-norm residual below rounding: 50 machine epsilons of the scale
+    rounding = 50.0 * _MACHEPS * np.maximum(max(1.0, 1.0 / grid.h**2), load)
+    tol_eff = np.maximum(RESIDUAL_TOL * np.maximum(1.0, load), rounding)
     # the rows laid end to end: one vector of length B*n, whose blocks the
     # zero couplings of the diffusion rows keep apart
     e2z = np.repeat(np.exp(2.0 * zb), n) if batch else np.exp(2.0 * float(z))
@@ -179,8 +175,8 @@ def solve_nutrient(model, z, grid, guess=None):
     def row_max(x):
         return np.abs(x).reshape(-1, n).max(axis=1)
 
-    R, dfv = residual(check_domain(model, c, "nutrient solve"))
-    lo_c, hi_c = model.domain
+    R, dfv = residual(check_domain(c, "nutrient solve"))
+    lo_c, hi_c = DOMAIN
     rnorm = row_max(R)
     it = 0
     # a NaN residual iterates, and is reported, not accepted
@@ -210,7 +206,7 @@ def solve_nutrient(model, z, grid, guess=None):
             else:
                 # a row whose trial leaves the rates' validity margin
                 # rejects it; its residual is taken at its current iterate
-                bad = outside_domain(model, trial).reshape(-1, n).any(axis=1)
+                bad = outside_domain(trial).reshape(-1, n).any(axis=1)
                 R_new, dfv_new = residual(np.where(np.repeat(bad, n), c, trial))
                 new_norm = np.where(bad, np.inf, row_max(R_new))
             ok = todo & (new_norm <= np.maximum((1.0 - 0.5 * alpha) * rnorm,
@@ -295,7 +291,6 @@ class BoundsEntry:
 @dataclass
 class BoundsReport:
     entries: list
-    rel_tol: float
 
     @property
     def all_passed(self):
@@ -346,4 +341,4 @@ def bounds_report(model, z_values, grid, rel_tol=1e-8):
         for name, m in zip(BOUND_NAMES, margins):
             entries.append(BoundsEntry(z=float(z), name=name, margin=float(m),
                                        passed=bool(m >= -rel_tol)))
-    return BoundsReport(entries=entries, rel_tol=rel_tol)
+    return BoundsReport(entries=entries)

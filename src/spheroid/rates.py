@@ -26,6 +26,11 @@ from .errors import DomainError, UnknownRateError
 
 RATE_NAMES = ("F", "K_B", "K_P", "K_Q", "K_D")
 
+# the validity interval [C_LO, C_HI] of the rates in c, and DOMAIN, where c
+# is accepted: that interval extended by MARGIN on each side
+C_LO, C_HI, MARGIN = 0.0, 1.0, 0.5
+DOMAIN = (C_LO - MARGIN, C_HI + MARGIN)
+
 
 # A family maps (c, params) to the value and, with ``der``, the pair
 # (value, derivative).
@@ -99,17 +104,15 @@ class Rate:
 
 @dataclass(frozen=True)
 class RateModel:
-    """The five rates plus the validity interval for ``c``.
+    """The five rates.
 
-    Concentrations are accepted on the validity interval extended by
-    ``margin`` on each side.  Beyond that :func:`check_domain` raises
-    :class:`DomainError` where ``c`` enters: in :func:`eval_rate`, on the
-    initial data of ``evolution.simulate``, on the input of
+    Concentrations are accepted on DOMAIN.  Beyond it :func:`check_domain`
+    raises :class:`DomainError` where ``c`` enters: in :func:`eval_rate`, on
+    the initial data of ``evolution.simulate``, on the input of
     ``evolution.step`` and on each new profile of ``solve_nutrient`` and
-    ``nutrient_step``.  The composites
-    :func:`f_reaction`, :func:`g_source` and :func:`f_reaction_partials`
-    are plain formulas.  Instances are immutable and safe to share between
-    concurrent runs.
+    ``nutrient_step``.  The composites :func:`f_reaction`, :func:`g_source`
+    and :func:`f_reaction_partials` are plain formulas.  Instances are
+    immutable and safe to share between concurrent runs.
     """
 
     F: Rate
@@ -117,14 +120,6 @@ class RateModel:
     K_P: Rate
     K_Q: Rate
     K_D: Rate
-    c_lo: float = 0.0
-    c_hi: float = 1.0
-    margin: float = 0.5
-
-    @property
-    def domain(self):
-        """The validity interval extended by ``margin`` on each side."""
-        return self.c_lo - self.margin, self.c_hi + self.margin
 
     def rate(self, name):
         if name not in RATE_NAMES:
@@ -147,20 +142,18 @@ def default_model():
     )
 
 
-def outside_domain(model, c):
-    """Mask of the concentrations beyond the extended validity interval."""
-    lo, hi = model.domain
-    return (c < lo) | (c > hi)
+def outside_domain(c):
+    """Mask of the concentrations beyond DOMAIN."""
+    return (c < DOMAIN[0]) | (c > DOMAIN[1])
 
 
-def check_domain(model, c, context):
-    """Validate concentrations against the extended validity interval."""
+def check_domain(c, context):
+    """Validate concentrations against DOMAIN."""
     arr = np.asarray(c, dtype=float)
-    bad = outside_domain(model, arr)
+    bad = outside_domain(arr)
     if np.any(bad):
-        lo, hi = model.domain
-        raise DomainError(
-            f"{context}: c={arr[bad][0]:.6g} outside [{lo:g}, {hi:g}]")
+        raise DomainError(f"{context}: c={arr[bad][0]:.6g} outside "
+                          f"[{DOMAIN[0]:g}, {DOMAIN[1]:g}]")
     return arr
 
 
@@ -173,15 +166,14 @@ def eval_rate(model, name, c):
     name : str
         One of ``RATE_NAMES``.
     c : float or array
-        Concentration; must lie within the validity interval extended by
-        ``model.margin``.
+        Concentration; must lie within DOMAIN.
 
     Returns
     -------
     (value, derivative) : pair of arrays (or scalars, matching ``c``)
     """
     rate = model.rate(name)
-    arr = check_domain(model, c, f"rate {name}")
+    arr = check_domain(c, f"rate {name}")
     val, der = rate(arr)
     if np.isscalar(c):
         return float(val), float(der)
@@ -252,7 +244,6 @@ class AssumptionCheck:
 class AssumptionReport:
     checks: list
     f_at_full_boundary: float  # f(1, 1) = -K_Q(1); zero only if K_Q(1) = 0
-    samples: int
 
     @property
     def all_passed(self):
@@ -275,14 +266,14 @@ def check_assumptions(model, samples=201):
     """Numerically verify (A1)-(A5) on the validity interval.
 
     Each inequality is sampled at ``samples`` evenly spaced points of
-    [c_lo, c_hi].  Failures are reported, never raised.  Margins are
+    [C_LO, C_HI].  Failures are reported, never raised.  Margins are
     signed: positive means the inequality holds with that much room.
     Also reports f(1, 1) = -K_Q(1), the reaction value at the boundary
     rest point when the proliferating fraction is 1 there.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    c = np.linspace(model.c_lo, model.c_hi, samples)
+    c = np.linspace(C_LO, C_HI, samples)
     fv, df = model.F(c)
     kb, dkb = model.K_B(c)
     kp, dkp = model.K_P(c)
@@ -323,4 +314,4 @@ def check_assumptions(model, samples=201):
     checks.append(AssumptionCheck("A5", a5 > 0, a5, f"min K_P'+K_Q'={a5:.3e}"))
 
     f11 = float(f_reaction(model, 1.0, 1.0))
-    return AssumptionReport(checks=checks, f_at_full_boundary=f11, samples=samples)
+    return AssumptionReport(checks=checks, f_at_full_boundary=f11)

@@ -16,15 +16,36 @@ raw IEEE-754), so save -> load reproduces the state bit for bit.
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
+from . import __version__
 from .errors import SnapshotError
 from .evolution import State
 
 MAGIC = b"SPHRSNP\x01"
 FORMAT_VERSION = 1
-CODE_VERSION = "0.1.0"
+
+
+def _integer(value, least):
+    # json loads true and false as bools, whose type is not int
+    return type(value) is int and value >= least
+
+
+def _finite(value):
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:   # an integer beyond the float range
+        return False
+
+
+# each header field a snapshot needs: the test of its value, and its type
+FIELDS = {"n": (lambda v: _integer(v, 1), "a positive integer"),
+          "t": (_finite, "a finite number"), "z": (_finite, "a finite number"),
+          "step": (lambda v: _integer(v, 0), "a non-negative integer"),
+          "output_index": (lambda v: _integer(v, 0), "a non-negative integer"),
+          "config_hash": (lambda v: type(v) is str, "a string")}
 
 
 def save_snapshot(state, path, step=0, output_index=0, config_hash=""):
@@ -37,7 +58,7 @@ def save_snapshot(state, path, step=0, output_index=0, config_hash=""):
         "t": float(state.t),
         "z": float(state.z),
         "config_hash": config_hash,
-        "code_version": CODE_VERSION,
+        "code_version": __version__,
     }
     head = json.dumps(header, sort_keys=True).encode("utf-8")
     body = (MAGIC + len(head).to_bytes(4, "little") + head
@@ -53,8 +74,9 @@ def load_snapshot(path, expect_n=None):
     """Read a snapshot; returns (State, header dict).
 
     Raises :class:`SnapshotError` on bad magic, version, checksum, length,
-    a header that is not a JSON object or lacks a required field, or a grid
-    size differing from ``expect_n``.
+    a header that is not a JSON object, lacks a field of :data:`FIELDS` or
+    holds a value of the wrong type there, or a grid size differing from
+    ``expect_n``.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -72,15 +94,18 @@ def load_snapshot(path, expect_n=None):
         raise SnapshotError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise SnapshotError(f"{path}: header is not a JSON object")
-    missing = [key for key in ("n", "t", "z", "step", "output_index",
-                               "config_hash") if key not in header]
+    missing = [key for key in FIELDS if key not in header]
     if missing:
         raise SnapshotError(f"{path}: header lacks {', '.join(missing)}")
     if header.get("version") != FORMAT_VERSION:
         raise SnapshotError(
             f"{path}: format version {header.get('version')} not supported "
             f"(expected {FORMAT_VERSION})")
-    n = int(header["n"])
+    for key, (valid, kind) in FIELDS.items():
+        if not valid(header[key]):
+            raise SnapshotError(
+                f"{path}: header field {key} = {header[key]!r} is not {kind}")
+    n = header["n"]
     if expect_n is not None and n != expect_n:
         raise SnapshotError(
             f"{path}: snapshot grid n={n} does not match active grid n={expect_n}")

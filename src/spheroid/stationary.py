@@ -64,6 +64,10 @@ MIN_DAMPING = 2.0**-10    # shortest Newton step tried before a stall
 JACOBIAN_ROWS = 32    # most Jacobian columns stepped in one batch
 CHECK_HALF_WIDTH = 0.01      # first half-width of the cross-check's bracket
 CHECK_MAX_HALF_WIDTH = 1.28  # its last: 0.01 doubled seven times
+PICARD_SWEEPS = 80    # most sweeps of the cross-check's Picard loop
+# moves below this may be noise of the RK45 integration (rtol 1e-11): on set
+# 4 of the rate-set sweep at N=201 the sweeps stall at 2e-11 to 6.6e-10
+PICARD_NOISE = 1e-9
 
 
 def equilibrium_fraction(model, c):
@@ -96,7 +100,6 @@ class StationarySolution:
     states_stepped: int         # states those calls stepped
     jacobians: int              # dense Jacobians Newton built
     z_direct: float = None      # cross-check value, if computed
-    method: str = "newton"
 
     @property
     def radius(self):
@@ -108,8 +111,10 @@ def _steady_transport(model, c, grid):
 
     Picard iteration: rebuild the advection w from the current p and
     re-integrate w p' = f(c, p) inward from a one-term series start at
-    r = 1 - 2h, until p moves by less than 1e-12 (at most 80 sweeps).
-    Returns (p, v1, iterations).
+    r = 1 - 2h, until a sweep moves p by less than 1e-12, or stalls:
+    moves it by less than PICARD_NOISE, and no less than the sweep before.
+    Returns (p, v1, iterations); ConvergenceError if the loop does neither
+    within PICARD_SWEEPS sweeps.
     """
     from scipy.integrate import solve_ivp
     from scipy.interpolate import CubicSpline
@@ -127,7 +132,8 @@ def _steady_transport(model, c, grid):
     inner = np.where((r <= r_start + 1e-13) & (r >= r_end - 1e-13))[0][::-1]
     core = r < r_end - 1e-13
 
-    for it in range(1, 81):
+    last = np.inf   # the previous sweep's move
+    for it in range(1, PICARD_SWEEPS + 1):
         vel = velocity_from_state(model, State(0.0, 0.0, c, p), grid)
         if np.max(np.abs(vel.w)) < 1e-12:
             # degenerate advection: steady state is the pointwise equilibrium
@@ -157,8 +163,9 @@ def _steady_transport(model, c, grid):
             p_new[-2] = p1 + sigma * h
         move = float(np.max(np.abs(p_new - p)))
         p = np.clip(p_new, 0.0, 1.0)
-        if move < 1e-12:
+        if move < 1e-12 or last <= move < PICARD_NOISE:
             break
+        last = move
     else:
         raise ConvergenceError(
             f"steady transport Picard did not settle (last move {move:.2e})",
@@ -280,7 +287,7 @@ def _below(f, bound):
     return bool(np.isfinite(f).all() and np.linalg.norm(f) <= bound)
 
 
-def solve_stationary(model, grid, tol=1e-6, config=None, cross_check=True):
+def solve_stationary(model, grid, tol=1e-6, config=None, *, cross_check):
     """Compute the stationary solution with residual diagnostics.
 
     Parameters
@@ -294,7 +301,7 @@ def solve_stationary(model, grid, tol=1e-6, config=None, cross_check=True):
     config : SolverConfig, optional
         Scheme whose fixed point is sought (eps is forced to 0); runs that
         measure deviations against the result should use the same dt.
-    cross_check : bool
+    cross_check : bool, keyword-only and required
         Also record the direct construction's log-radius, bracketed
         around z*, in ``z_direct``.  The two discretize steady transport
         differently, so a gap beyond max(10*tol, h^2) (an O(h^2) floor)
@@ -375,7 +382,6 @@ def solve_stationary(model, grid, tol=1e-6, config=None, cross_check=True):
                 if width >= CHECK_MAX_HALF_WIDTH:
                     raise
                 width *= 2.0
-        solution.method = "newton+direct"
         gap = abs(solution.z_direct - solution.z)
         if gap > max(10.0 * tol, grid.h**2):
             log.warning("stationary methods disagree: |dz| = %.3e "

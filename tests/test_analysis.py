@@ -9,7 +9,7 @@ from spheroid import (ConvergenceError, Grid, InsufficientDataError,
                       NumericsError, SolverConfig, State, admissible_init,
                       deviation_norms, fit_decay, simulate, solve_nutrient,
                       stability_experiment)
-from spheroid import analysis, evolution
+from spheroid import analysis, evolution, rates
 from spheroid.analysis import PERTURBATION_SHAPES, _convergence_study
 from spheroid.evolution import _simulate_batch
 
@@ -35,7 +35,7 @@ def test_fit_with_multiplicative_noise():
     rng = np.random.default_rng(7)
     t = np.linspace(0.0, 20.0, 200)
     y = np.exp(-0.5 * t) * (1.0 + 0.01 * rng.standard_normal(t.size))
-    fit = fit_decay(list(zip(t, y)), window=1.0)
+    fit = fit_decay(list(zip(t, y)))
     assert fit.mu == pytest.approx(0.5, abs=0.05)
 
 
@@ -404,7 +404,7 @@ def test_rejected_initial_data_fails_only_that_cell(model, grid201,
     inits = [admissible_init(stationary201, 0.01, shape)
              for shape in ("poly", "cosine")]
     bad = inits[0].copy()
-    bad.c[10] = model.c_hi + 2.0 * model.margin
+    bad.c[10] = rates.C_HI + 2.0 * rates.MARGIN
     results = _simulate_batch(model, [inits[0], bad, inits[1]], grid201, cfg,
                               stationary201)
     assert isinstance(results[1], NumericsError)

@@ -65,8 +65,8 @@ def test_nutrient_step_constant_in_kernel():
     grid = Grid(101)
     m = all_zero_model()
     state = flat_state(grid)
-    vel = velocity_from_state(m, state, grid)
-    c_new = nutrient_step(m, state, vel, dt=0.1, eps=0.5, grid=grid)
+    v1 = velocity_from_state(m, state, grid).v1
+    c_new = nutrient_step(m, state, state.z, v1, dt=0.1, eps=0.5, grid=grid)
     assert np.allclose(c_new, 1.0, rtol=0, atol=1e-14)
 
 
@@ -76,8 +76,7 @@ def test_nutrient_step_fixed_point_is_quasi_static_profile():
     m = default_model()
     prof = solve_nutrient(m, 0.4, grid)
     state = State(t=0.0, z=0.4, c=prof.c.copy(), p=np.full(grid.n, 0.5))
-    vel = VelocityField(v=np.zeros(grid.n), w=np.zeros(grid.n), v1=0.0)
-    c_new = nutrient_step(m, state, vel, dt=0.05, eps=0.05, grid=grid)
+    c_new = nutrient_step(m, state, 0.4, 0.0, dt=0.05, eps=0.05, grid=grid)
     assert np.max(np.abs(c_new - prof.c)) < 1e-8
 
 
@@ -88,11 +87,10 @@ def test_nutrient_step_contracts_perturbations():
     m = make_model(F=Rate("linear", {"slope": 1.0}))
     prof = solve_nutrient(m, 0.0, grid)
     bump = 0.01 * (1.0 - grid.r**2)
-    vel = VelocityField(v=np.zeros(grid.n), w=np.zeros(grid.n), v1=0.0)
     eps, dt = 0.1, 0.05
 
     state = State(t=0.0, z=0.0, c=prof.c + bump, p=np.full(grid.n, 0.5))
-    coarse = nutrient_step(m, state, vel, dt=dt, eps=eps, grid=grid)
+    coarse = nutrient_step(m, state, 0.0, 0.0, dt=dt, eps=eps, grid=grid)
     dev_before = np.max(np.abs(state.c - prof.c))
     dev_after = np.max(np.abs(coarse - prof.c))
     assert dev_after < dev_before
@@ -101,7 +99,8 @@ def test_nutrient_step_contracts_perturbations():
     n_sub = 50
     for _ in range(n_sub):
         sub = State(t=0.0, z=0.0, c=fine, p=state.p)
-        fine = nutrient_step(m, sub, vel, dt=dt / n_sub, eps=eps, grid=grid)
+        fine = nutrient_step(m, sub, 0.0, 0.0, dt=dt / n_sub, eps=eps,
+                             grid=grid)
     assert np.max(np.abs(coarse - fine)) < 0.2 * dev_before
 
 
@@ -115,18 +114,19 @@ def test_nutrient_step_takes_eps_per_row():
         State(t=0.0, z=z, c=solve_nutrient(m, z, grid).c + 0.01 * k * bump,
               p=np.full(grid.n, 0.3 + 0.2 * k))
         for k, z in enumerate((0.2, 0.5, 0.8))])
-    vel = velocity_from_state(m, batch, grid)
+    v1 = velocity_from_state(m, batch, grid).v1
     eps = np.array([0.01, 0.05, 0.5])
-    c_new = nutrient_step(m, batch, vel, 0.02, eps, grid)
+    c_new = nutrient_step(m, batch, batch.z, v1, 0.02, eps, grid)
     for b in range(3):
         row = batch.row(b)
-        alone = nutrient_step(m, row, velocity_from_state(m, row, grid), 0.02,
+        alone = nutrient_step(m, row, row.z,
+                              velocity_from_state(m, row, grid).v1, 0.02,
                               float(eps[b]), grid)
         assert np.array_equal(c_new[b], alone)
     for bad in (np.array([0.05, 0.0, 0.05]), np.array([0.05, 0.05, -0.1]),
                 0.0):
         with pytest.raises(ValueError, match="requires eps > 0"):
-            nutrient_step(m, batch, vel, 0.02, bad, grid)
+            nutrient_step(m, batch, batch.z, v1, 0.02, bad, grid)
 
 
 # ---------------- transport step ----------------
@@ -136,8 +136,7 @@ def test_transport_identity_when_still():
     m = all_zero_model()
     state = flat_state(grid)
     state.p = 0.3 + 0.4 * np.cos(np.pi * grid.r / 2)
-    vel = VelocityField(v=np.zeros(grid.n), w=np.zeros(grid.n), v1=0.0)
-    p_new = transport_step(m, state, vel, 0.05, grid)
+    p_new = transport_step(m, state, np.zeros(grid.n), state.c, 0.05, grid)
     assert np.array_equal(p_new, state.p)
 
 
@@ -155,10 +154,10 @@ def test_transport_pointwise_ode_matches_closed_form():
 
     def run(dt, t_end):
         state = State(t=0.0, z=0.5, c=prof.c, p=p0.copy())
-        vel = velocity_from_state(m, state, grid)
-        assert np.allclose(vel.w, 0.0, atol=1e-16)
+        w = velocity_from_state(m, state, grid).w
+        assert np.allclose(w, 0.0, atol=1e-16)
         for _ in range(round(t_end / dt)):
-            state.p = transport_step(m, state, vel, dt, grid)
+            state.p = transport_step(m, state, w, state.c, dt, grid)
         return state.p
 
     exact = p_eq + (p0 - p_eq) * np.exp(-kn * 2.0)
@@ -174,13 +173,13 @@ def test_transport_advection_matches_characteristic_oracle():
     grid = Grid(201)
     m = all_zero_model()
     r = grid.r
-    vel = VelocityField(v=r**2 / 4.0, w=(r**2 - r) / 4.0, v1=0.25)
+    w = (r**2 - r) / 4.0
     p_fun = lambda x: 0.5 + 0.3 * np.cos(np.pi * x / 2)
 
     dt, n_steps = 0.01, 50
     state = State(t=0.0, z=0.0, c=np.ones(grid.n), p=p_fun(r))
     for _ in range(n_steps):
-        state.p = transport_step(m, state, vel, dt, grid)
+        state.p = transport_step(m, state, w, state.c, dt, grid)
 
     sol = solve_ivp(lambda t, y: (y**2 - y) / 4.0, (0.0, -dt * n_steps), r,
                     rtol=1e-12, atol=1e-14)
@@ -245,9 +244,8 @@ def test_transport_rejects_nonfinite_velocity():
     state = flat_state(grid)
     w = np.zeros(grid.n)
     w[7] = np.nan
-    vel = VelocityField(v=np.zeros(grid.n), w=w, v1=0.0)
     with pytest.raises(ValueError, match="non-finite"):
-        transport_step(default_model(), state, vel, 0.02, grid)
+        transport_step(default_model(), state, w, state.c, 0.02, grid)
 
 
 def test_step_on_smallest_grid():
@@ -273,14 +271,16 @@ def test_radius_step_zero_velocity():
     grid = Grid(11)
     vel = VelocityField(v=np.zeros(11), w=np.zeros(11), v1=0.0)
     state = flat_state(grid, z=0.7)
-    assert boundary_radius_step(state, vel, 0.1) == 0.7
+    assert boundary_radius_step(state, vel, 0.1, vel) == 0.7
 
 
 def test_radius_step_constant_velocity_exact():
     grid = Grid(11)
     vel = VelocityField(v=np.zeros(11), w=np.zeros(11), v1=0.3)
     state = flat_state(grid, z=0.0)
-    assert boundary_radius_step(state, vel, 0.25) == pytest.approx(0.075, abs=1e-16)
+    # the velocity at the predictor is the same: Heun is exact
+    assert boundary_radius_step(state, vel, 0.25, vel) == pytest.approx(
+        0.075, abs=1e-16)
 
 
 def test_radius_step_heun_second_order():
@@ -492,7 +492,7 @@ def test_simulate_rejects_nutrient_outside_domain(model, grid201,
     # first step of a resumed one; there is no healthy output state yet
     init = State(t=0.0, z=stationary201.z, c=stationary201.c.copy(),
                  p=stationary201.p.copy())
-    init.c[10] = model.c_hi + 2.0 * model.margin
+    init.c[10] = rates.C_HI + 2.0 * rates.MARGIN
     for eps in (0.0, 0.05):
         cfg = SolverConfig(eps=eps, dt=0.02, t_end=1.0, output_interval=0.2)
         for prev_output in (None, init):
@@ -533,9 +533,9 @@ def test_domain_checked_where_nutrient_enters(monkeypatch, eps, checked):
     check = rates.check_domain
     calls = []
 
-    def counting(model, c, context):
+    def counting(c, context):
         calls.append(context)
-        return check(model, c, context)
+        return check(c, context)
 
     monkeypatch.setattr(evolution, "check_domain", counting)
     monkeypatch.setattr(rates, "check_domain", counting)

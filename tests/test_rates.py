@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spheroid import (DomainError, Rate, UnknownRateError, check_assumptions,
                       default_model, eval_rate, f_reaction, g_source)
-from spheroid.rates import f_reaction_partials
+from spheroid.rates import MARGIN, f_reaction_partials
 
 from conftest import all_zero_model, make_model, zero_rate
 
@@ -62,11 +62,11 @@ def test_unknown_family_and_params():
 def test_domain_error_far_outside():
     m = default_model()
     with pytest.raises(DomainError):
-        eval_rate(m, "F", 1.0 + m.margin + 0.01)
+        eval_rate(m, "F", 1.0 + MARGIN + 0.01)
     with pytest.raises(DomainError):
-        eval_rate(m, "F", np.array([0.5, -m.margin - 0.01]))
+        eval_rate(m, "F", np.array([0.5, -MARGIN - 0.01]))
     # inside the documented margin is fine
-    eval_rate(m, "F", 1.0 + m.margin / 2)
+    eval_rate(m, "F", 1.0 + MARGIN / 2)
 
 
 def test_f_zero_for_all_zero_rates():

@@ -90,11 +90,12 @@ HEADER = {"version": 1, "n": 3, "step": 0, "output_index": 0, "t": 0.0,
           "z": 0.0, "config_hash": "", "code_version": "x"}
 
 
-def write_with_header(path, header):
-    """A snapshot of three zero nodes with the given JSON header and a valid
-    checksum."""
+def write_with_header(path, header, nodes=3):
+    """A snapshot of ``nodes`` zero nodes with the given JSON header and a
+    valid checksum."""
     head = json.dumps(header).encode()
-    body = MAGIC + len(head).to_bytes(4, "little") + head + b"\x00" * (16 * 3)
+    body = (MAGIC + len(head).to_bytes(4, "little") + head
+            + b"\x00" * (16 * nodes))
     path.write_bytes(body + hashlib.sha256(body).digest())
 
 
@@ -117,3 +118,35 @@ def test_header_not_object_or_incomplete(tmp_path):
         write_with_header(path, {k: v for k, v in HEADER.items() if k != key})
         with pytest.raises(SnapshotError, match=f"lacks {key}"):
             load_snapshot(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", 3.9), ("n", "3"), ("n", 0), ("n", -3), ("n", True), ("n", None),
+    ("step", "x"), ("step", -1), ("step", 1.0),
+    ("output_index", -1), ("output_index", "0"),
+    ("t", "soon"), ("t", None), ("t", float("inf")), ("t", False),
+    pytest.param("t", 10**400, id="t-10**400"),
+    ("z", None), ("z", float("nan")), ("z", "0.4"),
+    ("config_hash", None), ("config_hash", 7),
+])
+def test_header_field_of_wrong_type(tmp_path, key, value):
+    # each field must be of its JSON type, whatever the checksum says;
+    # integral numbers pass as t and z
+    path = tmp_path / "a.snap"
+    write_with_header(path, {**HEADER, "t": 2, "z": -1})
+    load_snapshot(path)
+    write_with_header(path, {**HEADER, key: value})
+    with pytest.raises(SnapshotError, match=f"header field {key} = "):
+        load_snapshot(path)
+
+
+def test_resume_from_header_of_wrong_type_is_an_error(tmp_path, capsys):
+    # the CLI reports a malformed snapshot and exits with status 1
+    from spheroid.cli import cli
+    path = tmp_path / "a.snap"
+    write_with_header(path, {**HEADER, "n": 21, "z": None}, nodes=21)
+    status = cli(["simulate", "--grid-n", "21", "--tend", "0.2",
+                  "--out", str(tmp_path), "--resume", str(path)])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err.startswith("error: ") and "header field z = None" in err
