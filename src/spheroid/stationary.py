@@ -27,17 +27,18 @@ nutrient is the quasi-static profile, and the steady transport equation
     w(r) p'(r) = f(c(r), p(r)),     w = v - r v(1),
 
 is solved self-consistently with the velocity quadrature by a Picard
-iteration that integrates the characteristic ODE inward from the rim.
-Both endpoints are rest points of w, so regularity pins p at the
-reaction's equilibrium there, which attracts inward.  (Outward
-integration amplifies seed errors by exp(int f_p / v dr), up to 1e10 for
-realistic parameters.)  The boundary velocity v(1; z) of the
-self-consistent solution changes sign across the stationary log-radius,
-which brentq then refines.  Behind ``solve_stationary`` the bracket
-starts at the primary z* +- CHECK_HALF_WIDTH and doubles while v(1; z)
-keeps one sign; each z is solved once.  Only the cross-check uses
-scipy's integrate, interpolate and optimize, which it imports when it
-runs.
+iteration that marches the characteristic ODE inward from the rim by the
+Hermite-Simpson rule (Lobatto IIIA: fourth order, A-stable).  Both
+endpoints are rest points of w, so regularity pins p at the reaction's
+equilibrium there, which attracts inward.  (Outward integration
+amplifies seed errors by exp(int f_p / v dr), up to 1e10 for realistic
+parameters.)  It shares only the cubic Hermite kernel with the primary
+method.  The boundary velocity v(1; z) of the self-consistent solution
+changes sign across the stationary log-radius, which brentq then
+refines.  Behind ``solve_stationary`` the bracket starts at the
+primary z* +- CHECK_HALF_WIDTH and doubles while v(1; z) keeps one sign;
+each z is solved once.  Only the cross-check uses scipy's optimize,
+which it imports when it runs.
 """
 
 import logging
@@ -46,7 +47,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BracketError, ConvergenceError
-from .evolution import SolverConfig, State, step, velocity_from_state
+from .evolution import (SolverConfig, State, hermite_eval, step,
+                        velocity_from_state)
 from .grid import Grid
 from .nutrient import solve_nutrient
 from .rates import (RateModel, _kinetics, f_reaction, f_reaction_partials,
@@ -65,9 +67,7 @@ JACOBIAN_ROWS = 32    # most Jacobian columns stepped in one batch
 CHECK_HALF_WIDTH = 0.01      # first half-width of the cross-check's bracket
 CHECK_MAX_HALF_WIDTH = 1.28  # its last: 0.01 doubled seven times
 PICARD_SWEEPS = 80    # most sweeps of the cross-check's Picard loop
-# moves below this may be noise of the RK45 integration (rtol 1e-11): on set
-# 4 of the rate-set sweep at N=201 the sweeps stall at 2e-11 to 6.6e-10
-PICARD_NOISE = 1e-9
+MARCH_NEWTON_MAXITER = 20   # Newton iterations of one cell of the march
 
 
 def equilibrium_fraction(model, c):
@@ -109,63 +109,68 @@ class StationarySolution:
 def _steady_transport(model, c, grid):
     """Self-consistent steady transport profile for frozen nutrient ``c``.
 
-    Picard iteration: rebuild the advection w from the current p and
-    re-integrate w p' = f(c, p) inward from a one-term series start at
-    r = 1 - 2h, until a sweep moves p by less than 1e-12, or stalls:
-    moves it by less than PICARD_NOISE, and no less than the sweep before.
-    Returns (p, v1, iterations); ConvergenceError if the loop does neither
-    within PICARD_SWEEPS sweeps.
+    Picard iteration: rebuild the advection w from the current p and march
+    p' = F(p) = f(c, p)/w inward from a one-term series start at r = 1 - 2h
+    to r = 2h, until a sweep moves p by less than 1e-12.  Each cell solves
+    q = y - h/6 (F_y + 4 F_m + F_q), y_m = (y + q)/2 - h/8 (F_y - F_q) by
+    scalar Newton.  Returns (p, v1, iterations); ConvergenceError if a
+    cell's Newton does not settle in MARCH_NEWTON_MAXITER iterations
+    (naming r), or the loop in PICARD_SWEEPS sweeps.
     """
-    from scipy.integrate import solve_ivp
-    from scipy.interpolate import CubicSpline
-
-    r, h = grid.r, grid.h
-    c_sp = CubicSpline(r, c)
+    h = grid.h
     p = equilibrium_fraction(model, c)
     c1 = float(c[-1])
     p1 = float(equilibrium_fraction(model, c1))
     _, f_c1, f_p1 = f_reaction_partials(model, c1, p1)
     c_r1 = float(grid.derivative(c, symmetric_origin=True)[-1])
 
-    r_start = 1.0 - 2.0 * h
-    r_end = 2.0 * h
-    inner = np.where((r <= r_start + 1e-13) & (r >= r_end - 1e-13))[0][::-1]
-    core = r < r_end - 1e-13
+    inner = np.arange(grid.n - 3, 1, -1)   # r = 1 - 2h inward to 2h
+    # r at the march's nodes and cell midpoints, in turn
+    x = (grid.n - 3 - 0.5 * np.arange(2 * inner.size - 1)) * h
+    km, kn, kp = _kinetics(model, hermite_eval(c, grid.derivative(c), x, h))
 
-    last = np.inf   # the previous sweep's move
     for it in range(1, PICARD_SWEEPS + 1):
         vel = velocity_from_state(model, State(0.0, 0.0, c, p), grid)
         if np.max(np.abs(vel.w)) < 1e-12:
             # degenerate advection: steady state is the pointwise equilibrium
             p_new = equilibrium_fraction(model, c)
         else:
-            w_sp = CubicSpline(r, vel.w)
             w_r1 = float(g_source(model, c1, p1)) - 3.0 * vel.v1
             denom = f_p1 - w_r1
             sigma = f_c1 * c_r1 / denom if abs(denom) > 1e-12 else 0.0
-
-            def rhs(rr, y):
-                wv = float(w_sp(rr))
-                if abs(wv) < 1e-14:
-                    return [0.0]
-                return [f_reaction(model, float(c_sp(rr)), y[0]) / wv]
-
-            sol = solve_ivp(rhs, (r_start, r_end), [p1 + sigma * 2.0 * h],
-                            method="RK45", rtol=1e-11, atol=1e-14,
-                            t_eval=r[inner])
-            if not sol.success:
-                raise ConvergenceError(
-                    f"steady transport integration failed: {sol.message}")
+            w = hermite_eval(vel.w, grid.derivative(vel.w), x, h)
+            # F = a + b p - d p^2 at each point, 0 where w vanishes
+            coef = (np.array((kp, km - kn, km))
+                    / np.where(np.abs(w) < 1e-14, np.inf, w)).T.tolist()
             p_new = p.copy()
-            p_new[inner] = sol.y[0]
-            p_new[core] = equilibrium_fraction(model, c[core])
             p_new[-1] = p1
             p_new[-2] = p1 + sigma * h
+            y = p_new[-3] = p1 + sigma * 2.0 * h
+            for i, j in zip(inner[1:], range(0, len(coef) - 1, 2)):
+                (a0, b0, d0), (am, bm, dm), (a1, b1, d1) = coef[j:j + 3]
+                f_y = a0 + (b0 - d0 * y) * y
+                q = y
+                for _ in range(MARCH_NEWTON_MAXITER):
+                    f_q = a1 + (b1 - d1 * q) * q
+                    m = 0.5 * (y + q) - h / 8.0 * (f_y - f_q)
+                    f_m = am + (bm - dm * m) * m
+                    fp_q = b1 - 2.0 * d1 * q
+                    dq = (q - y + h / 6.0 * (f_y + 4.0 * f_m + f_q)) / (
+                        1.0 + h / 6.0 * (fp_q + 4.0 * (bm - 2.0 * dm * m)
+                                         * (0.5 + h / 8.0 * fp_q)))
+                    q -= dq
+                    if abs(dq) <= 1e-14:
+                        break
+                else:
+                    raise ConvergenceError("steady transport march did not "
+                                           f"settle at r={i * h:.6g}",
+                                           residual=abs(dq))
+                p_new[i] = y = q
+            p_new[:2] = equilibrium_fraction(model, c[:2])
         move = float(np.max(np.abs(p_new - p)))
         p = np.clip(p_new, 0.0, 1.0)
-        if move < 1e-12 or last <= move < PICARD_NOISE:
+        if move < 1e-12:
             break
-        last = move
     else:
         raise ConvergenceError(
             f"steady transport Picard did not settle (last move {move:.2e})",
@@ -304,8 +309,8 @@ def solve_stationary(model, grid, tol=1e-6, config=None, *, cross_check):
     cross_check : bool, keyword-only and required
         Also record the direct construction's log-radius, bracketed
         around z*, in ``z_direct``.  The two discretize steady transport
-        differently, so a gap beyond max(10*tol, h^2) (an O(h^2) floor)
-        logs a warning.
+        differently, so only a gap beyond max(10*tol, (h e^{z*})^2), an
+        O(h^2) floor in the nutrient boundary layer, logs a warning.
 
     Raises
     ------
@@ -383,7 +388,8 @@ def solve_stationary(model, grid, tol=1e-6, config=None, *, cross_check):
                     raise
                 width *= 2.0
         gap = abs(solution.z_direct - solution.z)
-        if gap > max(10.0 * tol, grid.h**2):
+        threshold = max(10.0 * tol, (grid.h * np.exp(solution.z))**2)
+        if gap > threshold:
             log.warning("stationary methods disagree: |dz| = %.3e "
-                        "(threshold %.1e)", gap, max(10.0 * tol, grid.h**2))
+                        "(threshold %.1e)", gap, threshold)
     return solution

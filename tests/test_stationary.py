@@ -1,4 +1,4 @@
-import itertools
+import logging
 import os
 import subprocess
 import sys
@@ -203,13 +203,15 @@ UNRESOLVED_AT_51 = (11, 25)
 def test_sweep_sets_certify_within_step_budget():
     # the other 28 sets certify at N=51, in 4484 step calls in all; a
     # relaxation in steps of 0.1 and a Jacobian rebuilt at every Newton
-    # iteration took 10513
-    calls = 0
+    # iteration took 10513.  Each also cross-checks, within the
+    # boundary-layer scale (h e^{z*})^2 (at most 0.58 of it, on set 7)
+    calls, grid = 0, Grid(51)
     for number, m in enumerate(sweep_sets(), 1):
         if number in UNRESOLVED_AT_51:
             continue
-        s = solve_stationary(m, Grid(51), cross_check=False)
+        s = solve_stationary(m, grid, cross_check=True)
         assert fixed_point_residual(m, s, SolverConfig()) <= 1e-6 / 10, number
+        assert abs(s.z_direct - s.z) <= (grid.h * np.exp(s.z))**2, number
         calls += s.step_calls
     assert calls <= 6000
 
@@ -241,10 +243,20 @@ def test_stationary_certified_for_callers_dt(dt):
 
 
 # z* = 3.127 at N=51, twice the default model's and above 2.5, so no one
-# fixed bracket serves every rate set; the direct root lies 0.0117 from
-# z*, so the bracket around z* widens once
+# fixed bracket serves every rate set; the direct root lies 0.0099 from z*,
+# on the edge of the first bracket around z*
 HIGH_Z_SET = RateModel(F=lin(1.527), K_B=mm(2.855, 1.672), K_P=mm(2.699, 0.79),
                        K_Q=sig(0.423, 2.85, 0.003), K_D=sig(1.579, 0.227, 0.617))
+
+# set 23 of the 30-set sweep, at its drawn values: z* = 4.138 at N=51, and
+# the direct root lies 0.0123 from z*, so the bracket around z* widens once
+SWEEP_SET_23 = RateModel(F=lin(0.5013462182608185),
+                         K_B=mm(1.4621521082311109, 1.1623962370291456),
+                         K_P=lin(1.697243179097204),
+                         K_Q=sig(0.1040892820497974, 0.9875820576034422,
+                                 0.44789679853894804),
+                         K_D=sig(1.0714339879298673, 0.6761718800862724,
+                                 0.45903669789284485))
 
 
 def test_cross_check_brackets_around_primary(monkeypatch):
@@ -256,11 +268,31 @@ def test_cross_check_brackets_around_primary(monkeypatch):
         return inner(model, c, grid)
 
     monkeypatch.setattr(stationary, "_steady_transport", recording)
-    s = solve_stationary(HIGH_Z_SET, Grid(51), cross_check=True)
+    s = solve_stationary(SWEEP_SET_23, Grid(51), cross_check=True)
     assert s.z_direct is not None
     assert s.z > 2.5
     assert stationary.CHECK_HALF_WIDTH < abs(s.z_direct - s.z) < 0.02
     assert len(set(solved)) == len(solved)
+
+
+def test_cross_check_warns_beyond_boundary_layer_scale(monkeypatch, caplog):
+    # the nutrient boundary layer has width ~e^{-z}, so the two
+    # discretizations may differ by (h e^{z*})^2: set 23 at N=51 (gap
+    # 0.0123, above h^2 = 4e-4) is no disagreement, twice that scale is
+    grid = Grid(51)
+    with caplog.at_level(logging.WARNING, logger="spheroid"):
+        solve_stationary(SWEEP_SET_23, grid, cross_check=True)
+    assert caplog.records == []
+
+    def beyond(model, grid, z_bracket):
+        z = sum(z_bracket) / 2.0
+        return z + 2.0 * (grid.h * np.exp(z))**2
+
+    monkeypatch.setattr(stationary, "stationary_by_bisection", beyond)
+    with caplog.at_level(logging.WARNING, logger="spheroid"):
+        solve_stationary(default_model(), grid, cross_check=True)
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+        "stationary methods disagree"]
 
 
 def test_cross_check_bracket_widens_to_its_limit(monkeypatch):
@@ -285,45 +317,25 @@ def test_cross_check_bracket_widens_to_its_limit(monkeypatch):
     assert f"[{lo:g}, {hi:g}]" in str(info.value)
 
 
-def noisy_integration(monkeypatch, offsets):
-    """Let the cross-check's RK45 integrations err by each of ``offsets``
-    in turn, all over the profile: noise of a chosen size."""
-    import scipy.integrate
-    inner = scipy.integrate.solve_ivp
-    errors = itertools.cycle(offsets)
-
-    def solve_ivp(*args, **kwargs):
-        sol = inner(*args, **kwargs)
-        sol.y = sol.y + next(errors)
-        return sol
-
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", solve_ivp)
-
-
-def test_picard_loop_stops_where_it_stalls_in_integration_noise(monkeypatch):
-    # sweep moves that stop falling below PICARD_NOISE are the
-    # integration's noise: the loop ends there, near the clean profile (on
-    # set 4 of the sweep at N=201 it stalled at 2e-11 to 6.6e-10 and used
-    # all its sweeps before raising)
-    m, grid = default_model(), Grid(51)
-    c = solve_nutrient(m, 1.57, grid).c
-    clean, v1_clean, _ = stationary._steady_transport(m, c, grid)
-    noisy_integration(monkeypatch, (0.0, 3e-10, 1e-10))
-    p, v1, sweeps = stationary._steady_transport(m, c, grid)
-    assert sweeps < stationary.PICARD_SWEEPS
-    assert np.max(np.abs(p - clean)) < 1e-9
-    assert abs(v1 - v1_clean) < 1e-9
-
-
 def test_picard_loop_that_neither_settles_nor_stalls_is_typed(monkeypatch):
-    # moves that stay above PICARD_NOISE are no stall
-    monkeypatch.setattr(stationary, "PICARD_SWEEPS", 15)
-    noisy_integration(monkeypatch, (0.0, 3e-8))
+    # two sweeps do not settle the real profile
+    monkeypatch.setattr(stationary, "PICARD_SWEEPS", 2)
     m, grid = default_model(), Grid(51)
     c = solve_nutrient(m, 1.57, grid).c
     with pytest.raises(ConvergenceError, match="did not settle") as info:
         stationary._steady_transport(m, c, grid)
-    assert info.value.residual == pytest.approx(3e-8, rel=0.1)
+    assert info.value.residual > 1e-12
+
+
+def test_march_cell_that_does_not_settle_is_typed(monkeypatch):
+    # one Newton iteration does not settle the first cell of the march;
+    # the error names its inner end, r = 1 - 3h, and stops brentq
+    monkeypatch.setattr(stationary, "MARCH_NEWTON_MAXITER", 1)
+    m, grid = default_model(), Grid(51)
+    with pytest.raises(ConvergenceError,
+                       match=r"march did not settle at r=0\.94$") as info:
+        stationary_by_bisection(m, grid, (1.5, 1.6))
+    assert 0.0 < info.value.residual < np.inf
 
 
 # Newton-Krylov stalled on this set at N=51 while the transport step had
@@ -470,18 +482,19 @@ def test_jacobian_columns_match_solo_steps():
 
 
 def test_import_leaves_out_cross_check_scipy():
-    # only the cross-check needs scipy's integrate, interpolate and
-    # optimize; the package and the primary solve load none of them
+    # the package and the primary solve load none of scipy's optimize,
+    # integrate and interpolate; the cross-check loads only optimize
     code = ("import sys, spheroid\n"
-            "spheroid.solve_stationary(spheroid.default_model(), "
-            "spheroid.Grid(21), cross_check=False)\n"
-            "print([m for m in ('scipy.optimize', 'scipy.integrate', "
-            "'scipy.interpolate') if m in sys.modules])")
+            "for check in (False, True):\n"
+            "    spheroid.solve_stationary(spheroid.default_model(), "
+            "spheroid.Grid(21), cross_check=check)\n"
+            "    print([m for m in ('scipy.optimize', 'scipy.integrate', "
+            "'scipy.interpolate') if m in sys.modules])\n")
     src = os.path.dirname(os.path.dirname(spheroid.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "['scipy.optimize']"]
 
 
 def runaway_step(model, state, grid, config):
