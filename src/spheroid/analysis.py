@@ -175,11 +175,12 @@ def stability_experiment(model, grid, config, eps_list, delta_list, shapes,
             for delta in delta_list for shape in shapes for seed in seeds]
     runs = {}   # key -> initial data, then the run's result or error
     for key in keys:
-        if key[1] != 0.0:
-            try:
+        try:
+            replace(config, eps=key[0])   # rejects a bad eps here
+            if key[1] != 0.0:
                 runs[key] = admissible_init(stationary, *key[1:])
-            except Exception as exc:  # failed cell is reported, not fatal
-                runs[key] = exc
+        except Exception as exc:  # failed cell is reported, not fatal
+            runs[key] = exc
     batch = [key for key, init in runs.items()
              if not isinstance(init, Exception)]
     runs.update(zip(batch, _simulate_batch(
@@ -276,7 +277,7 @@ DT_VALUES = (0.08, 0.04, 0.02)
 DT_GRID_N = 201
 
 
-def standard_convergence_suite(model, stationary=None):
+def standard_convergence_suite(model):
     """The three canonical refinement studies, at the levels of
     :data:`GRID_SIZES` and :data:`DT_VALUES`.
 
@@ -288,7 +289,7 @@ def standard_convergence_suite(model, stationary=None):
       isolates the interpolation-limited semi-Lagrangian order.
     * dt: the full model in quasi-static mode with the time-centered
       splitting, refined in dt at fixed grid, from a perturbed stationary
-      state (``stationary`` if it lies on that grid, else computed).
+      state solved on that grid.
 
     Each level's run is matched initial data stepped to its config's
     t_end.  Returns a list of :class:`ConvergenceStudy`; compare each
@@ -316,8 +317,7 @@ def standard_convergence_suite(model, stationary=None):
                            p=0.5 + 0.3 * np.cos(np.pi * grid.r / 2.0)))
 
     grid = Grid(DT_GRID_N)
-    if stationary is None or stationary.grid != grid:
-        stationary = solve_stationary(model, grid, cross_check=False)
+    stationary = solve_stationary(model, grid, cross_check=False)
     init = admissible_init(stationary, 0.01, "poly")
     finals = [_integrate_plain(model, init, grid,
                                SolverConfig(eps=0.0, dt=dt, t_end=4.0,

@@ -88,7 +88,6 @@ def build_parser():
                        help="verify the rate-model conditions (A1)-(A5)")
     p.set_defaults(handler=cmd_check_assumptions)
     _overrides(p, "config")
-    p.add_argument("--samples", type=_bounded(int, 2), default=201)
 
     p = sub.add_parser("lemma31",
                        help="check the analytic envelope bounds on the "
@@ -142,7 +141,7 @@ def _outdir(cfg):
 
 def cmd_check_assumptions(args):
     cfg = _load(args)
-    report = check_assumptions(cfg.model(), samples=args.samples)
+    report = check_assumptions(cfg.model())
     for line in report.lines():
         print(line)
     return 0 if report.all_passed else 1

@@ -13,6 +13,7 @@ import hashlib
 import io
 from dataclasses import dataclass, field
 
+from .analysis import PERTURBATION_SHAPES
 from .errors import ConfigError
 from .evolution import SolverConfig
 from .grid import MIN_NODES
@@ -137,6 +138,14 @@ def loads_config(text):
             f"grid.n: must be >= {MIN_NODES}, got {values['grid']['n']}")
     if snapshot_every < 1:
         raise ConfigError("solver.snapshot_every: must be >= 1")
+    exp = values["experiment"]   # checked as --eps, --delta, --seed, --shape
+    for key in ("eps_list", "delta_list", "seeds"):
+        if not all(0 <= x < float("inf") for x in exp[key]):
+            raise ConfigError(f"experiment.{key}: entries must be finite "
+                              f"and >= 0, got {exp[key]}")
+    if not set(exp["shapes"]) <= set(PERTURBATION_SHAPES):
+        raise ConfigError(f"experiment.shapes: entries must be in "
+                          f"{PERTURBATION_SHAPES}, got {exp['shapes']}")
     try:
         solver = SolverConfig(**solver)
     except ValueError as exc:

@@ -70,10 +70,6 @@ class State:
         return State(t=self.t, z=float(self.z[b]), c=self.c[b].copy(),
                      p=self.p[b].copy())
 
-    def take(self, rows):
-        """The batch of the rows selected by ``rows`` (indices or a mask)."""
-        return State(t=self.t, z=self.z[rows], c=self.c[rows], p=self.p[rows])
-
 
 def _stack(states):
     """The batch of ``states``, which share their time (a copy of the one
@@ -165,15 +161,16 @@ def _col(x):
     return x[:, None] if np.ndim(x) else x
 
 
-def hermite_eval(y, d, x, h):
+def hermite_eval(y, x, grid):
     """Cubic Hermite interpolant of ``y`` (n,) or of each row of ``y`` (k, n)
-    with nodal slopes ``d`` on the uniform grid r_i = i h, evaluated at
-    ``x`` in [0, 1]: returns (len(x),) or (k, len(x)).  Cell i = floor(x/h),
-    clamped to n - 2 so x = 1 falls in the last cell.
+    on ``grid``, with the nodal slopes of :meth:`Grid.derivative`, evaluated
+    at ``x`` in [0, 1]: returns (len(x),) or (k, len(x)).  Cell
+    i = floor(x/h), clamped to n - 2 so x = 1 falls in the last cell.
 
     Per-row points ``x`` of shape (B, m) evaluate row b of ``y`` (..., B, n)
     at ``x[b]``, returning (..., B, m); the nodes are gathered by flat
     index into the rows laid end to end."""
+    d, h = grid.derivative(y), grid.h
     n = y.shape[-1]
     i = np.minimum((x / h).astype(np.intp), n - 2)
     s = x - i * h
@@ -197,9 +194,9 @@ def transport_step(model, state, w, c_head, dt, grid):
     interpolated at the midpoints), clamped to [0, 1] (they cannot leave,
     since w vanishes at both endpoints; clamping only absorbs rounding),
     and p and c are interpolated at the feet.  All three interpolants are
-    the cubic Hermite kernel :func:`hermite_eval` with the slopes of
-    :meth:`Grid.derivative`, which are linear in the field, so the step is
-    a smooth map of the state; p and c share one pass of the kernel.
+    the cubic Hermite kernel :func:`hermite_eval`, whose slopes are linear
+    in the field, so the step is a smooth map of the state; p and c share
+    one pass of the kernel.
     Unlike a limited (monotone) cubic, it may overshoot the nodes that
     bracket a foot; :func:`step` clips p to [0, 1] and counts the events.
     Then p is integrated along the characteristic with Heun's method,
@@ -208,11 +205,11 @@ def transport_step(model, state, w, c_head, dt, grid):
 
     Raises ValueError if the advection velocity or the feet are not finite.
     """
-    r, h = grid.r, grid.h
+    r = grid.r
     if not np.isfinite(w).all():
         raise ValueError("non-finite advection velocity in transport")
     r_mid = (r - 0.5 * dt * w).clip(0.0, 1.0)
-    w_mid = hermite_eval(w, grid.derivative(w), r_mid, h)
+    w_mid = hermite_eval(w, r_mid, grid)
     feet = (r - dt * w_mid).clip(0.0, 1.0)
     if not np.isfinite(feet).all():
         raise ValueError("non-finite characteristic feet in transport")
@@ -223,8 +220,7 @@ def transport_step(model, state, w, c_head, dt, grid):
     pc = np.stack((state.p, state.c))
     # rest points (w = 0, notably both endpoints) stay on their node and
     # evolve by the local reaction ODE alone; bypass interpolation noise
-    p_foot, c_foot = np.where(feet == r, pc,
-                              hermite_eval(pc, grid.derivative(pc), feet, h))
+    p_foot, c_foot = np.where(feet == r, pc, hermite_eval(pc, feet, grid))
 
     k1 = f_reaction(model, c_foot, p_foot)
     p_pred = p_foot + dt * k1
@@ -238,8 +234,8 @@ def boundary_radius_step(state, vel, dt, vel_pred):
     return state.z + 0.5 * dt * (vel.v1 + vel_pred.v1)
 
 
-def nutrient_step(model, state, z, v1, dt, eps, grid):
-    """One fully implicit step of the nutrient equation (eps > 0).
+def nutrient_step(model, c, z, v1, dt, eps, grid):
+    """One fully implicit step of the nutrient profile ``c`` (eps > 0).
 
     eps e^{2z} c_t = c_rr + [2/r + eps e^{2z} r v(1)] c_r - e^{2z} F(c),
     with the consumption linearized about the current profile, the
@@ -263,7 +259,6 @@ def nutrient_step(model, state, z, v1, dt, eps, grid):
     beta = eps * e2z / dt
     lo, di, up = _diffusion_rows(grid)
     adv = eps * e2z * v1 * grid.r / (2.0 * grid.h)
-    c = state.c
     fv, dfv = model.F(c)
 
     a_lo = adv - lo
@@ -281,16 +276,14 @@ def nutrient_step(model, state, z, v1, dt, eps, grid):
         c_new = tri_solve(a_lo.ravel(), a_di.ravel(), a_up.ravel(),
                           rhs.ravel()).reshape(c.shape)
     except LinAlgError as exc:
-        raise NumericsError(f"singular nutrient system at t={state.t:g}") from exc
+        raise NumericsError("singular nutrient system") from exc
     return check_domain(c_new, "nutrient_step")
 
 
 def _rows(x, rows):
-    """Rows ``rows`` of a batch's field, per-row scalars or :class:`State`;
-    all of ``x`` for rows None."""
-    if rows is None:
-        return x
-    return x.take(rows) if isinstance(x, State) else x[rows]
+    """Rows ``rows`` of a batch's field or per-row scalars; all of ``x`` for
+    rows None."""
+    return x if rows is None else x[rows]
 
 
 def _by_eps(eps, c, quasi, implicit):
@@ -332,15 +325,15 @@ def step(model, state, grid, config, clip=None):
     margin ``rates.MARGIN`` = 0.5 beyond the validity interval, so the rate
     formulas run unchecked.  Raises DomainError on a violation.
 
-    A batched ``state`` takes ``clip`` as a list of one ClipStats per row,
-    and ``config.eps`` may then be a (B,) array of per-row values (the
-    private batched loop sets one): the nutrient of the rows with eps = 0
-    and of the others is updated by their own solver, on their rows only.
+    ``clip``, if given, is a list of one ClipStats per row (one for a
+    single state) that the clip events update.  A batched ``state`` may
+    take ``config.eps`` as a (B,) array of per-row values (the private
+    batched loop sets one): the nutrient of the rows with eps = 0 and of
+    the others is updated by their own solver, on their rows only.
     """
     check_domain(state.c, "step")
     if clip is None:
         clip = [ClipStats() for _ in np.atleast_1d(state.z)]
-    clips = clip if isinstance(clip, list) else [clip]
     dt, eps = config.dt, config.eps
     heun = config.splitting == "heun"
     vel = velocity_from_state(model, state, grid)
@@ -351,7 +344,7 @@ def step(model, state, grid, config, clip=None):
         eps, state.c,
         lambda rows: solve_nutrient(model, _rows(z_pred, rows), grid,
                                     guess=_rows(state.c, rows)).c,
-        lambda rows: nutrient_step(model, _rows(state, rows),
+        lambda rows: nutrient_step(model, _rows(state.c, rows),
                                    _rows(state.z, rows), _rows(vel.v1, rows),
                                    dt, _rows(eps, rows), grid))
     pred = State(t=state.t + dt, z=z_pred, c=c_pred, p=p_new)
@@ -365,7 +358,7 @@ def step(model, state, grid, config, clip=None):
     def corrector(rows):
         if not heun:
             return _rows(c_pred, rows)
-        return nutrient_step(model, _rows(state, rows),
+        return nutrient_step(model, _rows(state.c, rows),
                              _rows(0.5 * (state.z + z_pred), rows),
                              _rows(0.5 * (vel.v1 + vel_pred.v1), rows),
                              dt, _rows(eps, rows), grid)
@@ -376,8 +369,8 @@ def step(model, state, grid, config, clip=None):
                                     guess=_rows(c_pred, rows)).c,
         corrector)
 
-    c_new = _clip_rows(c_new, config.clip_tol, clips)
-    p_new = _clip_rows(np.asarray(p_new), config.clip_tol, clips)
+    c_new = _clip_rows(c_new, config.clip_tol, clip)
+    p_new = _clip_rows(np.asarray(p_new), config.clip_tol, clip)
     return State(t=state.t + dt, z=z_new, c=c_new, p=p_new)
 
 
@@ -569,7 +562,7 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
                 on_output(state.row(b), step_index, out_idx, recs[b])
 
     state = each_row(project)
-    issues = {i: admissibility_report(inits[i], grid).issues for i in cells}
+    issues = {i: admissibility_report(inits[i], grid) for i in cells}
     for i in cells:
         for issue in issues[i]:
             log.warning("initial data: %s", issue)

@@ -260,20 +260,20 @@ class AssumptionReport:
 
 # rounding allowance for the non-strict inequalities
 _EPS = 1e-12
+# evenly spaced points of [C_LO, C_HI] at which check_assumptions samples
+SAMPLES = 201
 
 
-def check_assumptions(model, samples=201):
+def check_assumptions(model):
     """Numerically verify (A1)-(A5) on the validity interval.
 
-    Each inequality is sampled at ``samples`` evenly spaced points of
+    Each inequality is sampled at :data:`SAMPLES` evenly spaced points of
     [C_LO, C_HI].  Failures are reported, never raised.  Margins are
     signed: positive means the inequality holds with that much room.
     Also reports f(1, 1) = -K_Q(1), the reaction value at the boundary
     rest point when the proliferating fraction is 1 there.
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    c = np.linspace(C_LO, C_HI, samples)
+    c = np.linspace(C_LO, C_HI, SAMPLES)
     fv, df = model.F(c)
     kb, dkb = model.K_B(c)
     kp, dkp = model.K_P(c)

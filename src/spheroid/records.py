@@ -87,26 +87,11 @@ def deviation_norms(state, prev, stationary, profile):
             for b in range(len(state.z))]
 
 
-@dataclass
-class AdmissibilityReport:
-    """Outcome of the initial-data conditions check.
-
-    Conditions: (i) c0 smooth with c0'(0) = 0, c0(1) = 1, 0 <= c0 <= 1;
-    (ii) p0 in [0, 1] with p0(1) = 1 at the boundary rest point.
-    Violations are listed in ``issues``, not raised.  (ii)'s p0(1) = 1 is
-    only recorded in ``p_boundary``: it is typically inherited false
-    because the boundary rest point of the reaction sits below 1 whenever
-    K_Q(1) > 0.
-    """
-    issues: list
-    p_boundary: float   # p0(1)
-
-    @property
-    def admissible(self):
-        return not self.issues
-
-
 def admissibility_report(state, grid):
+    """Messages for the initial-data conditions ``state`` violates, none
+    raised: (i) c0 smooth with c0'(0) = 0, c0(1) = 1, 0 <= c0 <= 1; (ii)
+    p0 in [0, 1].  p0(1) = 1 at the boundary rest point is not checked: the
+    reaction's rest point there sits below 1 whenever K_Q(1) > 0."""
     tol = 1e-8   # rounding slack on c(1) = 1 and on the [0, 1] ranges
     issues = []
     c, p = state.c, state.p
@@ -119,4 +104,4 @@ def admissibility_report(state, grid):
         issues.append(f"c range [{c.min():.3g}, {c.max():.3g}] outside [0, 1]")
     if p.min() < -tol or p.max() > 1.0 + tol:
         issues.append(f"p range [{p.min():.3g}, {p.max():.3g}] outside [0, 1]")
-    return AdmissibilityReport(issues=issues, p_boundary=float(p[-1]))
+    return issues

@@ -127,7 +127,7 @@ def _steady_transport(model, c, grid):
     inner = np.arange(grid.n - 3, 1, -1)   # r = 1 - 2h inward to 2h
     # r at the march's nodes and cell midpoints, in turn
     x = (grid.n - 3 - 0.5 * np.arange(2 * inner.size - 1)) * h
-    km, kn, kp = _kinetics(model, hermite_eval(c, grid.derivative(c), x, h))
+    km, kn, kp = _kinetics(model, hermite_eval(c, x, grid))
 
     for it in range(1, PICARD_SWEEPS + 1):
         vel = velocity_from_state(model, State(0.0, 0.0, c, p), grid)
@@ -138,7 +138,7 @@ def _steady_transport(model, c, grid):
             w_r1 = float(g_source(model, c1, p1)) - 3.0 * vel.v1
             denom = f_p1 - w_r1
             sigma = f_c1 * c_r1 / denom if abs(denom) > 1e-12 else 0.0
-            w = hermite_eval(vel.w, grid.derivative(vel.w), x, h)
+            w = hermite_eval(vel.w, x, grid)
             # F = a + b p - d p^2 at each point, 0 where w vanishes
             coef = (np.array((kp, km - kn, km))
                     / np.where(np.abs(w) < 1e-14, np.inf, w)).T.tolist()

@@ -180,8 +180,8 @@ def test_criterion_7_range_invariance(model, grid201, stationary201,
            f"{clip_events} (= 0), worst boundary excess {max(worst_excess, worst_range):.1e}")
 
 
-def test_criterion_8_self_convergence(model, stationary201):
-    studies = standard_convergence_suite(model, stationary=stationary201)
+def test_criterion_8_self_convergence(model):
+    studies = standard_convergence_suite(model)
     details = []
     ok = True
     for study in studies:

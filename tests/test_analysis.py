@@ -109,6 +109,11 @@ def test_unknown_shape(stationary201):
         admissible_init(stationary201, 0.01, "sawtooth")
 
 
+def test_negative_amplitude(stationary201):
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        admissible_init(stationary201, -0.01, "poly")
+
+
 # ---------------- deviation_norms ----------------
 
 def test_deviation_norms_at_stationary(stationary201, model):
@@ -183,6 +188,20 @@ def test_stability_failed_cell_reported(model, grid201, stationary201):
     assert rep.cells[0].status.startswith("error")
     assert rep.cells[1].status == "ok"
     assert not rep.all_ran
+
+
+def test_stability_bad_eps_fails_its_cells_only(model, grid201, stationary201):
+    # a negative or non-finite eps ends its own cells, the delta = 0 one
+    # too, with SolverConfig's message; the cells of the other eps run on
+    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=0.4, output_interval=0.2)
+    rep = stability_experiment(model, grid201, cfg,
+                               eps_list=(-0.01, 0.0, float("nan")),
+                               delta_list=(0.0, 0.01), shapes=("poly",),
+                               seeds=(1,), stationary=stationary201)
+    negative = "error: eps must be >= 0, got -0.01"
+    nan = "error: eps must be finite, got nan"
+    assert [c.status for c in rep.cells] == [
+        negative, negative, "skipped", "ok", nan, nan]
 
 
 # ---------------- convergence studies ----------------

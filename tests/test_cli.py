@@ -1,3 +1,4 @@
+import logging
 import os
 import re
 
@@ -38,12 +39,14 @@ def test_usage_errors(capsys):
                  ["simulate", "--seed", "-1"],
                  ["stationary", "--tol", "0"], ["stationary", "--tol", "-1"],
                  ["stationary", "--tol", "nan"],
-                 ["check-assumptions", "--samples", "1"],
                  ["lemma31", "--z-values", "0,a"], ["lemma31", "--z-values", "inf"],
                  ["simulate", "--shape", "square"]):
         capsys.readouterr()
         assert cli(argv) == 2, argv
         assert f"argument {argv[1]}" in capsys.readouterr().err, argv
+    # check-assumptions always samples rates.SAMPLES points: no flag sets it
+    assert cli(["check-assumptions", "--samples", "1"]) == 2
+    assert "unrecognized arguments: --samples 1" in capsys.readouterr().err
 
 
 # each subcommand takes only the flags its handler reads
@@ -230,6 +233,41 @@ def test_resume_rejects_wrong_grid(tmp_path, config_path):
     code = cli(["simulate", "--config", config_path, "--out", out_dir,
                 "--resume", snap, "--grid-n", "51"])
     assert code == 1
+
+
+def test_resume_under_another_config_warns(tmp_path, caplog):
+    # the snapshot's config hash differs from the resuming run's: the run
+    # goes on, and the warning names both hashes
+    from spheroid import config_hash, load_config
+    small = CONFIG.replace("n = 101", "n = 21")
+    first, other = tmp_path / "first.config", tmp_path / "other.config"
+    first.write_text(small)
+    other.write_text(small.replace("dt = 0.02", "dt = 0.01"))
+    out_dir = str(tmp_path / "x")
+    assert cli(["simulate", "--config", str(first), "--out", out_dir,
+                "--tend", "0.2"]) == 0
+    snap = os.path.join(out_dir, "snap_000000.snap")
+    for path, warned in ((first, False), (other, True)):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="spheroid"):
+            assert cli(["simulate", "--config", str(path), "--out", out_dir,
+                        "--tend", "0.2", "--resume", snap]) == 0
+        hashes = [config_hash(load_config(p)) for p in (first, path)]
+        warning = ("resume snapshot was produced under a different "
+                   "configuration (hash %s vs %s)" % tuple(hashes))
+        assert (warning in caplog.messages) == warned
+
+
+def test_stability_rejects_bad_eps_list(tmp_path, capsys):
+    # a negative eps in the config is a configuration error: status 1 and
+    # one message, no traceback
+    path = tmp_path / "bad.config"
+    path.write_text("[experiment]\neps_list = -0.01, 0.0\n")
+    assert cli(["stability", "--config", str(path),
+                "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: experiment.eps_list: entries must be finite and "
+                   ">= 0, got (-0.01, 0.0)\n")
 
 
 def test_stability_subcommand_small(tmp_path, config_path):

@@ -90,6 +90,27 @@ def test_solver_validation_wrapped():
         loads_config("[solver]\nsnapshot_every = 0\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("eps_list = -0.01, 0.0", "eps_list: entries must be finite and >= 0"),
+    ("eps_list = nan", "eps_list: entries must be finite and >= 0"),
+    ("delta_list = 0.01, inf", "delta_list: entries must be finite and >= 0"),
+    ("delta_list = -0.005", "delta_list: entries must be finite and >= 0"),
+    ("seeds = 1, -1", "seeds: entries must be finite and >= 0"),
+    ("shapes = poly, square", "shapes: entries must be in"),
+])
+def test_experiment_lists_validated(text, message):
+    # the rules the CLI applies to --eps, --delta, --seed and --shape
+    with pytest.raises(ConfigError, match=f"experiment.{message}"):
+        loads_config(f"[experiment]\n{text}\n")
+
+
+def test_experiment_list_extremes_accepted():
+    exp = loads_config("[experiment]\neps_list = 0\ndelta_list = 0\n"
+                       "seeds = 0\nshapes = random\n").experiment
+    assert (exp.eps_list, exp.delta_list, exp.seeds, exp.shapes) == (
+        (0.0,), (0.0,), (0,), ("random",))
+
+
 def test_rate_params_validated():
     with pytest.raises(ConfigError):
         loads_config("[rates.F]\nfamily = linear\ncurvature = 1\n")

@@ -66,7 +66,7 @@ def test_nutrient_step_constant_in_kernel():
     m = all_zero_model()
     state = flat_state(grid)
     v1 = velocity_from_state(m, state, grid).v1
-    c_new = nutrient_step(m, state, state.z, v1, dt=0.1, eps=0.5, grid=grid)
+    c_new = nutrient_step(m, state.c, state.z, v1, dt=0.1, eps=0.5, grid=grid)
     assert np.allclose(c_new, 1.0, rtol=0, atol=1e-14)
 
 
@@ -76,7 +76,7 @@ def test_nutrient_step_fixed_point_is_quasi_static_profile():
     m = default_model()
     prof = solve_nutrient(m, 0.4, grid)
     state = State(t=0.0, z=0.4, c=prof.c.copy(), p=np.full(grid.n, 0.5))
-    c_new = nutrient_step(m, state, 0.4, 0.0, dt=0.05, eps=0.05, grid=grid)
+    c_new = nutrient_step(m, state.c, 0.4, 0.0, dt=0.05, eps=0.05, grid=grid)
     assert np.max(np.abs(c_new - prof.c)) < 1e-8
 
 
@@ -90,7 +90,7 @@ def test_nutrient_step_contracts_perturbations():
     eps, dt = 0.1, 0.05
 
     state = State(t=0.0, z=0.0, c=prof.c + bump, p=np.full(grid.n, 0.5))
-    coarse = nutrient_step(m, state, 0.0, 0.0, dt=dt, eps=eps, grid=grid)
+    coarse = nutrient_step(m, state.c, 0.0, 0.0, dt=dt, eps=eps, grid=grid)
     dev_before = np.max(np.abs(state.c - prof.c))
     dev_after = np.max(np.abs(coarse - prof.c))
     assert dev_after < dev_before
@@ -98,8 +98,7 @@ def test_nutrient_step_contracts_perturbations():
     fine = state.c.copy()
     n_sub = 50
     for _ in range(n_sub):
-        sub = State(t=0.0, z=0.0, c=fine, p=state.p)
-        fine = nutrient_step(m, sub, 0.0, 0.0, dt=dt / n_sub, eps=eps,
+        fine = nutrient_step(m, fine, 0.0, 0.0, dt=dt / n_sub, eps=eps,
                              grid=grid)
     assert np.max(np.abs(coarse - fine)) < 0.2 * dev_before
 
@@ -116,17 +115,17 @@ def test_nutrient_step_takes_eps_per_row():
         for k, z in enumerate((0.2, 0.5, 0.8))])
     v1 = velocity_from_state(m, batch, grid).v1
     eps = np.array([0.01, 0.05, 0.5])
-    c_new = nutrient_step(m, batch, batch.z, v1, 0.02, eps, grid)
+    c_new = nutrient_step(m, batch.c, batch.z, v1, 0.02, eps, grid)
     for b in range(3):
         row = batch.row(b)
-        alone = nutrient_step(m, row, row.z,
+        alone = nutrient_step(m, row.c, row.z,
                               velocity_from_state(m, row, grid).v1, 0.02,
                               float(eps[b]), grid)
         assert np.array_equal(c_new[b], alone)
     for bad in (np.array([0.05, 0.0, 0.05]), np.array([0.05, 0.05, -0.1]),
                 0.0):
         with pytest.raises(ValueError, match="requires eps > 0"):
-            nutrient_step(m, batch, batch.z, v1, 0.02, bad, grid)
+            nutrient_step(m, batch.c, batch.z, v1, 0.02, bad, grid)
 
 
 # ---------------- transport step ----------------
@@ -217,7 +216,7 @@ def test_hermite_kernel_matches_scipy(data):
     # p and c share one stacked slope pass and one evaluation
     yy = np.stack((y, y[::-1]))
     slopes = grid.derivative(yy)
-    got = evolution.hermite_eval(yy, slopes, x, grid.h)
+    got = evolution.hermite_eval(yy, x, grid)
     for row, d, vals in zip(yy, slopes, got):
         want = CubicHermiteSpline(grid.r, row, d)(x)
         assert np.max(np.abs(vals - want)) <= tol
@@ -228,14 +227,14 @@ def test_hermite_kernel_matches_scipy(data):
     rows = np.stack((y, y[::-1], -y))
     for ys in (rows, np.stack((rows, 2.0 * rows))):
         slopes = grid.derivative(ys)
-        per_row = evolution.hermite_eval(ys, slopes, xx, grid.h)
+        per_row = evolution.hermite_eval(ys, xx, grid)
         assert per_row.shape == ys.shape[:-1] + x.shape
         for idx in np.ndindex(ys.shape[:-1]):
             xb = xx[idx[-1]]
             want = CubicHermiteSpline(grid.r, ys[idx], slopes[idx])(xb)
             assert (np.max(np.abs(per_row[idx] - want))
                     <= 1e-13 * np.max(np.abs(ys[idx])))
-            alone = evolution.hermite_eval(ys[idx], slopes[idx], xb, grid.h)
+            alone = evolution.hermite_eval(ys[idx], xb, grid)
             assert np.array_equal(per_row[idx], alone)
 
 
@@ -399,8 +398,7 @@ def test_singular_nutrient_system_keeps_last_state(model, monkeypatch):
     monkeypatch.setattr(evolution, "tri_solve", singular)
     with pytest.raises(NumericsError) as info:
         simulate(model, init, grid, cfg, stat)
-    assert str(info.value).startswith(
-        "step failed at t=0.58: singular nutrient system at t=0.58")
+    assert str(info.value) == "step failed at t=0.58: singular nutrient system"
     assert info.value.last_state.t == pytest.approx(0.4, abs=1e-12)
 def test_simulate_warns_only_on_real_violations(model, grid201, stationary201,
                                                 caplog):
@@ -411,8 +409,7 @@ def test_simulate_warns_only_on_real_violations(model, grid201, stationary201,
                           stationary201)
     assert [r.getMessage() for r in caplog.records] == []
     assert result.warnings == []
-    report = admissibility_report(init, grid201)
-    assert report.admissible and report.p_boundary == init.p[-1] < 1.0
+    assert admissibility_report(init, grid201) == [] and init.p[-1] < 1.0
 
     init.c[-1] = 0.9
     with caplog.at_level(logging.WARNING, logger="spheroid"):
@@ -560,3 +557,20 @@ def test_solver_config_validation():
         for value in (np.nan, np.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 SolverConfig(**{name: value})
+
+
+def test_admissibility_report_lists_each_violation():
+    grid = Grid(51)
+    r = grid.r
+    ok = State(t=0.0, z=0.0, c=1.0 - 0.5 * (1.0 - r**2), p=np.full(grid.n, 0.5))
+    assert admissibility_report(ok, grid) == []
+    # c'(0) = 0.5 in place of 0
+    sloped = State(t=0.0, z=0.0, c=0.5 + 0.5 * r, p=ok.p)
+    assert admissibility_report(sloped, grid) == ["c'(0) = 5.000e-01, expected 0"]
+    # c dips to -0.1 at r = 0, with c'(0) = 0 and c(1) = 1 kept
+    low = State(t=0.0, z=0.0, c=1.0 - 1.1 * (1.0 - r**2), p=ok.p)
+    assert admissibility_report(low, grid) == [
+        "c range [-0.1, 1] outside [0, 1]"]
+    high = State(t=0.0, z=0.0, c=ok.c, p=np.full(grid.n, 1.2))
+    assert admissibility_report(high, grid) == [
+        "p range [1.2, 1.2] outside [0, 1]"]

@@ -169,8 +169,3 @@ def test_steep_death_rate_fails_a4():
     a4 = next(ch for ch in report.checks if ch.name == "A4")
     assert not a4.passed
     assert a4.margin < 0
-
-
-def test_samples_validation():
-    with pytest.raises(ValueError):
-        check_assumptions(default_model(), samples=1)

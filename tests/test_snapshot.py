@@ -150,3 +150,32 @@ def test_resume_from_header_of_wrong_type_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert status == 1
     assert err.startswith("error: ") and "header field z = None" in err
+
+
+def test_short_file_is_truncated(tmp_path):
+    # shorter than magic, header length and checksum together
+    path = tmp_path / "a.snap"
+    path.write_bytes(MAGIC + b"\x00" * 10)
+    with pytest.raises(SnapshotError, match=r"truncated snapshot \(18 bytes\)"):
+        load_snapshot(path)
+
+
+def test_unreadable_header(tmp_path):
+    # the checksum holds, but the header bytes are neither UTF-8 nor JSON
+    path = tmp_path / "a.snap"
+    for head in (b"\xff\xfe", b"{n: 3"):
+        body = MAGIC + len(head).to_bytes(4, "little") + head
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(SnapshotError, match="unreadable header"):
+            load_snapshot(path)
+
+
+def test_wrong_payload_size(tmp_path):
+    # a header for 3 nodes over the payload of 2: the checksum holds
+    path = tmp_path / "a.snap"
+    write_with_header(path, HEADER, nodes=2)
+    size = len(path.read_bytes())
+    with pytest.raises(SnapshotError,
+                       match=f"wrong payload size {size} "
+                             f"\\(expected {size + 16}\\)"):
+        load_snapshot(path)

@@ -524,3 +524,16 @@ def test_runaway_z_is_typed_without_warnings(monkeypatch, where):
         with pytest.raises(ConvergenceError, match=r"z=\S+: the log-radius "
                                                    r"ran away"):
             solve_stationary(default_model(), Grid(51), cross_check=False)
+
+
+def test_newton_stall_returns_last_accepted_iterate():
+    # |F| = x^2 + 1 has its minimum 1 at x = 0, where the forward-difference
+    # Jacobian is ~1.5e-8: its step leaves no Armijo decrease down to
+    # MIN_DAMPING, so Newton returns x = 0, reached by its first step, with
+    # |F|_inf = 1 above the tolerance and the two Jacobians it built
+    def F(x, c):
+        return x**2 + 1.0, c
+
+    x, c, norm, built = stationary._newton(F, np.array([1.0]), "c", 1e-6)
+    assert x.tolist() == [0.0] and c == "c"
+    assert norm == 1.0 and built == 2
