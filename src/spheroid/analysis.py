@@ -163,10 +163,10 @@ def stability_experiment(model, grid, config, eps_list, delta_list, shapes,
     order.
 
     All cells share dt, the grid and the start time, so they are stepped
-    as one batch, each row with its own eps; every cell gives the records
-    of its solo :func:`simulate` run, bit for bit.  A cell listed twice is
-    run once.  A cell that fails leaves the batch where it fails, and the
-    others run on.
+    as one batch, whose config carries one eps per row; every cell gives
+    the records of its solo :func:`simulate` run, bit for bit.  A cell
+    listed twice is run once.  A cell that fails leaves the batch where it
+    fails, and the others run on.
     """
     if stationary is None:
         stationary = solve_stationary(model, grid, config=config,
@@ -184,8 +184,8 @@ def stability_experiment(model, grid, config, eps_list, delta_list, shapes,
     batch = [key for key, init in runs.items()
              if not isinstance(init, Exception)]
     runs.update(zip(batch, _simulate_batch(
-        model, [runs[k] for k in batch], grid, config, stationary,
-        eps=[k[0] for k in batch])))
+        model, [runs[k] for k in batch], grid,
+        replace(config, eps=np.array([k[0] for k in batch])), stationary)))
     return StabilityReport(cells=[_cell(key, runs.get(key)) for key in keys])
 
 

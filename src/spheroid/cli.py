@@ -68,7 +68,8 @@ _OVERRIDES = {
     "eps": dict(type=_bounded(float, 0.0), help="diffusion ratio override"),
     "delta": dict(type=_bounded(float, 0.0),
                   help="perturbation amplitude override"),
-    "tend": dict(type=_bounded(float), help="horizon override"),
+    "tend": dict(type=_bounded(float, 0.0, strict=True),
+                 help="horizon override (> 0)"),
 }
 
 
@@ -190,9 +191,8 @@ def cmd_simulate(args):
     stationary = solve_stationary(model, grid, config=cfg.solver,
                                   cross_check=False)
 
-    resume_path = args.resume or (cfg.resume or None)
-    if resume_path:
-        init, header = load_snapshot(resume_path, expect_n=grid.n)
+    if args.resume:
+        init, header = load_snapshot(args.resume, expect_n=grid.n)
         if header["config_hash"] and header["config_hash"] != chash:
             log.warning("resume snapshot was produced under a different "
                         "configuration (hash %s vs %s)",

@@ -36,7 +36,6 @@ class RunConfig:
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
     snapshot_every: int = 50        # snapshots every this many outputs
     out_dir: str = "out"
-    resume: str = ""
 
     def model(self):
         return RateModel(**self.rates)
@@ -54,10 +53,10 @@ _SCHEMA = {
     "grid": {"n": int},
     "solver": {"eps": float, "dt": float, "t_end": float,
                "output_interval": float, "splitting": str,
-               "clip_tol": float, "snapshot_every": int},
+               "snapshot_every": int},
     "experiment": {"eps_list": (float,), "delta_list": (float,),
                    "shapes": (str,), "seeds": (int,)},
-    "paths": {"out_dir": str, "resume": str},
+    "paths": {"out_dir": str},
 }
 # (section, key) pairs config_hash leaves out: they do not change a trajectory
 _UNHASHED = {("solver", "t_end"), ("solver", "snapshot_every"),
@@ -70,7 +69,7 @@ def _values(cfg):
     held = {"grid": {"n": cfg.grid_n},
             "solver": {**vars(cfg.solver), "snapshot_every": cfg.snapshot_every},
             "experiment": vars(cfg.experiment),
-            "paths": {"out_dir": cfg.out_dir, "resume": cfg.resume}}
+            "paths": {"out_dir": cfg.out_dir}}
     return {section: {key: held[section][key] for key in keys}
             for section, keys in _SCHEMA.items()}
 
@@ -139,6 +138,9 @@ def loads_config(text):
     if snapshot_every < 1:
         raise ConfigError("solver.snapshot_every: must be >= 1")
     exp = values["experiment"]   # checked as --eps, --delta, --seed, --shape
+    for key, entries in exp.items():
+        if not entries:
+            raise ConfigError(f"experiment.{key}: needs at least one entry")
     for key in ("eps_list", "delta_list", "seeds"):
         if not all(0 <= x < float("inf") for x in exp[key]):
             raise ConfigError(f"experiment.{key}: entries must be finite "

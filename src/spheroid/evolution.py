@@ -23,7 +23,6 @@ eps: those with eps = 0 solve the quasi-static nutrient and the others
 take the implicit step, while everything else runs once over all rows.
 """
 
-import copy
 import logging
 from dataclasses import dataclass, replace
 
@@ -38,6 +37,8 @@ from .records import admissibility_report, deviation_norms
 log = logging.getLogger("spheroid")
 
 SPLITTINGS = ("lie", "heun")
+# a field's excess beyond [0, 1] above this is a clip event
+CLIP_TOL = 1e-10
 
 
 @dataclass
@@ -92,21 +93,21 @@ class VelocityField:
 class SolverConfig:
     """Scheme parameters; eps = 0 selects the quasi-static nutrient mode."""
 
-    eps: float = 0.0
+    eps: float = 0.0             # or a (B,) array, one per row of a batch
     dt: float = 0.02
     t_end: float = 80.0
     output_interval: float = 0.2
     splitting: str = "lie"       # "heun" enables the second-order composite
-    clip_tol: float = 1e-10
 
     def __post_init__(self):
         for name in ("eps", "dt", "t_end", "output_interval"):
-            if not np.isfinite(value := getattr(self, name)):
+            if not np.isfinite(value := getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.eps < 0:
+        if np.any(np.less(self.eps, 0.0)):
             raise ValueError(f"eps must be >= 0, got {self.eps}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        for name in ("dt", "t_end"):
+            if (value := getattr(self, name)) <= 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
         if self.splitting not in SPLITTINGS:
             raise ValueError(f"splitting must be one of {SPLITTINGS}")
         if self.output_interval < self.dt:
@@ -121,15 +122,15 @@ class ClipStats:
     max_excess: float = 0.0
 
 
-def _clip_rows(arr, tol, clips):
-    """Clip each row of ``arr`` to [0, 1]; a row's excess beyond ``tol`` is
-    an event in its own ClipStats, one of ``clips``."""
+def _clip_rows(arr, clips):
+    """Clip each row of ``arr`` to [0, 1]; a row's excess beyond
+    :data:`CLIP_TOL` is an event in its own ClipStats, one of ``clips``."""
     if arr.min() >= 0.0 and arr.max() <= 1.0:
         return arr
     rows = arr.reshape(len(clips), -1)
     excess = np.maximum(np.maximum(-rows.min(axis=1), rows.max(axis=1) - 1.0),
                         0.0)
-    for b in np.flatnonzero(excess > tol):
+    for b in np.flatnonzero(excess > CLIP_TOL):
         clips[b].events += 1
         clips[b].max_excess = max(clips[b].max_excess, float(excess[b]))
     over = excess > 0.0
@@ -250,12 +251,9 @@ def nutrient_step(model, c, z, v1, dt, eps, grid):
     profile leaves the rates' validity interval (extended by
     ``rates.MARGIN``).
     """
-    per_row = isinstance(eps, np.ndarray)
-    if not ((eps > 0.0).all() if per_row else eps > 0.0):
+    if not np.all(np.greater(eps, 0.0)):
         raise ValueError("nutrient_step requires eps > 0; use solve_nutrient")
-    e2z = _col(np.exp(2.0 * z))
-    v1 = _col(v1)
-    eps = eps[:, None] if per_row else eps
+    e2z, v1, eps = _col(np.exp(2.0 * z)), _col(v1), _col(eps)
     beta = eps * e2z / dt
     lo, di, up = _diffusion_rows(grid)
     adv = eps * e2z * v1 * grid.r / (2.0 * grid.h)
@@ -292,13 +290,11 @@ def _by_eps(eps, c, quasi, implicit):
 
     When every row is of one kind (always so for a scalar eps) only that
     call runs, with rows None for the whole batch; else each gets its row
-    indices, and their profiles fill an array shaped like ``c``.  An
-    array ``eps`` is never all zero: :func:`_config_of_rows` turns any
-    all-equal eps into a scalar.
+    indices, and their profiles fill an array shaped like ``c``.
     """
-    if not isinstance(eps, np.ndarray):
-        return quasi(None) if eps == 0.0 else implicit(None)
-    zero = eps == 0.0
+    zero = np.equal(eps, 0.0)
+    if zero.all():
+        return quasi(None)
     if not zero.any():
         return implicit(None)
     new = np.empty_like(c)
@@ -316,7 +312,7 @@ def step(model, state, grid, config, clip=None):
     predictor gives the Heun log-radius (eps = 0 re-solves the nutrient
     there); ``splitting="heun"`` also redoes transport and, for eps > 0,
     the nutrient step time-centered.  Fields are clipped to [0, 1]
-    afterwards and clip events beyond config.clip_tol recorded.
+    afterwards and clip events beyond :data:`CLIP_TOL` recorded.
 
     The nutrient is checked against the rates' validity interval where it
     enters: ``state.c`` here, every new profile in :func:`solve_nutrient`
@@ -326,10 +322,10 @@ def step(model, state, grid, config, clip=None):
     formulas run unchecked.  Raises DomainError on a violation.
 
     ``clip``, if given, is a list of one ClipStats per row (one for a
-    single state) that the clip events update.  A batched ``state`` may
-    take ``config.eps`` as a (B,) array of per-row values (the private
-    batched loop sets one): the nutrient of the rows with eps = 0 and of
-    the others is updated by their own solver, on their rows only.
+    single state) that the clip events update.  ``config.eps`` may be a
+    (B,) array of per-row values (B = 1 for a single state): the nutrient
+    of the rows with eps = 0 and of the others is updated by their own
+    solver, on their rows only.
     """
     check_domain(state.c, "step")
     if clip is None:
@@ -369,8 +365,8 @@ def step(model, state, grid, config, clip=None):
                                     guess=_rows(c_pred, rows)).c,
         corrector)
 
-    c_new = _clip_rows(c_new, config.clip_tol, clip)
-    p_new = _clip_rows(np.asarray(p_new), config.clip_tol, clip)
+    c_new = _clip_rows(c_new, clip)
+    p_new = _clip_rows(np.asarray(p_new), clip)
     return State(t=state.t + dt, z=z_new, c=c_new, p=p_new)
 
 
@@ -426,17 +422,6 @@ def simulate(model, init, grid, config, stationary, on_output=None,
     return result
 
 
-def _config_of_rows(config, eps):
-    """``config`` for a batch whose rows have the eps of the (B,) ``eps``:
-    their one value when they agree, so that such a batch steps as a lone
-    run does, else the array itself, which :func:`step` reads per row."""
-    if (eps == eps[0]).all():
-        return replace(config, eps=float(eps[0]))
-    rows = copy.copy(config)
-    rows.eps = eps
-    return rows
-
-
 # what a failed initial projection, step or output nutrient solve raises
 _STEP_ERRORS = (ValueError, FloatingPointError, ConvergenceError,
                 NumericsError)
@@ -451,17 +436,16 @@ def _attempt(call, *args):
 
 
 def _finite(state):
-    """Whether every field of ``state`` (a batch or a single state) is
-    finite."""
+    """Whether every field of ``state``, batched or single, is finite."""
     return (np.isfinite(state.z).all() and np.isfinite(state.c).all()
             and np.isfinite(state.p).all())
 
 
 def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
-                   prev_output=None, eps=None):
+                   prev_output=None):
     """:func:`simulate` of each of ``inits``, which share their start time,
-    stepped together as one batch.  ``eps``, one per cell, replaces
-    ``config.eps``, so cells of several eps share the batch.
+    stepped together as one batch.  ``config.eps`` is one float for all
+    cells or one value per cell, so cells of several eps share the batch.
 
     Returns one :class:`SimResult` per cell, or the :class:`NumericsError`
     that cell's own run raises, so a failing cell ends alone.  A cell
@@ -479,9 +463,8 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
     results = [None] * len(inits)
     cells = list(range(len(inits)))   # index into inits of each row
     state = _stack(inits)
-    eps = np.asarray([config.eps] * len(inits) if eps is None else eps,
-                     dtype=float)
-    config = _config_of_rows(config, eps)
+    # one eps per row from here on, narrowed with the batch by each_row
+    config = replace(config, eps=np.broadcast_to(config.eps, len(inits)))
     records = {i: [] for i in cells}
     aux = {i: [] for i in cells}
     clips = {i: ClipStats() for i in cells}
@@ -496,13 +479,14 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
         # raises alone ends its cell; the batch narrows to the rows left,
         # a lone state when one is left, as in its solo run, and their
         # outputs return stacked
-        nonlocal state, prev, cells, eps, config
+        nonlocal state, prev, cells, config
         try:
             return call(state, config, cells)
         except _STEP_ERRORS as exc:
             outs = [exc] if len(cells) == 1 else [
-                _attempt(call, state.row(b), _config_of_rows(config, eps[[b]]),
-                         [i]) for b, i in enumerate(cells)]
+                _attempt(call, state.row(b),
+                         replace(config, eps=config.eps[[b]]), [i])
+                for b, i in enumerate(cells)]
         for b, out in enumerate(outs):
             if isinstance(out, Exception):
                 last = None if prev is None else prev.row(b)
@@ -518,8 +502,7 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
         state = _stack([state.row(b) for b in kept])
         if prev is not None:
             prev = _stack([prev.row(b) for b in kept])
-        eps = eps[kept]
-        config = _config_of_rows(config, eps)
+        config = replace(config, eps=config.eps[kept])
         return _stack([outs[b] for b in kept])
 
     def project(s, cfg, _):

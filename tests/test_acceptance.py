@@ -18,6 +18,7 @@ from spheroid.analysis import (CONVERGENCE_THRESHOLDS,
                                stability_experiment,
                                standard_convergence_suite)
 from spheroid.cli import cli
+from spheroid.evolution import CLIP_TOL
 from spheroid.records import DeviationRecord
 
 from conftest import make_model
@@ -165,8 +166,7 @@ def test_criterion_7_range_invariance(model, grid201, stationary201,
     # direct range check on one representative run per eps
     worst_range = 0.0
     for eps in (0.0, 0.05):
-        cfg = SolverConfig(eps=eps, dt=0.02, t_end=5.0, output_interval=0.1,
-                           clip_tol=1e-10)
+        cfg = SolverConfig(eps=eps, dt=0.02, t_end=5.0, output_interval=0.1)
         init = admissible_init(stationary201, 0.01, "cosine")
         result = simulate(model, init, grid201, cfg, stationary201)
         final = result.final_state
@@ -174,7 +174,8 @@ def test_criterion_7_range_invariance(model, grid201, stationary201,
                           float(-final.c.min()), float(final.c.max() - 1.0),
                           float(-final.p.min()), float(final.p.max() - 1.0))
         clip_events += result.clip.events
-    ok = clip_events == 0 and worst_range <= 1e-10
+    # the clip-event tolerance is a constant of the scheme, pinned here
+    ok = CLIP_TOL == 1e-10 and clip_events == 0 and worst_range <= 1e-10
     report(7, ok,
            f"range invariance: clip events beyond 1e-10 across all runs = "
            f"{clip_events} (= 0), worst boundary excess {max(worst_excess, worst_range):.1e}")

@@ -256,14 +256,14 @@ def _same_run(a, b):
 
 
 def _capture_batches(monkeypatch):
-    """Record (inits, config, eps, results) of every batch
+    """Record (inits, config, per-row eps, results) of every batch
     stability_experiment runs."""
     batches = []
     run = analysis._simulate_batch
 
-    def recording(model, inits, grid, config, stationary, eps):
-        results = run(model, inits, grid, config, stationary, eps=eps)
-        batches.append((inits, config, eps, results))
+    def recording(model, inits, grid, config, stationary):
+        results = run(model, inits, grid, config, stationary)
+        batches.append((inits, config, list(config.eps), results))
         return results
 
     monkeypatch.setattr(analysis, "_simulate_batch", recording)
@@ -308,8 +308,8 @@ def test_mixed_eps_batch_matches_solo_runs_heun(model, grid201,
     inits, eps = _mixed_cells(stationary201, [(0.0, 0.01), (0.05, 0.01),
                                               (0.0, 0.005), (0.01, 0.005)],
                               shape="cosine")
-    results = _simulate_batch(model, inits, grid201, cfg, stationary201,
-                              eps=eps)
+    results = _simulate_batch(model, inits, grid201,
+                              replace(cfg, eps=np.array(eps)), stationary201)
     for init, e, result in zip(inits, eps, results):
         assert _same_run(result, simulate(model, init, grid201,
                                           replace(cfg, eps=e), stationary201))
@@ -403,8 +403,8 @@ def test_nan_in_mixed_eps_batch_fails_only_that_cell(model, grid201,
                                               (0.05, 0.01)])
     at_last = _poison_cell(monkeypatch, model, inits[1], grid201,
                            replace(cfg, eps=0.01), stationary201)
-    results = _simulate_batch(model, inits, grid201, cfg, stationary201,
-                              eps=eps)
+    results = _simulate_batch(model, inits, grid201,
+                              replace(cfg, eps=np.array(eps)), stationary201)
     _assert_last_state(results[1], at_last)
     for b in (0, 2):
         assert _same_run(results[b], simulate(
@@ -466,8 +466,8 @@ def test_failing_row_leaves_the_batch_where_it_fails(model, grid201,
                        stationary201).final_state
     calls = _failing_step(monkeypatch,
                           lambda state, config: np.any(config.eps == 0.0))
-    results = _simulate_batch(model, inits, grid201, cfg, stationary201,
-                              eps=eps)
+    results = _simulate_batch(model, inits, grid201,
+                              replace(cfg, eps=np.array(eps)), stationary201)
     assert isinstance(results[0], NumericsError)
     assert str(results[0]) == "step failed at t=0.5: injected failure"
     assert isinstance(results[0].__cause__, ConvergenceError)
@@ -528,8 +528,8 @@ def test_batch_that_fails_only_as_a_batch_runs_rows_alone(model, grid201,
     solo = [simulate(model, init, grid201, replace(cfg, eps=e), stationary201)
             for init, e in zip(inits, eps)]
     _failing_step(monkeypatch, lambda state, config: np.ndim(state.z) > 0)
-    results = _simulate_batch(model, inits, grid201, cfg, stationary201,
-                              eps=eps)
+    results = _simulate_batch(model, inits, grid201,
+                              replace(cfg, eps=np.array(eps)), stationary201)
     for result, alone in zip(results, solo):
         assert _same_run(result, alone)
     rep = stability_experiment(model, grid201, cfg, **kwargs)

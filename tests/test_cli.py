@@ -36,6 +36,7 @@ def test_usage_errors(capsys):
                  ["simulate", "--eps", "-1"], ["stability", "--eps", "nan"],
                  ["simulate", "--eps", "inf"], ["stability", "--delta", "-0.01"],
                  ["simulate", "--tend", "nan"], ["stability", "--tend", "inf"],
+                 ["simulate", "--tend", "0"], ["stability", "--tend", "-1"],
                  ["simulate", "--seed", "-1"],
                  ["stationary", "--tol", "0"], ["stationary", "--tol", "-1"],
                  ["stationary", "--tol", "nan"],

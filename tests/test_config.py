@@ -59,7 +59,10 @@ def test_unknown_key_and_section():
                       ("[experiment]\nfit_floor = 1e-13\n",
                        "experiment.fit_floor"),
                       ("[solver]\nearly_stop_floor = 1e-3\n",
-                       "solver.early_stop_floor")):
+                       "solver.early_stop_floor"),
+                      ("[solver]\nclip_tol = 1e-10\n", "solver.clip_tol"),
+                      ("[paths]\nresume = out/snap_000050.snap\n",
+                       "paths.resume")):
         with pytest.raises(ConfigError) as err:
             loads_config(text)
         assert key in str(err.value)
@@ -97,6 +100,10 @@ def test_solver_validation_wrapped():
     ("delta_list = -0.005", "delta_list: entries must be finite and >= 0"),
     ("seeds = 1, -1", "seeds: entries must be finite and >= 0"),
     ("shapes = poly, square", "shapes: entries must be in"),
+    ("eps_list =", "eps_list: needs at least one entry"),
+    ("delta_list =", "delta_list: needs at least one entry"),
+    ("shapes =", "shapes: needs at least one entry"),
+    ("seeds =", "seeds: needs at least one entry"),
 ])
 def test_experiment_lists_validated(text, message):
     # the rules the CLI applies to --eps, --delta, --seed and --shape
@@ -140,7 +147,6 @@ def test_config_hash_stable_and_sensitive():
     # horizon and output paths do not change a trajectory
     b.solver = replace(b.solver, t_end=1.0)
     b.out_dir = "elsewhere"
-    b.resume = "snap_000005.snap"
     assert config_hash(a) == config_hash(b)
     b.grid_n = 101
     assert config_hash(a) != config_hash(b)

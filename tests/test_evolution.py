@@ -549,6 +549,8 @@ def test_solver_config_validation():
         SolverConfig(eps=-0.1)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.0)
+    with pytest.raises(ValueError, match="t_end must be > 0"):
+        SolverConfig(t_end=0.0)
     with pytest.raises(ValueError):
         SolverConfig(splitting="strang")
     with pytest.raises(ValueError):
@@ -557,6 +559,12 @@ def test_solver_config_validation():
         for value in (np.nan, np.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 SolverConfig(**{name: value})
+    # one eps per row of a batch, each checked
+    SolverConfig(eps=np.array([0.0, 0.05]))
+    with pytest.raises(ValueError, match="eps must be >= 0"):
+        SolverConfig(eps=np.array([0.01, -0.01]))
+    with pytest.raises(ValueError, match="eps must be finite"):
+        SolverConfig(eps=np.array([0.01, np.nan]))
 
 
 def test_admissibility_report_lists_each_violation():
