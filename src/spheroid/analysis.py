@@ -8,9 +8,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InsufficientDataError
-from .evolution import SolverConfig, State, _simulate_batch, step
+from .evolution import (SolverConfig, State, _quasi_static, _simulate_batch,
+                        _stack, step)
 from .grid import Grid
-from .nutrient import solve_nutrient
 from .rates import Rate
 from .records import DeviationRecord
 from .stationary import solve_stationary
@@ -166,8 +166,12 @@ def stability_experiment(model, grid, config, eps_list, delta_list, shapes,
     as one batch, whose config carries one eps per row; every cell gives
     the records of its solo :func:`simulate` run, bit for bit.  A cell
     listed twice is run once.  A cell that fails leaves the batch where it
-    fails, and the others run on.
+    fails, and the others run on.  An empty list raises ValueError.
     """
+    for name, entries in zip(("eps_list", "delta_list", "shapes", "seeds"),
+                             (eps_list, delta_list, shapes, seeds)):
+        if not len(entries):
+            raise ValueError(f"{name}: needs at least one entry")
     if stationary is None:
         stationary = solve_stationary(model, grid, config=config,
                                       cross_check=False)
@@ -259,13 +263,12 @@ def _convergence_study(kind, levels, finals):
 
 
 def _integrate_plain(model, init, grid, config):
-    """Step to t_end without recording (convergence studies only)."""
-    state = init.copy()
-    if config.eps == 0.0:
-        state.c = solve_nutrient(model, state.z, grid, guess=state.c).c
+    """Step to t_end without recording (convergence studies only), as the
+    batch of one that :func:`simulate` steps, from the same projection."""
+    state = _quasi_static(model, _stack([init]), grid, config.eps)
     for _ in range(round((config.t_end - state.t) / config.dt)):
         state = step(model, state, grid, config)
-    return state
+    return state.row(0)
 
 
 # observed-order thresholds the standard suite is expected to meet

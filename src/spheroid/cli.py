@@ -17,7 +17,7 @@ from .analysis import (CONVERGENCE_THRESHOLDS, PERTURBATION_SHAPES,
                        admissible_init, stability_experiment,
                        standard_convergence_suite)
 from .config import (config_hash, default_config, load_config, save_config)
-from .errors import SpheroidError
+from .errors import ConfigError, SpheroidError
 from .evolution import State, simulate
 from .grid import MIN_NODES, Grid
 from .nutrient import bounds_report
@@ -193,6 +193,9 @@ def cmd_simulate(args):
 
     if args.resume:
         init, header = load_snapshot(args.resume, expect_n=grid.n)
+        if not cfg.solver.t_end > init.t:
+            raise ConfigError(f"t_end = {cfg.solver.t_end!r} is not after "
+                              f"the snapshot's t = {init.t!r}")
         if header["config_hash"] and header["config_hash"] != chash:
             log.warning("resume snapshot was produced under a different "
                         "configuration (hash %s vs %s)",

@@ -13,17 +13,17 @@ solver, so the scheme's stationary point is independent of eps and dt up
 to interpolation effects: trajectories for every eps decay to the same
 discrete stationary state.
 
-The stepping functions take a batch of states that share t, dt and the
-grid: z of shape (B,), and c and p of shape (B, n).  Every operation acts
-along the last axis or elementwise, and the tridiagonal systems of the
-rows are one LAPACK call, so each row of a batched step is, bit for bit,
-the step of that state alone.  A single :class:`State` (z a float, c and
-p of shape (n,)) is the batch of one.  The rows of a batch may differ in
-eps: those with eps = 0 solve the quasi-static nutrient and the others
-take the implicit step, while everything else runs once over all rows.
+The loop always steps a batch; a lone run is the batch of one.  A batch
+shares t, dt and the grid: z of shape (B,), c and p of shape (B, n).  The
+stepping functions act along the last axis, per-row scalars as columns
+``x[..., None]``, and the rows' tridiagonal systems are one LAPACK call,
+so each row of a batched step is, bit for bit, the step of that state
+alone.  Rows may differ in eps: those with eps = 0 solve the quasi-static
+nutrient, the others take the implicit step, and the rest runs once.
 """
 
 import logging
+from copy import deepcopy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,9 +47,9 @@ class State:
     proliferating fraction p.  The quiescent fraction is implicit, q = 1 - p
     (the two species fill the tumor at constant total density).
 
-    A batch of B states at one time holds z of shape (B,) and c, p of shape
-    (B, n); :meth:`row` takes one of them out, and a single state is the
-    batch of one."""
+    The loop always steps a batch, z of shape (B,) and c, p of shape
+    (B, n), and a lone run is the batch of one; :meth:`row` takes a lone
+    state (z a float, c and p of shape (n,)) out of a batch."""
 
     t: float
     z: float
@@ -61,22 +61,16 @@ class State:
         return float(np.exp(self.z))
 
     def copy(self):
-        return State(t=self.t, z=np.copy(self.z) if np.ndim(self.z) else self.z,
-                     c=self.c.copy(), p=self.p.copy())
+        return deepcopy(self)
 
     def row(self, b):
-        """Row ``b`` of a batch, as a single state of its own."""
-        if np.ndim(self.z) == 0:
-            return self.copy()
+        """Row ``b`` of a batch, as a lone state of its own."""
         return State(t=self.t, z=float(self.z[b]), c=self.c[b].copy(),
                      p=self.p[b].copy())
 
 
 def _stack(states):
-    """The batch of ``states``, which share their time (a copy of the one
-    state when there is one)."""
-    if len(states) == 1:
-        return states[0].copy()
+    """The batch of the lone ``states``, which share their time."""
     return State(t=states[0].t, z=np.array([s.z for s in states], dtype=float),
                  c=np.stack([s.c for s in states]),
                  p=np.stack([s.p for s in states]))
@@ -86,7 +80,7 @@ def _stack(states):
 class VelocityField:
     v: np.ndarray   # radial velocity, v(0) = 0
     w: np.ndarray   # effective advection w = v - r v(1); w(0) = w(1) = 0
-    v1: float       # boundary velocity v(1); (B,) for a batch
+    v1: np.ndarray  # boundary velocity v(1), one per row; 0-d when lone
 
 
 @dataclass
@@ -146,20 +140,17 @@ def velocity_from_state(model, state, grid):
     product-trapezoid rule; v(0) = 0 and w = v - r v(1) vanish exactly at
     both endpoints.
     """
-    g = g_source(model, state.c, state.p)
-    integral = grid.cumulative_radial_integral(g)
-    v = np.zeros(integral.shape)
-    v[..., 1:] = integral[..., 1:] / grid.r[1:] ** 2
-    v1 = float(v[-1]) if v.ndim == 1 else v[:, -1].copy()
+    v = grid.cumulative_radial_integral(g_source(model, state.c, state.p))
+    v[..., 1:] /= grid.r[1:] ** 2
+    v1 = v[..., -1]
     w = v - grid.r * _col(v1)
     w[..., -1] = 0.0
     return VelocityField(v=v, w=w, v1=v1)
 
 
 def _col(x):
-    """Per-row scalars of a batch as a column against its (B, n) rows; a
-    single state's scalar as it is."""
-    return x[:, None] if np.ndim(x) else x
+    """Per-row scalars as a column ``x[..., None]`` against (B, n) rows."""
+    return np.asarray(x)[..., None]
 
 
 def hermite_eval(y, x, grid):
@@ -171,16 +162,17 @@ def hermite_eval(y, x, grid):
     Per-row points ``x`` of shape (B, m) evaluate row b of ``y`` (..., B, n)
     at ``x[b]``, returning (..., B, m); the nodes are gathered by flat
     index into the rows laid end to end."""
-    d, h = grid.derivative(y), grid.h
-    n = y.shape[-1]
+    h, n, lead = grid.h, y.shape[-1], y.shape
     i = np.minimum((x / h).astype(np.intp), n - 2)
     s = x - i * h
     if x.ndim > 1:
         lead = y.shape[:-2] + (-1,)
-        y, d = y.reshape(lead), d.reshape(lead)
-        i = i + n * np.arange(len(x))[:, None]
+        i += np.arange(0, n * len(x), n)[:, None]
+    # slopes over the rows as one 2-D array, cheaper than over (..., B, n)
+    d = grid.derivative(y.reshape(-1, n)).reshape(lead)
+    y = y.reshape(lead)
     y0, d0 = y.take(i, axis=-1), d.take(i, axis=-1)
-    i = i + 1
+    i += 1
     y1, d1 = y.take(i, axis=-1), d.take(i, axis=-1)
     m = (y1 - y0) / h
     t = (d0 + d1 - 2.0 * m) / h
@@ -251,7 +243,7 @@ def nutrient_step(model, c, z, v1, dt, eps, grid):
     profile leaves the rates' validity interval (extended by
     ``rates.MARGIN``).
     """
-    if not np.all(np.greater(eps, 0.0)):
+    if not np.greater(eps, 0.0).all():
         raise ValueError("nutrient_step requires eps > 0; use solve_nutrient")
     e2z, v1, eps = _col(np.exp(2.0 * z)), _col(v1), _col(eps)
     beta = eps * e2z / dt
@@ -279,8 +271,7 @@ def nutrient_step(model, c, z, v1, dt, eps, grid):
 
 
 def _rows(x, rows):
-    """Rows ``rows`` of a batch's field or per-row scalars; all of ``x`` for
-    rows None."""
+    """Rows ``rows`` of a batch's field or per-row scalars, or all for None."""
     return x if rows is None else x[rows]
 
 
@@ -288,15 +279,16 @@ def _by_eps(eps, c, quasi, implicit):
     """The new nutrient of each row of a batch: ``quasi(rows)`` gives it
     for the rows with eps = 0, ``implicit(rows)`` for those with eps > 0.
 
-    When every row is of one kind (always so for a scalar eps) only that
-    call runs, with rows None for the whole batch; else each gets its row
-    indices, and their profiles fill an array shaped like ``c``.
+    When every row is of one kind only that call runs, with rows None for
+    the whole batch; else each gets its row indices, and their profiles
+    fill an array shaped like ``c``.
     """
-    zero = np.equal(eps, 0.0)
-    if zero.all():
+    n_implicit = np.count_nonzero(eps)   # eps >= 0: the rows with eps > 0
+    if not n_implicit:
         return quasi(None)
-    if not zero.any():
+    if n_implicit == np.size(eps):
         return implicit(None)
+    zero = np.equal(eps, 0.0)
     new = np.empty_like(c)
     for fill, rows in ((quasi, np.flatnonzero(zero)),
                        (implicit, np.flatnonzero(~zero))):
@@ -321,15 +313,14 @@ def step(model, state, grid, config, clip=None):
     margin ``rates.MARGIN`` = 0.5 beyond the validity interval, so the rate
     formulas run unchecked.  Raises DomainError on a violation.
 
-    ``clip``, if given, is a list of one ClipStats per row (one for a
-    single state) that the clip events update.  ``config.eps`` may be a
-    (B,) array of per-row values (B = 1 for a single state): the nutrient
-    of the rows with eps = 0 and of the others is updated by their own
-    solver, on their rows only.
+    A lone ``state`` steps as the batch of one and stays lone.  ``clip``
+    is None or one ClipStats per row for the clip events.  A (B,) array
+    ``config.eps`` updates the nutrient of the rows with eps = 0 and of
+    the others each by their own solver, on their rows only.
     """
     check_domain(state.c, "step")
     if clip is None:
-        clip = [ClipStats() for _ in np.atleast_1d(state.z)]
+        clip = [ClipStats() for _ in range(np.size(state.z))]
     dt, eps = config.dt, config.eps
     heun = config.splitting == "heun"
     vel = velocity_from_state(model, state, grid)
@@ -413,7 +404,8 @@ def simulate(model, init, grid, config, stationary, on_output=None,
         after a step all raise one :class:`NumericsError`, "step failed at
         t=<step start>: <cause>", chained to its cause and carrying the
         last healthy output state (None if the run fails in its initial
-        projection or, when fresh, in its first output).
+        projection or, when fresh, in its first output).  A config.t_end
+        that is not after init.t raises ValueError.
     """
     result, = _simulate_batch(model, [init], grid, config, stationary,
                              on_output, prev_output)
@@ -436,16 +428,25 @@ def _attempt(call, *args):
 
 
 def _finite(state):
-    """Whether every field of ``state``, batched or single, is finite."""
+    """Whether every field of ``state`` is finite."""
     return (np.isfinite(state.z).all() and np.isfinite(state.c).all()
             and np.isfinite(state.p).all())
+
+
+def _quasi_static(model, state, grid, eps):
+    """``state`` with its eps = 0 rows' nutrient projected onto c = m(.; z)."""
+    return replace(state, c=_by_eps(
+        eps, state.c,
+        lambda rows: solve_nutrient(model, _rows(state.z, rows), grid,
+                                    guess=_rows(state.c, rows)).c,
+        lambda rows: _rows(state.c, rows)))
 
 
 def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
                    prev_output=None):
     """:func:`simulate` of each of ``inits``, which share their start time,
-    stepped together as one batch.  ``config.eps`` is one float for all
-    cells or one value per cell, so cells of several eps share the batch.
+    stepped together as one batch; a lone run is the batch of one.
+    ``config.eps`` is one float for all cells or one value per cell.
 
     Returns one :class:`SimResult` per cell, or the :class:`NumericsError`
     that cell's own run raises, so a failing cell ends alone.  A cell
@@ -453,16 +454,19 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
     (which first rejects non-finite initial data and a nutrient outside
     the rates' interval), a step (which rejects a non-finite result) or
     an output's nutrient solve raises for the batch, the call runs again
-    for each row alone, and the rows that still raise leave the batch
-    there.  Every other cell's records, final state and clip counts are
-    those of its solo run, bit for bit.  ``on_output`` gets each cell's
-    state at every output and ``prev_output`` needs a single cell.
+    for each row as a batch of one, and the rows that still raise leave
+    the batch there.  Every other cell's records, final state and clip
+    counts are those of its solo run, bit for bit.  ``on_output`` gets
+    each cell's state at every output; ``prev_output`` needs one cell.
     """
     if not inits:
         return []
     results = [None] * len(inits)
     cells = list(range(len(inits)))   # index into inits of each row
     state = _stack(inits)
+    if not config.t_end > state.t:
+        raise ValueError(f"t_end = {config.t_end!r} is not after the "
+                         f"initial time t = {state.t!r}")
     # one eps per row from here on, narrowed with the batch by each_row
     config = replace(config, eps=np.broadcast_to(config.eps, len(inits)))
     records = {i: [] for i in cells}
@@ -470,21 +474,19 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
     clips = {i: ClipStats() for i in cells}
     prev = None
     k_out = max(1, round(config.output_interval / config.dt))
-    n_steps = max(0, round((config.t_end - state.t) / config.dt))
+    n_steps = round((config.t_end - state.t) / config.dt)
     out_idx = 0
 
     def each_row(call):
         # call(state, config, cells) -> State on the batch; where it raises,
-        # on each row alone (a lone row is not re-run), and a row that
-        # raises alone ends its cell; the batch narrows to the rows left,
-        # a lone state when one is left, as in its solo run, and their
-        # outputs return stacked
+        # on each row as a batch of one (one row is not re-run), where a
+        # raise ends its cell; the batch narrows to the rows left
         nonlocal state, prev, cells, config
         try:
             return call(state, config, cells)
         except _STEP_ERRORS as exc:
             outs = [exc] if len(cells) == 1 else [
-                _attempt(call, state.row(b),
+                _attempt(call, _stack([state.row(b)]),
                          replace(config, eps=config.eps[[b]]), [i])
                 for b, i in enumerate(cells)]
         for b, out in enumerate(outs):
@@ -503,18 +505,13 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
         if prev is not None:
             prev = _stack([prev.row(b) for b in kept])
         config = replace(config, eps=config.eps[kept])
-        return _stack([outs[b] for b in kept])
+        return _stack([outs[b].row(0) for b in kept])
 
     def project(s, cfg, _):
         if not _finite(s):
             raise ValueError("non-finite initial data")
         check_domain(s.c, "initial data")
-        # eps = 0 slaves c to z: c = m(.; z)
-        return replace(s, c=_by_eps(
-            cfg.eps, s.c,
-            lambda rows: solve_nutrient(model, _rows(s.z, rows), grid,
-                                        guess=_rows(s.c, rows)).c,
-            lambda rows: _rows(s.c, rows)))
+        return _quasi_static(model, s, grid, cfg.eps)
 
     def advance(s, cfg, rows):
         # the rows' clip counts change only when the step succeeds, so a
@@ -533,13 +530,11 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
         if not cells:
             return
         recs = deviation_norms(state, prev, stationary, profile)
-        recs = recs if isinstance(recs, list) else [recs]
-        v1 = np.atleast_1d(velocity_from_state(model, state, grid).v1)
-        z = np.atleast_1d(state.z)
-        radius = np.exp(z)
+        v1 = velocity_from_state(model, state, grid).v1
+        radius = np.exp(state.z)
         for b, i in enumerate(cells):
             records[i].append(recs[b])
-            aux[i].append((state.t, float(radius[b]), float(z[b]),
+            aux[i].append((state.t, float(radius[b]), float(state.z[b]),
                            float(v1[b])))
             if on_output is not None:
                 on_output(state.row(b), step_index, out_idx, recs[b])
@@ -549,12 +544,13 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
     for i in cells:
         for issue in issues[i]:
             log.warning("initial data: %s", issue)
+    # no step changes a state in place, so prev may share its arrays
     if prev_output is not None:
-        prev = prev_output.copy()
+        prev = _stack([prev_output])
     elif cells:
         emit(0)
         out_idx += 1
-        prev = state.copy()
+        prev = state
 
     for k in range(1, n_steps + 1):
         if not cells:
@@ -563,7 +559,7 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
         if cells and k % k_out == 0:
             emit(k)
             out_idx += 1
-            prev = state.copy()
+            prev = state
 
     for b, i in enumerate(cells):
         if clips[i].events:

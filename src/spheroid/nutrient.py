@@ -64,8 +64,6 @@ def _diffusion_rows(grid):
 def _block_rows(grid, size):
     """:func:`_diffusion_rows` repeated for ``size`` blocks laid end to end,
     read-only; each block's zero lo[0] and up[-1] keep it apart."""
-    if size == 1:
-        return _diffusion_rows(grid)
     rows = tuple(np.tile(row, size) for row in _diffusion_rows(grid))
     for row in rows:
         row.flags.writeable = False
@@ -113,11 +111,12 @@ def solve_nutrient(model, z, grid, guess=None):
     ``RESIDUAL_TOL * max(1, e^{2z} F(C_HI))``, floored at the rounding
     level of the h^-2 stencil.
 
-    A batch, ``z`` of shape (B,) and ``guess`` of shape (B, n), solves B
-    problems in one damped Newton iteration: the rows still iterating share
-    one tridiagonal solve, a converged row freezes, and each row's line
-    search halves its own step and rejects its own trials.  Every row's
-    profile is the one its own solve gives, bit for bit.
+    The solve always runs a batch, ``z`` of shape (B,) and ``guess`` of
+    shape (B, n), and a scalar ``z`` is the batch of one.  It solves the B
+    problems in one damped Newton iteration: the rows still iterating
+    share one tridiagonal solve, a converged row freezes, and each row's
+    line search halves its own step and rejects its own trials.  Every
+    row's profile is the one its own solve gives, bit for bit.
 
     Parameters
     ----------
@@ -132,7 +131,7 @@ def solve_nutrient(model, z, grid, guess=None):
     Returns
     -------
     NutrientProfile
-        ``c`` of shape (n,), or (B, n) for a batch.
+        ``c`` of shape ``np.shape(z) + (n,)``: (n,) for a scalar ``z``.
 
     Raises
     ------
@@ -144,20 +143,20 @@ def solve_nutrient(model, z, grid, guess=None):
         ``NEWTON_MAXITER`` iterations, or the residual is not finite (NaN in
         ``z`` or ``guess``), in any row; or if any z exceeds ``Z_MAX``.
     """
-    batch = np.ndim(z) > 0
     zb = np.asarray(z, dtype=float).reshape(-1)
     if (zb > Z_MAX).any():
         raise ConvergenceError(
             f"nutrient BVP at z={zb[np.argmax(zb > Z_MAX)]:g}: the log-radius "
             f"ran away past {Z_MAX:.0f}, where e^(2z) nears overflow")
     n = grid.n
-    load = np.exp(2.0 * zb) * abs(float(model.F.value(C_HI)))
+    e2z = np.exp(2.0 * zb)
+    load = e2z * abs(float(model.F.value(C_HI)))
     # a max-norm residual below rounding: 50 machine epsilons of the scale
     rounding = 50.0 * _MACHEPS * np.maximum(max(1.0, 1.0 / grid.h**2), load)
     tol_eff = np.maximum(RESIDUAL_TOL * np.maximum(1.0, load), rounding)
     # the rows laid end to end: one vector of length B*n, whose blocks the
     # zero couplings of the diffusion rows keep apart
-    e2z = np.repeat(np.exp(2.0 * zb), n) if batch else np.exp(2.0 * float(z))
+    e2z = np.repeat(e2z, n)
     lo, di, up = _block_rows(grid, zb.size)
     c = (np.ones(zb.size * n) if guess is None
          else np.array(guess, dtype=float).reshape(-1))
@@ -230,11 +229,8 @@ def solve_nutrient(model, z, grid, guess=None):
         it += 1
         active = ~(rnorm <= tol_eff)
 
-    if batch:
-        return NutrientProfile(z=zb, c=c.reshape(-1, n), grid=grid,
-                               residual=float(rnorm.max()), iterations=it)
-    return NutrientProfile(z=float(z), c=c, grid=grid, residual=float(rnorm[0]),
-                           iterations=it)
+    return NutrientProfile(z=z, c=c.reshape(np.shape(z) + (n,)), grid=grid,
+                           residual=float(rnorm.max()), iterations=it)
 
 
 def nutrient_sensitivity(model, profile):

@@ -151,7 +151,7 @@ def check_domain(c, context):
     """Validate concentrations against DOMAIN."""
     arr = np.asarray(c, dtype=float)
     bad = outside_domain(arr)
-    if np.any(bad):
+    if bad.any():
         raise DomainError(f"{context}: c={arr[bad][0]:.6g} outside "
                           f"[{DOMAIN[0]:g}, {DOMAIN[1]:g}]")
     return arr

@@ -36,8 +36,8 @@ class DeviationRecord:
 
 
 def deviation_norms(state, prev, stationary, profile):
-    """Build a :class:`DeviationRecord` for ``state``, or a list of them, one
-    per row, for a batched ``state`` (see ``evolution.State``).
+    """The list of :class:`DeviationRecord`, one per row of the batch
+    ``state`` (see ``evolution.State``); a lone state is the batch of one.
 
     Parameters
     ----------
@@ -80,11 +80,9 @@ def deviation_norms(state, prev, stationary, profile):
         z_dot_dev=z_dot,
         eta_dev=np.max(np.abs(state.c - profile.c), axis=-1),
     )
-    t = float(state.t)
-    if np.ndim(state.z) == 0:
-        return DeviationRecord(t=t, **{k: float(v) for k, v in norms.items()})
-    return [DeviationRecord(t=t, **{k: float(v[b]) for k, v in norms.items()})
-            for b in range(len(state.z))]
+    rows = zip(*(np.reshape(v, -1).tolist() for v in norms.values()))
+    return [DeviationRecord(t=float(state.t), **dict(zip(norms, row)))
+            for row in rows]
 
 
 def admissibility_report(state, grid):

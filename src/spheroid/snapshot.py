@@ -73,13 +73,16 @@ def save_snapshot(state, path, step=0, output_index=0, config_hash=""):
 def load_snapshot(path, expect_n=None):
     """Read a snapshot; returns (State, header dict).
 
-    Raises :class:`SnapshotError` on bad magic, version, checksum, length,
-    a header that is not a JSON object, lacks a field of :data:`FIELDS` or
-    holds a value of the wrong type there, or a grid size differing from
-    ``expect_n``.
+    Raises :class:`SnapshotError` on a file that cannot be read, bad magic,
+    version, checksum, length, a header that is not a JSON object, lacks a
+    field of :data:`FIELDS` or holds a value of the wrong type there, or a
+    grid size differing from ``expect_n``.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise SnapshotError(f"{path}: cannot read snapshot: {exc}") from exc
     if len(blob) < len(MAGIC) + 4 + 32:
         raise SnapshotError(f"{path}: truncated snapshot ({len(blob)} bytes)")
     if blob[:len(MAGIC)] != MAGIC:

@@ -135,7 +135,7 @@ def _steady_transport(model, c, grid):
             # degenerate advection: steady state is the pointwise equilibrium
             p_new = equilibrium_fraction(model, c)
         else:
-            w_r1 = float(g_source(model, c1, p1)) - 3.0 * vel.v1
+            w_r1 = float(g_source(model, c1, p1)) - 3.0 * float(vel.v1)
             denom = f_p1 - w_r1
             sigma = f_c1 * c_r1 / denom if abs(denom) > 1e-12 else 0.0
             w = hermite_eval(vel.w, x, grid)
@@ -176,7 +176,7 @@ def _steady_transport(model, c, grid):
             f"steady transport Picard did not settle (last move {move:.2e})",
             residual=move)
     vel = velocity_from_state(model, State(0.0, 0.0, c, p), grid)
-    return p, vel.v1, it
+    return p, float(vel.v1), it
 
 
 def stationary_by_bisection(model, grid, z_bracket):
@@ -369,7 +369,7 @@ def solve_stationary(model, grid, tol=1e-6, config=None, *, cross_check):
     transport = -vel.v * p_r + f_reaction(model, state.c, state.p)
     solution = StationarySolution(
         z=state.z, c=state.c, p=state.p, v=vel.v, grid=grid,
-        v1_residual=abs(vel.v1),
+        v1_residual=abs(float(vel.v1)),
         transport_residual=float(np.max(np.abs(transport[1:-1]))),
         step_calls=coarse.calls + fine.calls,
         states_stepped=coarse.states + fine.states, jacobians=jacobians,

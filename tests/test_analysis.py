@@ -120,7 +120,7 @@ def test_deviation_norms_at_stationary(stationary201, model):
     state = State(t=0.0, z=stationary201.z, c=stationary201.c.copy(),
                   p=stationary201.p.copy())
     prof = solve_nutrient(model, state.z, stationary201.grid, guess=state.c)
-    rec = deviation_norms(state, None, stationary201, prof)
+    rec, = deviation_norms(state, None, stationary201, prof)
     assert rec.max_norm() < 1e-9
 
 
@@ -128,7 +128,7 @@ def test_deviation_norms_z_shift(stationary201, model):
     state = State(t=1.0, z=stationary201.z + 0.1, c=stationary201.c.copy(),
                   p=stationary201.p.copy())
     prof = solve_nutrient(model, stationary201.z, stationary201.grid)
-    rec = deviation_norms(state, None, stationary201, prof)
+    rec, = deviation_norms(state, None, stationary201, prof)
     assert rec.z_dev == pytest.approx(0.1, abs=1e-15)
 
 
@@ -138,7 +138,7 @@ def test_deviation_norms_manufactured_bump(stationary201, model):
                   c=stationary201.c + 0.01 * (1.0 - grid.r**2),
                   p=stationary201.p.copy())
     prof = solve_nutrient(model, state.z, grid)
-    rec = deviation_norms(state, None, stationary201, prof)
+    rec, = deviation_norms(state, None, stationary201, prof)
     # d/dr of the bump is -0.02 r: sup 0.01, sup-derivative 0.02 exactly
     assert rec.c_dev == pytest.approx(0.01, abs=1e-12)
     assert rec.c_r_dev == pytest.approx(0.02, abs=1e-10)
@@ -151,7 +151,7 @@ def test_deviation_norms_time_differences(stationary201, model):
     state = State(t=0.5, z=stationary201.z + 0.05,
                   c=stationary201.c + 0.01, p=stationary201.p.copy())
     prof = solve_nutrient(model, state.z, grid)
-    rec = deviation_norms(state, prev, stationary201, prof)
+    rec, = deviation_norms(state, prev, stationary201, prof)
     assert rec.z_dot_dev == pytest.approx(0.1, rel=1e-12)
     assert rec.c_t_dev == pytest.approx(0.02, rel=1e-10)
 
@@ -188,6 +188,19 @@ def test_stability_failed_cell_reported(model, grid201, stationary201):
     assert rep.cells[0].status.startswith("error")
     assert rep.cells[1].status == "ok"
     assert not rep.all_ran
+
+
+def test_stability_rejects_empty_lists(model, grid201, stationary201):
+    # an empty list is no experiment, not a vacuous pass
+    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=0.4, output_interval=0.2)
+    lists = dict(eps_list=(0.0,), delta_list=(0.01,), shapes=("poly",),
+                 seeds=(1,))
+    for name in lists:
+        with pytest.raises(ValueError,
+                           match=f"^{name}: needs at least one entry$"):
+            stability_experiment(model, grid201, cfg,
+                                 **{**lists, name: ()},
+                                 stationary=stationary201)
 
 
 def test_stability_bad_eps_fails_its_cells_only(model, grid201, stationary201):
@@ -332,7 +345,7 @@ def test_repeated_matrix_entries_are_each_reported(model, grid201,
 
 def _poison_cell(monkeypatch, model, init, grid, config, stationary):
     """Put a NaN into the row of the cell started from ``init`` when it
-    steps to t = 0.5, whether it steps in a batch or alone: the row is the
+    steps to t = 0.5, in a batch or as a batch of one: the row is the
     one whose z at t = 0.48 is that of the cell's solo run, bit for bit.
     Every step also counts one clip event per row, so a row whose step is
     counted twice (batched, then alone) shows.  Returns the cell's solo
@@ -490,7 +503,7 @@ def test_failing_output_solve_ends_only_that_cell(model, grid201,
                                                  stationary201, monkeypatch):
     # at eps > 0 only the outputs solve the quasi-static nutrient; from the
     # output at t = 0.4 on it raises for the cosine row (z below z*), and
-    # the poly row runs on as a lone state
+    # the poly row runs on as a batch of one
     cfg = SolverConfig(eps=0.05, dt=0.02, t_end=1.0, output_interval=0.2)
     inits = [admissible_init(stationary201, 0.01, shape)
              for shape in ("poly", "cosine")]
@@ -516,8 +529,9 @@ def test_failing_output_solve_ends_only_that_cell(model, grid201,
 def test_batch_that_fails_only_as_a_batch_runs_rows_alone(model, grid201,
                                                           stationary201,
                                                           monkeypatch):
-    # every batched step from t = 0.5 on raises; each row steps alone
-    # there, so every cell ends ok, bit-identical to its solo run
+    # every step of more than one row from t = 0.5 on raises; each row
+    # steps there as a batch of one, so every cell ends ok, bit-identical
+    # to its solo run
     cfg = SolverConfig(eps=0.0, dt=0.02, t_end=2.0, output_interval=0.2)
     kwargs = dict(eps_list=(0.0, 0.05), delta_list=(0.01,),
                   shapes=("poly", "cosine"), seeds=(1,),
@@ -527,7 +541,7 @@ def test_batch_that_fails_only_as_a_batch_runs_rows_alone(model, grid201,
                               shape="cosine")
     solo = [simulate(model, init, grid201, replace(cfg, eps=e), stationary201)
             for init, e in zip(inits, eps)]
-    _failing_step(monkeypatch, lambda state, config: np.ndim(state.z) > 0)
+    _failing_step(monkeypatch, lambda state, config: np.size(state.z) > 1)
     results = _simulate_batch(model, inits, grid201,
                               replace(cfg, eps=np.array(eps)), stationary201)
     for result, alone in zip(results, solo):

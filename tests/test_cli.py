@@ -236,6 +236,36 @@ def test_resume_rejects_wrong_grid(tmp_path, config_path):
     assert code == 1
 
 
+def test_resume_from_missing_snapshot(tmp_path, capsys):
+    # status 1 and a one-line message, no traceback
+    missing = str(tmp_path / "nope.snap")
+    assert cli(["simulate", "--grid-n", "21", "--tend", "0.2",
+                "--out", str(tmp_path / "x"), "--resume", missing]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {missing}: cannot read snapshot: ")
+    assert err.count("\n") == 1
+
+
+def test_resume_past_the_horizon(tmp_path, config_path, capsys):
+    # a t_end not after the snapshot's t is a configuration error: status 1,
+    # both times named, and no CSV of no records
+    out_dir = str(tmp_path / "x")
+    args = ["simulate", "--config", config_path, "--grid-n", "21",
+            "--out", out_dir]
+    assert cli(args + ["--tend", "1.0"]) == 0
+    snap = os.path.join(out_dir, "snap_000005.snap")
+    from spheroid import load_snapshot
+    t = load_snapshot(snap)[0].t
+    assert t == pytest.approx(1.0, abs=1e-12)
+    for tend in ("0.2", "1.0"):
+        capsys.readouterr()
+        assert cli(args + ["--tend", tend, "--resume", snap]) == 1
+        assert capsys.readouterr().err == (
+            f"error: t_end = {float(tend)!r} is not after the snapshot's "
+            f"t = {t!r}\n")
+    assert not os.path.exists(os.path.join(out_dir, "timeseries_resumed.csv"))
+
+
 def test_resume_under_another_config_warns(tmp_path, caplog):
     # the snapshot's config hash differs from the resuming run's: the run
     # goes on, and the warning names both hashes

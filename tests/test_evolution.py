@@ -346,6 +346,45 @@ def test_step_splittings_agree_to_first_order(model, grid201, stationary201):
         assert np.max(np.abs(finals[0].p - finals[1].p)) < 1e-4, eps
 
 
+def test_lone_step_is_its_batch_of_one(model, grid201, stationary201):
+    # a lone state steps as the batch of one: the same bits, and the lone
+    # shapes back (a scalar z, fields of shape (n,))
+    init = admissible_init(stationary201, 0.01, "random", seed=3)
+    init.c = solve_nutrient(model, init.z, grid201, guess=init.c).c
+    assert solve_nutrient(model, init.z, grid201).c.shape == (grid201.n,)
+    batch = evolution._stack([init])
+    for eps in (0.0, 0.05):
+        for splitting in ("lie", "heun"):
+            cfg = SolverConfig(eps=eps, dt=0.02, splitting=splitting)
+            lone, one = init, batch
+            for _ in range(3):
+                lone = step(model, lone, grid201, cfg)
+                one = step(model, one, grid201, cfg)
+            assert np.ndim(lone.z) == 0 and isinstance(lone.z, float)
+            assert lone.c.shape == lone.p.shape == (grid201.n,)
+            assert np.shape(one.z) == (1,)
+            assert one.c.shape == one.p.shape == (1, grid201.n)
+            row = one.row(0)
+            assert (lone.t, lone.z) == (row.t, row.z)
+            assert np.array_equal(lone.c, row.c)
+            assert np.array_equal(lone.p, row.p)
+    final = simulate(model, init, grid201,
+                     SolverConfig(eps=0.0, dt=0.02, t_end=0.2), stationary201
+                     ).final_state
+    assert type(final.z) is float and final.c.shape == (grid201.n,)
+
+
+def test_simulate_rejects_horizon_not_after_start(model, grid201,
+                                                  stationary201):
+    init = admissible_init(stationary201, 0.01, "poly")
+    init.t = 1.0
+    for t_end in (0.2, 1.0):
+        cfg = SolverConfig(eps=0.0, dt=0.02, t_end=t_end)
+        with pytest.raises(ValueError, match=f"t_end = {t_end!r} is not "
+                                             "after the initial time t = 1.0"):
+            simulate(model, init, grid201, cfg, stationary201)
+
+
 def test_simulate_stationary_stays_put(model, grid201, stationary201):
     init = State(t=0.0, z=stationary201.z, c=stationary201.c.copy(),
                  p=stationary201.p.copy())
@@ -468,7 +507,7 @@ def test_simulate_wraps_nonfinite_velocity(model, grid201, stationary201,
         vel = velocity(*args, **kwargs)
         calls.append(1)
         if len(calls) == 25:
-            vel.w[grid201.n // 2] = np.nan
+            vel.w[..., grid201.n // 2] = np.nan
         return vel
 
     monkeypatch.setattr(evolution, "velocity_from_state", poisoned)

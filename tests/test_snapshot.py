@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -179,3 +180,12 @@ def test_wrong_payload_size(tmp_path):
                        match=f"wrong payload size {size} "
                              f"\\(expected {size + 16}\\)"):
         load_snapshot(path)
+
+
+def test_unreadable_file(tmp_path):
+    # a missing file or a directory is a SnapshotError naming the path
+    for path in (tmp_path / "nope.snap", tmp_path):
+        with pytest.raises(SnapshotError,
+                           match=f"^{re.escape(str(path))}: cannot read "
+                                 "snapshot: "):
+            load_snapshot(path)
