@@ -4,22 +4,21 @@ State lives on the fixed unit interval after the log-radius rescaling
 R(t) = e^{z(t)}.  One splitting step computes the velocity field from the
 current state, advances the proliferating fraction along characteristics
 (semi-Lagrangian) and the log-radius (Heun, with the boundary velocity
-re-evaluated at the predictor state), then updates the nutrient: an
-implicit tridiagonal solve for eps > 0, or the quasi-static profile
-c = m(.; z) for eps = 0.
-
-The nutrient step reuses the same spatial stencil as the quasi-static
-solver, so the scheme's stationary point is independent of eps and dt up
-to interpolation effects: trajectories for every eps decay to the same
-discrete stationary state.
+re-evaluated at the predictor state), then updates the nutrient by the
+``nutrient`` module, which alone knows its operator: the implicit step
+for eps > 0, or the quasi-static profile c = m(.; z) for eps = 0.  The
+implicit step's matrix is beta I - J plus advection, J the quasi-static
+Newton Jacobian, so the scheme's stationary point is independent of eps
+and dt up to interpolation effects: trajectories for every eps decay to
+the same discrete stationary state.
 
 The loop always steps a batch; a lone run is the batch of one.  A batch
 shares t, dt and the grid: z of shape (B,), c and p of shape (B, n).  The
 stepping functions act along the last axis, per-row scalars as columns
-``x[..., None]``, and the rows' tridiagonal systems are one LAPACK call,
-so each row of a batched step is, bit for bit, the step of that state
-alone.  Rows may differ in eps: those with eps = 0 solve the quasi-static
-nutrient, the others take the implicit step, and the rest runs once.
+``x[..., None]``, so each row of a batched step is, bit for bit, the step
+of that state alone.  Rows may differ in eps: those with eps = 0 solve the
+quasi-static nutrient, the others take the implicit step, and the rest
+runs once.
 """
 
 import logging
@@ -27,10 +26,9 @@ from copy import deepcopy
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError
 
 from .errors import ConvergenceError, NumericsError
-from .nutrient import _diffusion_rows, solve_nutrient, tri_solve
+from .nutrient import nutrient_step, solve_nutrient
 from .rates import check_domain, f_reaction, g_source
 from .records import admissibility_report, deviation_norms
 
@@ -142,41 +140,34 @@ def velocity_from_state(model, state, grid):
     """
     v = grid.cumulative_radial_integral(g_source(model, state.c, state.p))
     v[..., 1:] /= grid.r[1:] ** 2
-    v1 = v[..., -1]
-    w = v - grid.r * _col(v1)
+    w = v - grid.r * v[..., -1:]
     w[..., -1] = 0.0
-    return VelocityField(v=v, w=w, v1=v1)
-
-
-def _col(x):
-    """Per-row scalars as a column ``x[..., None]`` against (B, n) rows."""
-    return np.asarray(x)[..., None]
+    return VelocityField(v=v, w=w, v1=v[..., -1])
 
 
 def hermite_eval(y, x, grid):
-    """Cubic Hermite interpolant of ``y`` (n,) or of each row of ``y`` (k, n)
-    on ``grid``, with the nodal slopes of :meth:`Grid.derivative`, evaluated
-    at ``x`` in [0, 1]: returns (len(x),) or (k, len(x)).  Cell
-    i = floor(x/h), clamped to n - 2 so x = 1 falls in the last cell.
-
-    Per-row points ``x`` of shape (B, m) evaluate row b of ``y`` (..., B, n)
-    at ``x[b]``, returning (..., B, m); the nodes are gathered by flat
+    """Cubic Hermite interpolant of each row of ``y`` on ``grid``, with the
+    nodal slopes of :meth:`Grid.derivative`, at its own points in [0, 1]:
+    row b of ``y`` (..., B, n) at ``x[b]``, ``x`` of shape (B, m) or (m,)
+    for a lone row; returns (..., B, m).  Cell i = floor(x/h), clamped to
+    n - 2 so x = 1 falls in the last cell; the nodes are gathered by flat
     index into the rows laid end to end."""
-    h, n, lead = grid.h, y.shape[-1], y.shape
+    h, n = grid.h, y.shape[-1]
+    shape = y.shape[:-1] + x.shape[-1:]
+    x = x.reshape(-1, x.shape[-1])
     i = np.minimum((x / h).astype(np.intp), n - 2)
     s = x - i * h
-    if x.ndim > 1:
-        lead = y.shape[:-2] + (-1,)
-        i += np.arange(0, n * len(x), n)[:, None]
+    i += np.arange(0, n * len(x), n)[:, None]
     # slopes over the rows as one 2-D array, cheaper than over (..., B, n)
-    d = grid.derivative(y.reshape(-1, n)).reshape(lead)
-    y = y.reshape(lead)
+    d = grid.derivative(y.reshape(-1, n)).reshape(-1, n * len(x))
+    y = y.reshape(d.shape)
     y0, d0 = y.take(i, axis=-1), d.take(i, axis=-1)
     i += 1
     y1, d1 = y.take(i, axis=-1), d.take(i, axis=-1)
     m = (y1 - y0) / h
     t = (d0 + d1 - 2.0 * m) / h
-    return y0 + s * (d0 + s * ((m - d0) / h - t + s * (t / h)))
+    y = y0 + s * (d0 + s * ((m - d0) / h - t + s * (t / h)))
+    return y.reshape(shape)
 
 
 def transport_step(model, state, w, c_head, dt, grid):
@@ -225,49 +216,6 @@ def boundary_radius_step(state, vel, dt, vel_pred):
     """Heun update of the log-radius, dz/dt = v(1), with ``vel_pred`` the
     velocity re-evaluated at the predictor state."""
     return state.z + 0.5 * dt * (vel.v1 + vel_pred.v1)
-
-
-def nutrient_step(model, c, z, v1, dt, eps, grid):
-    """One fully implicit step of the nutrient profile ``c`` (eps > 0).
-
-    eps e^{2z} c_t = c_rr + [2/r + eps e^{2z} r v(1)] c_r - e^{2z} F(c),
-    with the consumption linearized about the current profile, the
-    log-radius ``z`` and boundary velocity ``v1`` frozen over the step
-    (their step-start values, or time-centered ones for a composite),
-    the r = 0 row using the symmetric-limit stencil, and c(1) = 1 imposed
-    strongly.  The advection term eps e^{2z} v(1) r c_r is added to the
-    grid's shared diffusion rows.  A batch takes ``eps``, like ``z`` and
-    ``v1``, as one scalar or as a (B,) array of per-row values.
-
-    Raises ValueError unless every eps > 0, and DomainError if the new
-    profile leaves the rates' validity interval (extended by
-    ``rates.MARGIN``).
-    """
-    if not np.greater(eps, 0.0).all():
-        raise ValueError("nutrient_step requires eps > 0; use solve_nutrient")
-    e2z, v1, eps = _col(np.exp(2.0 * z)), _col(v1), _col(eps)
-    beta = eps * e2z / dt
-    lo, di, up = _diffusion_rows(grid)
-    adv = eps * e2z * v1 * grid.r / (2.0 * grid.h)
-    fv, dfv = model.F(c)
-
-    a_lo = adv - lo
-    a_di = beta - (di - e2z * dfv)
-    a_up = -(up + adv)
-    rhs = beta * c + e2z * (dfv * c - fv)
-    # the r = 0 row has no lower neighbour and the Dirichlet row is an
-    # identity row, so the rows of a batch laid end to end solve as one
-    a_lo[..., 0] = 0.0
-    a_lo[..., -1] = 0.0
-    a_di[..., -1] = 1.0
-    a_up[..., -1] = 0.0
-    rhs[..., -1] = 1.0
-    try:
-        c_new = tri_solve(a_lo.ravel(), a_di.ravel(), a_up.ravel(),
-                          rhs.ravel()).reshape(c.shape)
-    except LinAlgError as exc:
-        raise NumericsError("singular nutrient system") from exc
-    return check_domain(c_new, "nutrient_step")
 
 
 def _rows(x, rows):
@@ -516,7 +464,8 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
     def advance(s, cfg, rows):
         # the rows' clip counts change only when the step succeeds, so a
         # row re-run alone counts its clips once
-        counts = [replace(clips[i]) for i in rows]
+        counts = [ClipStats(clips[i].events, clips[i].max_excess)
+                  for i in rows]
         new = step(model, s, grid, cfg, clip=counts)
         if not _finite(new):
             raise FloatingPointError(f"non-finite state at t={new.t:g}")

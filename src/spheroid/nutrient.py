@@ -1,4 +1,4 @@
-"""Quasi-static nutrient profile on the rescaled unit ball.
+"""The nutrient operator: the quasi-static profile and the implicit step.
 
 At frozen log-radius z the nutrient concentration solves the two-point
 boundary value problem
@@ -8,11 +8,17 @@ boundary value problem
 discretized with second-order central differences.  At r = 0 the operator
 is replaced by its symmetric limit 3 c''(0) (ghost-node symmetry), which
 the uniform grid resolves to 6 (c_1 - c_0) / h^2.  A damped Newton
-iteration with the analytic Jacobian solves the nonlinear system;
-:func:`nutrient_sensitivity` gets dc/dz from one linear solve with the
-converged Jacobian, since it satisfies the linearized problem
+iteration with the analytic Jacobian J = L - e^{2z} F'(c) solves the
+nonlinear system; :func:`nutrient_sensitivity` gets dc/dz from one linear
+solve with the converged Jacobian, since it satisfies the linearized
+problem
 
     u'' + (2/r) u' = e^{2z} F'(c) u + 2 e^{2z} F(c),  u'(0) = 0, u(1) = 0.
+
+For eps > 0, :func:`nutrient_step` takes an implicit step whose matrix is
+beta I - J plus advection, beta = eps e^{2z} / dt.  All three take a batch
+of (B, n) rows and assemble J in one helper; only :func:`tri_solve` and
+the product it inverts lay a batch's rows end to end.
 """
 
 from dataclasses import dataclass
@@ -21,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import LinAlgError, lapack
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericsError
 from .grid import Grid
 from .rates import C_HI, DOMAIN, check_domain, outside_domain
 
@@ -35,14 +41,14 @@ Z_MAX = 0.25 * np.log(np.finfo(float).max)
 
 
 @lru_cache(maxsize=8)
-def _diffusion_rows(grid):
-    """Tridiagonal rows of L[c] = c_rr + (2/r) c_r, built once per grid and
-    shared read-only.
+def _diffusion_rows(grid, size):
+    """Tridiagonal rows of L[c] = c_rr + (2/r) c_r for a batch of ``size``
+    rows, built once per grid and batch size and shared read-only.
 
     Row 0 encodes the symmetric-limit stencil 6(c_1 - c_0)/h^2; the last
     row is an identity row for a strongly imposed Dirichlet value.  Returns
-    full-length rows (lower, diag, upper) as :func:`tri_solve` takes them;
-    lo[0] and up[-1] unused.
+    the rows (lower, diag, upper), each (size, n), as :func:`tri_solve`
+    takes them; lo[0] and up[-1] are zero.
     """
     r, h, n = grid.r, grid.h, grid.n
     lo = np.zeros(n)
@@ -55,34 +61,45 @@ def _diffusion_rows(grid):
     di[1:-1] = -2.0 / h**2
     up[1:-1] = 1.0 / h**2 + a / (2.0 * h)
     di[-1] = 1.0
-    for row in (lo, di, up):
-        row.flags.writeable = False
-    return lo, di, up
-
-
-@lru_cache(maxsize=8)
-def _block_rows(grid, size):
-    """:func:`_diffusion_rows` repeated for ``size`` blocks laid end to end,
-    read-only; each block's zero lo[0] and up[-1] keep it apart."""
-    rows = tuple(np.tile(row, size) for row in _diffusion_rows(grid))
+    rows = tuple(np.tile(row, (size, 1)) for row in (lo, di, up))
     for row in rows:
         row.flags.writeable = False
     return rows
 
 
-def tri_solve(lo, di, up, rhs):
-    """Direct solve of the tridiagonal system given by row arrays (dgtsv);
-    lo[0] and up[-1] are unused.
+def _jacobian_diagonal(di, e2z, dfv):
+    """Diagonal of the Newton Jacobian J = L - e^{2z} F'(c) from the
+    diffusion diagonal ``di`` and ``dfv`` = F'(c), (B, n) or (n,) rows, and
+    ``e2z`` per row; the Dirichlet row is an identity row."""
+    j_di = di - e2z * dfv
+    j_di[..., -1] = 1.0
+    return j_di
 
-    The systems of a batch, laid end to end, solve as one when each block's
-    own lo[0] and up[-1] are zero: elimination then passes nothing between
-    the blocks, and each block's solution is that of its system alone, bit
-    for bit.
+
+def tri_solve(lo, di, up, rhs):
+    """Direct solve (dgtsv) of the tridiagonal systems in the rows (..., n)
+    of ``lo``, ``di``, ``up`` and ``rhs``; returns x shaped like ``rhs``.
+
+    The rows are laid end to end and solve as one system.  A row's lo[0]
+    and up[-1] (unused for a lone row) must be zero: elimination then
+    passes nothing between rows, and each row's solution is its own
+    system's, bit for bit.
     """
-    *_, x, info = lapack.dgtsv(lo[1:], di, up[:-1], rhs)
+    *_, x, info = lapack.dgtsv(lo.ravel()[1:], di.ravel(), up.ravel()[:-1],
+                               rhs.ravel())
     if info > 0:
         raise LinAlgError(f"singular tridiagonal system (pivot {info})")
-    return x
+    return x.reshape(rhs.shape)
+
+
+def _tri_apply(lo, di, up, x):
+    """The product that :func:`tri_solve` inverts: the tridiagonal rows
+    applied to the rows of ``x``, all (B, n), laid end to end alike."""
+    y = di * x
+    flat, x = y.ravel(), x.ravel()
+    flat[:-1] += up.ravel()[:-1] * x[1:]
+    flat[1:] += lo.ravel()[1:] * x[:-1]
+    return y
 
 
 @dataclass
@@ -154,29 +171,23 @@ def solve_nutrient(model, z, grid, guess=None):
     # a max-norm residual below rounding: 50 machine epsilons of the scale
     rounding = 50.0 * _MACHEPS * np.maximum(max(1.0, 1.0 / grid.h**2), load)
     tol_eff = np.maximum(RESIDUAL_TOL * np.maximum(1.0, load), rounding)
-    # the rows laid end to end: one vector of length B*n, whose blocks the
-    # zero couplings of the diffusion rows keep apart
-    e2z = np.repeat(e2z, n)
-    lo, di, up = _block_rows(grid, zb.size)
-    c = (np.ones(zb.size * n) if guess is None
-         else np.array(guess, dtype=float).reshape(-1))
-    c[n - 1::n] = 1.0
+    # e^{2z} at every node: cheaper in the products than a column
+    e2z = np.full((zb.size, n), e2z[:, None])
+    lo, di, up = _diffusion_rows(grid, zb.size)
+    c = (np.ones((zb.size, n)) if guess is None
+         else np.array(guess, dtype=float).reshape(zb.size, n))
+    c[:, -1] = 1.0
 
     def residual(c):
         fv, dfv = model.F(c)
-        R = di * c
-        R[:-1] += up[:-1] * c[1:]
-        R[1:] += lo[1:] * c[:-1]
+        R = _tri_apply(lo, di, up, c)
         R -= e2z * fv
-        R[n - 1::n] = c[n - 1::n] - 1.0
+        R[:, -1] = c[:, -1] - 1.0
         return R, dfv
-
-    def row_max(x):
-        return np.abs(x).reshape(-1, n).max(axis=1)
 
     R, dfv = residual(check_domain(c, "nutrient solve"))
     lo_c, hi_c = DOMAIN
-    rnorm = row_max(R)
+    rnorm = np.abs(R).max(axis=1)
     it = 0
     # a NaN residual iterates, and is reported, not accepted
     active = ~(rnorm <= tol_eff)
@@ -192,28 +203,26 @@ def solve_nutrient(model, z, grid, guess=None):
                 f"{rnorm[b]:.3e} (target {tol_eff[b]:.3e})",
                 residual=float(rnorm[b]))
         # every row is solved; only the rows still iterating take a step
-        j_di = di - e2z * dfv
-        j_di[n - 1::n] = 1.0
-        delta = tri_solve(lo, j_di, up, -R)
+        delta = tri_solve(lo, _jacobian_diagonal(di, e2z, dfv), up, -R)
         alpha = 1.0
         todo = active   # rows whose trial is not yet accepted
         while True:
             trial = c + alpha * delta
             if lo_c <= trial.min() and trial.max() <= hi_c:
                 R_new, dfv_new = residual(trial)
-                new_norm = row_max(R_new)
+                new_norm = np.abs(R_new).max(axis=1)
             else:
                 # a row whose trial leaves the rates' validity margin
                 # rejects it; its residual is taken at its current iterate
-                bad = outside_domain(trial).reshape(-1, n).any(axis=1)
-                R_new, dfv_new = residual(np.where(np.repeat(bad, n), c, trial))
-                new_norm = np.where(bad, np.inf, row_max(R_new))
+                bad = outside_domain(trial).any(axis=1)
+                R_new, dfv_new = residual(np.where(bad[:, None], c, trial))
+                new_norm = np.where(bad, np.inf, np.abs(R_new).max(axis=1))
             ok = todo & (new_norm <= np.maximum((1.0 - 0.5 * alpha) * rnorm,
                                                 tol_eff))
             if ok.all():
                 c, R, dfv, rnorm = trial, R_new, dfv_new, new_norm
                 break
-            take = np.repeat(ok, n)
+            take = ok[:, None]
             c, R, dfv = (np.where(take, trial, c), np.where(take, R_new, R),
                          np.where(take, dfv_new, dfv))
             rnorm = np.where(ok, new_norm, rnorm)
@@ -234,16 +243,57 @@ def solve_nutrient(model, z, grid, guess=None):
 
 
 def nutrient_sensitivity(model, profile):
-    """dc/dz of a converged profile: the linearized problem of the module
-    docstring, solved with the converged Newton Jacobian."""
-    e2z = np.exp(2.0 * profile.z)
-    lo, di, up = _diffusion_rows(profile.grid)
+    """dc/dz of a converged profile or of each row of a batch: the module
+    docstring's linearized problem, solved with the converged Jacobian."""
+    e2z = np.asarray(np.exp(2.0 * profile.z))[..., None]
     fv, dfv = model.F(profile.c)
-    j_di = di.copy()
-    j_di[:-1] -= e2z * dfv[:-1]
-    rhs = np.zeros_like(profile.c)
-    rhs[:-1] = 2.0 * e2z * fv[:-1]
-    return tri_solve(lo, j_di, up, rhs)
+    rhs = 2.0 * e2z * fv
+    rhs[..., -1] = 0.0
+    lo, di, up = _diffusion_rows(profile.grid, e2z.size)
+    return tri_solve(lo, _jacobian_diagonal(di, e2z, dfv), up, rhs)
+
+
+def nutrient_step(model, c, z, v1, dt, eps, grid):
+    """One fully implicit step of the nutrient profile ``c`` (eps > 0).
+
+    eps e^{2z} c_t = c_rr + [2/r + eps e^{2z} r v(1)] c_r - e^{2z} F(c),
+    with the consumption linearized about the current profile, the
+    log-radius ``z`` and boundary velocity ``v1`` frozen over the step
+    (their step-start values, or time-centered ones for a composite),
+    the r = 0 row using the symmetric-limit stencil, and c(1) = 1 imposed
+    strongly.  The matrix is beta I - J, J the Newton Jacobian, plus the
+    advection term eps e^{2z} v(1) r c_r.  A batch takes ``eps``, like
+    ``z`` and ``v1``, as one scalar or as a (B,) array of per-row values.
+
+    Raises ValueError unless every eps > 0, NumericsError if the system is
+    singular, and DomainError if the new profile leaves the rates'
+    validity interval (extended by ``rates.MARGIN``).
+    """
+    if not np.greater(eps, 0.0).all():
+        raise ValueError("nutrient_step requires eps > 0; use solve_nutrient")
+    e2z, v1, eps = (np.asarray(x)[..., None]
+                    for x in (np.exp(2.0 * z), v1, eps))
+    beta = eps * e2z / dt
+    adv = eps * e2z * v1 * grid.r / (2.0 * grid.h)
+    lo, di, up = _diffusion_rows(grid, e2z.size)
+    fv, dfv = model.F(c)
+
+    a_lo = adv - lo
+    a_di = beta - _jacobian_diagonal(di, e2z, dfv)
+    a_up = -(up + adv)
+    rhs = beta * c + e2z * (dfv * c - fv)
+    # the r = 0 row has no lower neighbour and the Dirichlet row is an
+    # identity row, as tri_solve needs of the rows of a batch
+    a_lo[..., 0] = 0.0
+    a_lo[..., -1] = 0.0
+    a_di[..., -1] = 1.0
+    a_up[..., -1] = 0.0
+    rhs[..., -1] = 1.0
+    try:
+        c_new = tri_solve(a_lo, a_di, a_up, rhs)
+    except LinAlgError as exc:
+        raise NumericsError("singular nutrient system") from exc
+    return check_domain(c_new, "nutrient_step")
 
 
 def flux_residual(profile, model):

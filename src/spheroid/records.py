@@ -38,6 +38,7 @@ class DeviationRecord:
 def deviation_norms(state, prev, stationary, profile):
     """The list of :class:`DeviationRecord`, one per row of the batch
     ``state`` (see ``evolution.State``); a lone state is the batch of one.
+    The slope norms take the slopes of the deviations from ``stationary``.
 
     Parameters
     ----------
@@ -58,10 +59,8 @@ def deviation_norms(state, prev, stationary, profile):
     grid = stationary.grid
     weight = grid.r * (1.0 - grid.r)
 
-    c_r = grid.derivative(state.c)
-    p_r = grid.derivative(state.p)
-    cstar_r = grid.derivative(stationary.c)
-    pstar_r = grid.derivative(stationary.p)
+    c_dev = state.c - stationary.c
+    p_dev = state.p - stationary.p
 
     if prev is not None and prev.t != state.t:
         dt_out = state.t - prev.t
@@ -71,11 +70,12 @@ def deviation_norms(state, prev, stationary, profile):
         c_t = z_dot = np.zeros(np.shape(state.z))
 
     norms = dict(
-        c_dev=np.max(np.abs(state.c - stationary.c), axis=-1),
-        c_r_dev=np.max(np.abs(c_r - cstar_r), axis=-1),
+        c_dev=np.max(np.abs(c_dev), axis=-1),
+        c_r_dev=np.max(np.abs(grid.derivative(c_dev)), axis=-1),
         c_t_dev=c_t,
-        p_dev=np.max(np.abs(state.p - stationary.p), axis=-1),
-        p_r_weighted_dev=np.max(weight * np.abs(p_r - pstar_r), axis=-1),
+        p_dev=np.max(np.abs(p_dev), axis=-1),
+        p_r_weighted_dev=np.max(weight * np.abs(grid.derivative(p_dev)),
+                                axis=-1),
         z_dev=np.abs(state.z - stationary.z),
         z_dot_dev=z_dot,
         eta_dev=np.max(np.abs(state.c - profile.c), axis=-1),

@@ -15,7 +15,7 @@ from spheroid import (ConvergenceError, DomainError, Grid, NumericsError,
                       boundary_radius_step, default_model, nutrient_step,
                       simulate, solve_nutrient, solve_stationary, step,
                       transport_step, velocity_from_state)
-from spheroid import evolution, rates
+from spheroid import evolution, nutrient, rates
 from spheroid.grid import MIN_NODES
 
 from conftest import all_zero_model, make_model, zero_rate
@@ -213,7 +213,8 @@ def test_hermite_kernel_matches_scipy(data):
     y, x = data
     grid = Grid(y.size)
     tol = 1e-13 * np.max(np.abs(y))
-    # p and c share one stacked slope pass and one evaluation
+    # a lone state's p and c, stacked, share one slope pass and one
+    # evaluation at the lone row's points
     yy = np.stack((y, y[::-1]))
     slopes = grid.derivative(yy)
     got = evolution.hermite_eval(yy, x, grid)
@@ -426,15 +427,17 @@ def test_singular_nutrient_system_keeps_last_state(model, monkeypatch):
     init = admissible_init(stat, 0.01, "poly")
     cfg = SolverConfig(eps=0.05, dt=0.02, t_end=1.0, output_interval=0.2)
     calls = []
-    solve = evolution.tri_solve
+    solve = nutrient.tri_solve
 
     def singular(*args):
+        # the 33rd solve is the step's: 29 steps and, at the outputs
+        # before t = 0.58, three Newton iterations come first
         calls.append(1)
-        if len(calls) == 30:
+        if len(calls) == 33:
             raise LinAlgError("singular tridiagonal system (pivot 3)")
         return solve(*args)
 
-    monkeypatch.setattr(evolution, "tri_solve", singular)
+    monkeypatch.setattr(nutrient, "tri_solve", singular)
     with pytest.raises(NumericsError) as info:
         simulate(model, init, grid, cfg, stat)
     assert str(info.value) == "step failed at t=0.58: singular nutrient system"
@@ -550,8 +553,8 @@ def test_simulate_rejects_nutrient_step_outside_domain(model, grid201,
     # nutrient_step checks the profile it returns
     init = State(t=0.0, z=stationary201.z, c=stationary201.c.copy(),
                  p=stationary201.p.copy())
-    solve = evolution.tri_solve
-    monkeypatch.setattr(evolution, "tri_solve",
+    solve = nutrient.tri_solve
+    monkeypatch.setattr(nutrient, "tri_solve",
                         lambda *rows: solve(*rows) + 1.0)
     cfg = SolverConfig(eps=0.05, dt=0.02, t_end=1.0, output_interval=0.2)
     with pytest.raises(NumericsError) as err:
@@ -561,11 +564,13 @@ def test_simulate_rejects_nutrient_step_outside_domain(model, grid201,
     assert err.value.last_state.t == 0.0
 
 
-@pytest.mark.parametrize("eps, checked", [(0.0, ["step"]),
-                                          (0.05, ["step", "nutrient_step"])])
+@pytest.mark.parametrize("eps, checked", [
+    (0.0, ["step", "nutrient solve", "nutrient solve"]),
+    (0.05, ["step", "nutrient_step"])])
 def test_domain_checked_where_nutrient_enters(monkeypatch, eps, checked):
-    # one check of the step's input c, one of nutrient_step's output; the
-    # rate formulas check nothing (Newton trials use nutrient's own binding)
+    # one check of the step's input c, then one of each Newton's guess or
+    # of nutrient_step's output; the rate formulas and the Newton trials
+    # check nothing
     check = rates.check_domain
     calls = []
 
@@ -573,12 +578,13 @@ def test_domain_checked_where_nutrient_enters(monkeypatch, eps, checked):
         calls.append(context)
         return check(c, context)
 
-    monkeypatch.setattr(evolution, "check_domain", counting)
-    monkeypatch.setattr(rates, "check_domain", counting)
     grid = Grid(51)
     m = default_model()
     state = State(t=0.0, z=0.3, c=solve_nutrient(m, 0.3, grid).c,
                   p=np.full(grid.n, 0.5))
+    monkeypatch.setattr(evolution, "check_domain", counting)
+    monkeypatch.setattr(nutrient, "check_domain", counting)
+    monkeypatch.setattr(rates, "check_domain", counting)
     step(m, state, grid, SolverConfig(eps=eps, dt=0.02))
     assert calls == checked
 

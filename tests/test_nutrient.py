@@ -76,6 +76,12 @@ def test_sensitivity_matches_z_difference():
     lo = solve_nutrient(m, 0.5 - dz, grid)
     fd = (hi.c - lo.c) / (2 * dz)
     assert np.max(np.abs(nutrient_sensitivity(m, prof) - fd)) < 5e-6
+    # a batch's rows are those of each profile alone, bit for bit
+    batch = solve_nutrient(m, np.array([0.5 - dz, 0.5, 0.5 + dz]), grid)
+    for c, c_z, one in zip(batch.c, nutrient_sensitivity(m, batch),
+                           (lo, prof, hi)):
+        assert np.array_equal(c, one.c)
+        assert np.array_equal(c_z, nutrient_sensitivity(m, one))
 
 
 def test_profile_monotone_in_r_and_z():
@@ -128,8 +134,8 @@ def test_diffusion_rows_built_once_per_grid():
     assert nutrient._diffusion_rows.cache_info().misses == 1
     assert np.max(np.abs(again.c - solve_nutrient(m, 0.7, grid).c)) < 1e-10
     # the shared rows are read-only and equal to a fresh build
-    fresh = nutrient._diffusion_rows.__wrapped__(grid)
-    for shared, row in zip(nutrient._diffusion_rows(grid), fresh):
+    fresh = nutrient._diffusion_rows.__wrapped__(grid, 1)
+    for shared, row in zip(nutrient._diffusion_rows(grid, 1), fresh):
         assert not shared.flags.writeable
         assert np.array_equal(shared, row)
 

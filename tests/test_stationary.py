@@ -133,7 +133,7 @@ def decreasing_rate():
         st.floats(0.05, 2.0), st.floats(0.2, 4.0), st.floats(0.0, 1.0))
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, derandomize=True)
 @given(st.builds(RateModel, F=increasing_rate(), K_B=increasing_rate(),
                  K_P=increasing_rate(), K_Q=decreasing_rate(),
                  K_D=decreasing_rate()))
