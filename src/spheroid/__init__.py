@@ -24,8 +24,8 @@ from .grid import Grid
 from .nutrient import (NutrientProfile, bounds_report, flux_residual,
                        nutrient_sensitivity, solve_nutrient)
 from .rates import (Rate, RateModel, check_assumptions, default_model,
-                    eval_rate, f_reaction, g_source)
+                    equilibrium_fraction, eval_rate, f_reaction, g_source)
 from .records import DeviationRecord, admissibility_report, deviation_norms
 from .snapshot import load_snapshot, save_snapshot
-from .stationary import (StationarySolution, equilibrium_fraction,
-                         solve_stationary, stationary_by_bisection)
+from .stationary import (StationarySolution, solve_stationary,
+                         stationary_by_bisection)

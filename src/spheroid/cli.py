@@ -229,6 +229,9 @@ def cmd_simulate(args):
     try:
         result = simulate(model, init, grid, cfg.solver, stationary,
                           on_output=on_output, prev_output=prev_output)
+    except ValueError as exc:
+        # simulate's horizon checks; a failing step raises NumericsError
+        raise ConfigError(str(exc)) from exc
     except SpheroidError as exc:
         last = getattr(exc, "last_state", None)
         if last is not None:

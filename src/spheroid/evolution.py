@@ -353,7 +353,8 @@ def simulate(model, init, grid, config, stationary, on_output=None,
         t=<step start>: <cause>", chained to its cause and carrying the
         last healthy output state (None if the run fails in its initial
         projection or, when fresh, in its first output).  A config.t_end
-        that is not after init.t raises ValueError.
+        that is not after init.t, or that rounds to no step of config.dt
+        after it, raises ValueError.
     """
     result, = _simulate_batch(model, [init], grid, config, stationary,
                              on_output, prev_output)
@@ -415,6 +416,11 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
     if not config.t_end > state.t:
         raise ValueError(f"t_end = {config.t_end!r} is not after the "
                          f"initial time t = {state.t!r}")
+    n_steps = round((config.t_end - state.t) / config.dt)
+    if n_steps < 1:
+        raise ValueError(f"t_end = {config.t_end!r} rounds to no step of "
+                         f"dt = {config.dt!r} after the initial time "
+                         f"t = {state.t!r}")
     # one eps per row from here on, narrowed with the batch by each_row
     config = replace(config, eps=np.broadcast_to(config.eps, len(inits)))
     records = {i: [] for i in cells}
@@ -422,7 +428,6 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
     clips = {i: ClipStats() for i in cells}
     prev = None
     k_out = max(1, round(config.output_interval / config.dt))
-    n_steps = round((config.t_end - state.t) / config.dt)
     out_idx = 0
 
     def each_row(call):

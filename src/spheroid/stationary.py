@@ -51,8 +51,8 @@ from .evolution import (SolverConfig, State, hermite_eval, step,
                         velocity_from_state)
 from .grid import Grid
 from .nutrient import solve_nutrient
-from .rates import (RateModel, _kinetics, f_reaction, f_reaction_partials,
-                    g_source)
+from .rates import (RateModel, equilibrium_fraction, f_reaction,
+                    f_reaction_partials, g_source, reaction_coefficients)
 
 log = logging.getLogger("spheroid")
 
@@ -68,21 +68,6 @@ CHECK_HALF_WIDTH = 0.01      # first half-width of the cross-check's bracket
 CHECK_MAX_HALF_WIDTH = 1.28  # its last: 0.01 doubled seven times
 PICARD_SWEEPS = 80    # most sweeps of the cross-check's Picard loop
 MARCH_NEWTON_MAXITER = 20   # Newton iterations of one cell of the march
-
-
-def equilibrium_fraction(model, c):
-    """Root in [0, 1] of the reaction f(c, .).
-
-    p = [(K_M - K_N) + sqrt((K_M - K_N)^2 + 4 K_M K_P)] / (2 K_M), in
-    [0, 1] as f(c, 0) >= 0 >= f(c, 1); K_P / K_N (0 if K_N = 0) at K_M = 0.
-    """
-    km, kn, kp = _kinetics(model, np.asarray(c, dtype=float))
-    disc = (km - kn) ** 2 + 4.0 * km * kp
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quad = ((km - kn) + np.sqrt(disc)) / (2.0 * km)
-        lin = np.where(kn > 0.0, kp / np.where(kn > 0.0, kn, 1.0), 0.0)
-    out = np.clip(np.where(km > 1e-12, quad, lin), 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -121,13 +106,13 @@ def _steady_transport(model, c, grid):
     p = equilibrium_fraction(model, c)
     c1 = float(c[-1])
     p1 = float(equilibrium_fraction(model, c1))
-    _, f_c1, f_p1 = f_reaction_partials(model, c1, p1)
+    f_c1, f_p1 = map(float, f_reaction_partials(model, c1, p1))
     c_r1 = float(grid.derivative(c, symmetric_origin=True)[-1])
 
     inner = np.arange(grid.n - 3, 1, -1)   # r = 1 - 2h inward to 2h
     # r at the march's nodes and cell midpoints, in turn
     x = (grid.n - 3 - 0.5 * np.arange(2 * inner.size - 1)) * h
-    km, kn, kp = _kinetics(model, hermite_eval(c, x, grid))
+    abd = np.array(reaction_coefficients(model, hermite_eval(c, x, grid))[:3])
 
     for it in range(1, PICARD_SWEEPS + 1):
         vel = velocity_from_state(model, State(0.0, 0.0, c, p), grid)
@@ -140,8 +125,7 @@ def _steady_transport(model, c, grid):
             sigma = f_c1 * c_r1 / denom if abs(denom) > 1e-12 else 0.0
             w = hermite_eval(vel.w, x, grid)
             # F = a + b p - d p^2 at each point, 0 where w vanishes
-            coef = (np.array((kp, km - kn, km))
-                    / np.where(np.abs(w) < 1e-14, np.inf, w)).T.tolist()
+            coef = (abd / np.where(np.abs(w) < 1e-14, np.inf, w)).T.tolist()
             p_new = p.copy()
             p_new[-1] = p1
             p_new[-2] = p1 + sigma * h
@@ -302,7 +286,8 @@ def solve_stationary(model, grid, tol=1e-6, config=None, *, cross_check):
         asymptotic stability they provide.
     grid : Grid
     tol : float
-        The returned x = (z, p) has |step(x) - x|_inf/dt <= tol/10.
+        The returned x = (z, p) has |step(x) - x|_inf/dt <= tol/10; finite
+        and > 0, else ValueError.
     config : SolverConfig, optional
         Scheme whose fixed point is sought (eps is forced to 0); runs that
         measure deviations against the result should use the same dt.
@@ -324,6 +309,8 @@ def solve_stationary(model, grid, tol=1e-6, config=None, *, cross_check):
         every w = CHECK_HALF_WIDTH * 2^k up to CHECK_MAX_HALF_WIDTH; the
         message names the last bracket.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     config = replace(config or SolverConfig(), eps=0.0)
     fine = StepMap(model, grid, config)
     coarse_dt = max(config.dt, RELAX_DT)

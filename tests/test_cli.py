@@ -266,6 +266,29 @@ def test_resume_past_the_horizon(tmp_path, config_path, capsys):
     assert not os.path.exists(os.path.join(out_dir, "timeseries_resumed.csv"))
 
 
+def test_simulate_horizon_of_no_step(tmp_path, config_path, capsys):
+    # a t_end that rounds to no step of dt = 0.02 after the start is a
+    # configuration error, fresh or resumed: status 1, one line, no CSV
+    out_dir = str(tmp_path / "x")
+    args = ["simulate", "--config", config_path, "--grid-n", "21",
+            "--out", out_dir]
+    assert cli(args + ["--tend", "0.01"]) == 1
+    assert capsys.readouterr().err == (
+        "error: t_end = 0.01 rounds to no step of dt = 0.02 after the "
+        "initial time t = 0.0\n")
+    assert not os.path.exists(os.path.join(out_dir, "timeseries.csv"))
+    assert cli(args + ["--tend", "1.0"]) == 0
+    snap = os.path.join(out_dir, "snap_000005.snap")
+    from spheroid import load_snapshot
+    t = load_snapshot(snap)[0].t
+    capsys.readouterr()
+    assert cli(args + ["--tend", "1.005", "--resume", snap]) == 1
+    assert capsys.readouterr().err == (
+        f"error: t_end = 1.005 rounds to no step of dt = 0.02 after the "
+        f"initial time t = {t!r}\n")
+    assert not os.path.exists(os.path.join(out_dir, "timeseries_resumed.csv"))
+
+
 def test_resume_under_another_config_warns(tmp_path, caplog):
     # the snapshot's config hash differs from the resuming run's: the run
     # goes on, and the warning names both hashes

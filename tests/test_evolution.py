@@ -386,6 +386,19 @@ def test_simulate_rejects_horizon_not_after_start(model, grid201,
             simulate(model, init, grid201, cfg, stationary201)
 
 
+def test_simulate_rejects_horizon_of_no_step(model, grid201, stationary201):
+    # 0.005 after the start is a quarter of dt = 0.02, which rounds to no
+    # step: the run used to take none and return its initial record
+    init = admissible_init(stationary201, 0.01, "poly")
+    for t in (0.0, 1.0):
+        init.t = t
+        cfg = SolverConfig(eps=0.0, dt=0.02, t_end=t + 0.005)
+        with pytest.raises(ValueError, match=(
+                f"t_end = {t + 0.005!r} rounds to no step of dt = 0.02 "
+                f"after the initial time t = {t!r}")):
+            simulate(model, init, grid201, cfg, stationary201)
+
+
 def test_simulate_stationary_stays_put(model, grid201, stationary201):
     init = State(t=0.0, z=stationary201.z, c=stationary201.c.copy(),
                  p=stationary201.p.copy())

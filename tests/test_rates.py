@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheroid import (DomainError, Rate, UnknownRateError, check_assumptions,
-                      default_model, eval_rate, f_reaction, g_source)
+from spheroid import (DomainError, Rate, RateModel, UnknownRateError,
+                      check_assumptions, default_model, equilibrium_fraction,
+                      eval_rate, f_reaction, g_source)
 from spheroid.rates import MARGIN, f_reaction_partials
 
 from conftest import all_zero_model, make_model, zero_rate
@@ -136,15 +137,62 @@ def test_derivative_matches_central_difference(c, name):
         assert e2 < 0.35 * e1
 
 
+# a set of the stationary sweep's strategy, with michaelis K_B and K_P and
+# sigmoid K_Q and K_D
+SWEEP_MODEL = RateModel(
+    F=Rate("linear", {"slope": 1.527}),
+    K_B=Rate("michaelis", {"vmax": 2.855, "k": 1.672}),
+    K_P=Rate("michaelis", {"vmax": 2.699, "k": 0.79}),
+    K_Q=Rate("sigmoid", {"amp": 0.423, "steepness": 2.85, "center": 0.003}),
+    K_D=Rate("sigmoid", {"amp": 1.579, "steepness": 0.227, "center": 0.617}))
+
+
 def test_partials_match_finite_differences():
+    h = 1e-6
+    points = ((0.4, 0.7),
+              (np.linspace(0.05, 0.95, 7), np.linspace(0.9, 0.1, 7)))
+    for m in (default_model(), SWEEP_MODEL):
+        for c, p in points:
+            f_c, f_p = f_reaction_partials(m, c, p)
+            assert np.shape(f_c) == np.shape(f_p) == np.shape(c)
+            assert np.allclose(f_c, (f_reaction(m, c + h, p)
+                                     - f_reaction(m, c - h, p)) / (2 * h),
+                               rtol=0.0, atol=1e-7)
+            assert np.allclose(f_p, (f_reaction(m, c, p + h)
+                                     - f_reaction(m, c, p - h)) / (2 * h),
+                               rtol=0.0, atol=1e-7)
+
+
+def test_scalar_inputs_give_floats():
+    # numpy.float64, a float subclass, also through the constant family
+    for m in (default_model(), SWEEP_MODEL, all_zero_model()):
+        values = (f_reaction(m, 0.4, 0.7), g_source(m, 0.4, 0.7),
+                  *f_reaction_partials(m, 0.4, 0.7),
+                  equilibrium_fraction(m, 0.4))
+        assert all(isinstance(v, float) for v in values), values
+
+
+@given(st.floats(0.0, 1.0))
+def test_equilibrium_fraction_is_reaction_root(c):
     m = default_model()
-    c, p, h = 0.4, 0.7, 1e-6
-    f, f_c, f_p = f_reaction_partials(m, c, p)
-    assert f == pytest.approx(f_reaction(m, c, p), rel=1e-14)
-    assert f_c == pytest.approx(
-        (f_reaction(m, c + h, p) - f_reaction(m, c - h, p)) / (2 * h), abs=1e-7)
-    assert f_p == pytest.approx(
-        (f_reaction(m, c, p + h) - f_reaction(m, c, p - h)) / (2 * h), abs=1e-7)
+    p = equilibrium_fraction(m, c)
+    assert 0.0 <= p <= 1.0
+    assert abs(f_reaction(m, c, p)) < 1e-12
+
+
+def test_equilibrium_fraction_degenerate_km():
+    # K_M = 0 reduces the reaction to K_P - K_N p
+    m = make_model(K_B=zero_rate(), K_D=zero_rate())
+    c = 0.6
+    kp = float(m.K_P(np.array(c))[0])
+    kn = kp + float(m.K_Q(np.array(c))[0])
+    assert equilibrium_fraction(m, c) == pytest.approx(kp / kn, rel=1e-12)
+
+
+def test_equilibrium_fraction_all_zero():
+    m = make_model(K_B=zero_rate(), K_D=zero_rate(), K_P=zero_rate(),
+                   K_Q=zero_rate())
+    assert equilibrium_fraction(m, 0.5) == 0.0
 
 
 def test_default_model_passes_assumptions():

@@ -12,35 +12,12 @@ from hypothesis import strategies as st
 import spheroid
 from spheroid import (BracketError, ConvergenceError, Grid, Rate, RateModel,
                       SolverConfig, check_assumptions, default_model,
-                      equilibrium_fraction, f_reaction, solve_nutrient,
-                      solve_stationary, stationary, stationary_by_bisection,
-                      step, velocity_from_state)
+                      equilibrium_fraction, solve_nutrient, solve_stationary,
+                      stationary, stationary_by_bisection, step,
+                      velocity_from_state)
 from spheroid.evolution import State
 
 from conftest import make_model, zero_rate
-
-
-@given(st.floats(0.0, 1.0))
-def test_equilibrium_fraction_is_reaction_root(c):
-    m = default_model()
-    p = equilibrium_fraction(m, c)
-    assert 0.0 <= p <= 1.0
-    assert abs(f_reaction(m, c, p)) < 1e-12
-
-
-def test_equilibrium_fraction_degenerate_km():
-    # K_M = 0 reduces the reaction to K_P - K_N p
-    m = make_model(K_B=zero_rate(), K_D=zero_rate())
-    c = 0.6
-    kp = float(m.K_P(np.array(c))[0])
-    kn = kp + float(m.K_Q(np.array(c))[0])
-    assert equilibrium_fraction(m, c) == pytest.approx(kp / kn, rel=1e-12)
-
-
-def test_equilibrium_fraction_all_zero():
-    m = make_model(K_B=zero_rate(), K_D=zero_rate(), K_P=zero_rate(),
-                   K_Q=zero_rate())
-    assert equilibrium_fraction(m, 0.5) == 0.0
 
 
 def test_stationary_residuals(stationary201):
@@ -214,6 +191,15 @@ def test_sweep_sets_certify_within_step_budget():
         assert abs(s.z_direct - s.z) <= (grid.h * np.exp(s.z))**2, number
         calls += s.step_calls
     assert calls <= 6000
+
+
+def test_solve_stationary_rejects_bad_tol():
+    # checked before any work: tol = 0 or < 0 relaxed for tens of seconds
+    # before a ConvergenceError, and nan skipped the certificate's test
+    for tol in (0.0, -1e-6, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            solve_stationary(default_model(), Grid(21), tol=tol,
+                             cross_check=False)
 
 
 def test_stationary_step_count():
