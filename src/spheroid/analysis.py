@@ -100,13 +100,15 @@ def fit_decay(series, floor=1e-13):
     -------
     DecayFit
         mu is minus the slope of log(value) against t; the prefactor is
-        exp(intercept).  Scaling the series by k > 0 scales the prefactor
-        by k and leaves mu unchanged.
+        exp(intercept).  The line is the least-squares one in closed form
+        on the centred times.  Scaling the series by k > 0 scales the
+        prefactor by k and leaves mu unchanged.
 
     Raises
     ------
     InsufficientDataError
-        Fewer than 5 usable points in the window.
+        Fewer than 5 usable points in the window, or the window's times
+        do not vary.
     """
     pts = [(float(t), float(y)) for t, y in series if y > floor]
     if len(pts) >= 1:
@@ -117,10 +119,16 @@ def fit_decay(series, floor=1e-13):
             f"need >= 5 usable points above floor {floor:g}, have {len(pts)}")
     t = np.array([p[0] for p in pts])
     y = np.log(np.array([p[1] for p in pts]))
-    slope, intercept = np.polyfit(t, y, 1)
-    fit = slope * t + intercept
-    ss_res = float(np.sum((y - fit) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    t_mean, y_mean = t.mean(), y.mean()
+    tc, yc = t - t_mean, y - y_mean
+    stt = float(tc @ tc)
+    if not stt > 0:
+        raise InsufficientDataError(
+            f"the {len(pts)} times in the window do not vary (t = {t[0]:g})")
+    slope = float(tc @ yc) / stt
+    intercept = y_mean - slope * t_mean
+    ss_res = float(np.sum((yc - slope * tc) ** 2))
+    ss_tot = float(yc @ yc)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return DecayFit(mu=float(-slope), prefactor=float(np.exp(intercept)),
                     t_start=float(t[0]), t_end=float(t[-1]),

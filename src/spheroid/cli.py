@@ -18,7 +18,7 @@ from .analysis import (CONVERGENCE_THRESHOLDS, PERTURBATION_SHAPES,
                        standard_convergence_suite)
 from .config import (config_hash, default_config, load_config, save_config)
 from .errors import ConfigError, SpheroidError
-from .evolution import State, simulate
+from .evolution import State, horizon_steps, simulate
 from .grid import MIN_NODES, Grid
 from .nutrient import bounds_report
 from .output import (write_convergence_csv, write_profile_csv,
@@ -188,14 +188,21 @@ def cmd_simulate(args):
     model = cfg.model()
     grid = Grid(cfg.grid_n)
     chash = config_hash(cfg)
+
+    # the snapshot and the horizon are checked before the reference solve
+    if args.resume:
+        init, header = load_snapshot(args.resume, expect_n=grid.n)
+        start_t, start = init.t, "the snapshot's"
+    else:
+        start_t, start = 0.0, "the initial time"   # admissible_init's t
+    try:
+        horizon_steps(cfg.solver, start_t, start)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     stationary = solve_stationary(model, grid, config=cfg.solver,
                                   cross_check=False)
 
     if args.resume:
-        init, header = load_snapshot(args.resume, expect_n=grid.n)
-        if not cfg.solver.t_end > init.t:
-            raise ConfigError(f"t_end = {cfg.solver.t_end!r} is not after "
-                              f"the snapshot's t = {init.t!r}")
         if header["config_hash"] and header["config_hash"] != chash:
             log.warning("resume snapshot was produced under a different "
                         "configuration (hash %s vs %s)",
@@ -229,9 +236,6 @@ def cmd_simulate(args):
     try:
         result = simulate(model, init, grid, cfg.solver, stationary,
                           on_output=on_output, prev_output=prev_output)
-    except ValueError as exc:
-        # simulate's horizon checks; a failing step raises NumericsError
-        raise ConfigError(str(exc)) from exc
     except SpheroidError as exc:
         last = getattr(exc, "last_state", None)
         if last is not None:

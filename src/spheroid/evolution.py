@@ -89,7 +89,9 @@ class SolverConfig:
     dt: float = 0.02
     t_end: float = 80.0
     output_interval: float = 0.2
-    splitting: str = "lie"       # "heun" enables the second-order composite
+    # "heun" is the time-centred composite: second order at eps = 0 only,
+    # since at eps > 0 its nutrient corrector is backward Euler
+    splitting: str = "lie"
 
     def __post_init__(self):
         for name in ("eps", "dt", "t_end", "output_interval"):
@@ -250,9 +252,12 @@ def step(model, state, grid, config, clip=None):
     Predictor: transport, Euler log-radius and nutrient update with the
     velocity of the current state.  The velocity re-evaluated at the
     predictor gives the Heun log-radius (eps = 0 re-solves the nutrient
-    there); ``splitting="heun"`` also redoes transport and, for eps > 0,
-    the nutrient step time-centered.  Fields are clipped to [0, 1]
-    afterwards and clip events beyond :data:`CLIP_TOL` recorded.
+    there); ``splitting="heun"`` also redoes transport with the averaged
+    velocity and, for eps > 0, the nutrient step at the averaged z and
+    v(1).  That composite is second order in time at eps = 0 only: at
+    eps > 0 its nutrient corrector is still a backward Euler step, so the
+    step is first order.  Fields are clipped to [0, 1] afterwards and clip
+    events beyond :data:`CLIP_TOL` recorded.
 
     The nutrient is checked against the rates' validity interval where it
     enters: ``state.c`` here, every new profile in :func:`solve_nutrient`
@@ -312,7 +317,6 @@ def step(model, state, grid, config, clip=None):
 @dataclass
 class SimResult:
     records: list          # DeviationRecord per output time
-    aux: list              # (t, R, z, v1) per output time
     final_state: State
     clip: ClipStats
     warnings: list         # admissibility issues found at start
@@ -346,7 +350,7 @@ def simulate(model, init, grid, config, stationary, on_output=None,
     Returns
     -------
     SimResult
-        records/aux in output order.  Non-finite initial data, an initial
+        records in output order.  Non-finite initial data, an initial
         nutrient outside the rates' validity interval, a failed initial
         projection, step or output nutrient solve, or a non-finite state
         after a step all raise one :class:`NumericsError`, "step failed at
@@ -361,6 +365,22 @@ def simulate(model, init, grid, config, stationary, on_output=None,
     if isinstance(result, NumericsError):
         raise result
     return result
+
+
+def horizon_steps(config, t, start):
+    """The number of steps of config.dt from ``t`` to config.t_end, where
+    ``start`` names ``t`` ("the initial time", "the snapshot's").  Raises
+    ValueError when config.t_end is not after ``t`` or rounds to no step
+    after it."""
+    if not config.t_end > t:
+        raise ValueError(f"t_end = {config.t_end!r} is not after {start} "
+                         f"t = {t!r}")
+    n_steps = round((config.t_end - t) / config.dt)
+    if n_steps < 1:
+        raise ValueError(f"t_end = {config.t_end!r} rounds to no step of "
+                         f"dt = {config.dt!r} after the initial time "
+                         f"t = {t!r}")
+    return n_steps
 
 
 # what a failed initial projection, step or output nutrient solve raises
@@ -413,18 +433,10 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
     results = [None] * len(inits)
     cells = list(range(len(inits)))   # index into inits of each row
     state = _stack(inits)
-    if not config.t_end > state.t:
-        raise ValueError(f"t_end = {config.t_end!r} is not after the "
-                         f"initial time t = {state.t!r}")
-    n_steps = round((config.t_end - state.t) / config.dt)
-    if n_steps < 1:
-        raise ValueError(f"t_end = {config.t_end!r} rounds to no step of "
-                         f"dt = {config.dt!r} after the initial time "
-                         f"t = {state.t!r}")
+    n_steps = horizon_steps(config, state.t, "the initial time")
     # one eps per row from here on, narrowed with the batch by each_row
     config = replace(config, eps=np.broadcast_to(config.eps, len(inits)))
     records = {i: [] for i in cells}
-    aux = {i: [] for i in cells}
     clips = {i: ClipStats() for i in cells}
     prev = None
     k_out = max(1, round(config.output_interval / config.dt))
@@ -483,13 +495,10 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
             s, c=solve_nutrient(model, s.z, grid, guess=s.c).c))
         if not cells:
             return
-        recs = deviation_norms(state, prev, stationary, profile)
-        v1 = velocity_from_state(model, state, grid).v1
-        radius = np.exp(state.z)
+        recs = deviation_norms(state, prev, stationary, profile,
+                               velocity_from_state(model, state, grid).v1)
         for b, i in enumerate(cells):
             records[i].append(recs[b])
-            aux[i].append((state.t, float(radius[b]), float(state.z[b]),
-                           float(v1[b])))
             if on_output is not None:
                 on_output(state.row(b), step_index, out_idx, recs[b])
 
@@ -520,7 +529,6 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
             log.warning("clipped fields beyond tolerance %d times "
                         "(max excess %.3e)", clips[i].events,
                         clips[i].max_excess)
-        results[i] = SimResult(records=records[i], aux=aux[i],
-                               final_state=state.row(b), clip=clips[i],
-                               warnings=issues[i])
+        results[i] = SimResult(records=records[i], final_state=state.row(b),
+                               clip=clips[i], warnings=issues[i])
     return results

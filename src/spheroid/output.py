@@ -5,9 +5,12 @@ written in Python's shortest round-trip representation so repeated runs
 produce byte-identical files and oracle comparisons can be exact.
 """
 
+from dataclasses import fields
+
 from .records import DeviationRecord
 
-TIMESERIES_COLUMNS = ("t", "R", "z", "v1") + DeviationRecord.NORM_FIELDS
+# one column per field of the record, in order
+TIMESERIES_COLUMNS = tuple(f.name for f in fields(DeviationRecord))
 
 
 def fmt(x):
@@ -15,11 +18,11 @@ def fmt(x):
 
 
 def timeseries_rows(result):
-    """Yield header + data rows for a simulation result."""
+    """Yield header + data rows for a simulation result: each row is one
+    record's fields in :data:`TIMESERIES_COLUMNS` order."""
     yield ",".join(TIMESERIES_COLUMNS)
-    for (t, radius, z, v1), rec in zip(result.aux, result.records):
-        vals = [t, radius, z, v1] + [getattr(rec, k) for k in DeviationRecord.NORM_FIELDS]
-        yield ",".join(fmt(v) for v in vals)
+    for rec in result.records:
+        yield ",".join(fmt(getattr(rec, k)) for k in TIMESERIES_COLUMNS)
 
 
 def write_timeseries_csv(path, result):

@@ -5,7 +5,9 @@ estimates: sup norms of the nutrient and proliferating-fraction deviations
 and their spatial derivatives (the p-derivative weighted by r(1-r), which
 is the natural weight at the characteristic rest points r=0, 1), the
 log-radius offset, time-derivative surrogates from output-to-output finite
-differences, and the off-manifold nutrient norm ||c - m(.; z)||.
+differences, and the off-manifold nutrient norm ||c - m(.; z)||.  Each
+record also carries the output's radius R = e^z, log-radius z and boundary
+velocity v(1), so it is the one sample a run keeps per output.
 """
 
 from dataclasses import dataclass
@@ -13,9 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(slots=True)
 class DeviationRecord:
     t: float
+    R: float                # radius e^z
+    z: float                # log-radius
+    v1: float               # boundary velocity v(1)
     c_dev: float            # sup |c - c*|
     c_r_dev: float          # sup |c_r - c*'|
     c_t_dev: float          # sup |c_t| (finite difference vs previous output)
@@ -29,13 +34,14 @@ class DeviationRecord:
                    "p_r_weighted_dev", "z_dev", "z_dot_dev", "eta_dev")
 
     def norms(self):
+        """The eight deviation norms, by name; R, z and v1 are not norms."""
         return {name: getattr(self, name) for name in self.NORM_FIELDS}
 
     def max_norm(self):
         return max(self.norms().values())
 
 
-def deviation_norms(state, prev, stationary, profile):
+def deviation_norms(state, prev, stationary, profile, v1):
     """The list of :class:`DeviationRecord`, one per row of the batch
     ``state`` (see ``evolution.State``); a lone state is the batch of one.
     The slope norms take the slopes of the deviations from ``stationary``.
@@ -51,6 +57,8 @@ def deviation_norms(state, prev, stationary, profile):
     profile : NutrientProfile or State
         Its ``c`` is the quasi-static nutrient profile m(.; z) at the
         state's own z (the same rows), for the off-manifold norm.
+    v1 : ndarray
+        The state's boundary velocity v(1), one per row.
     """
     if state.c.shape[-1] != stationary.c.shape[-1]:
         raise ValueError(
@@ -69,7 +77,10 @@ def deviation_norms(state, prev, stationary, profile):
     else:
         c_t = z_dot = np.zeros(np.shape(state.z))
 
-    norms = dict(
+    fields = dict(
+        R=np.exp(state.z),
+        z=state.z,
+        v1=v1,
         c_dev=np.max(np.abs(c_dev), axis=-1),
         c_r_dev=np.max(np.abs(grid.derivative(c_dev)), axis=-1),
         c_t_dev=c_t,
@@ -80,8 +91,8 @@ def deviation_norms(state, prev, stationary, profile):
         z_dot_dev=z_dot,
         eta_dev=np.max(np.abs(state.c - profile.c), axis=-1),
     )
-    rows = zip(*(np.reshape(v, -1).tolist() for v in norms.values()))
-    return [DeviationRecord(t=float(state.t), **dict(zip(norms, row)))
+    rows = zip(*(np.reshape(v, -1).tolist() for v in fields.values()))
+    return [DeviationRecord(t=float(state.t), **dict(zip(fields, row)))
             for row in rows]
 
 

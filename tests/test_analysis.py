@@ -52,6 +52,29 @@ def test_fit_insufficient_data():
         fit_decay([(0.0, 1.0), (1.0, 0.5), (2.0, 0.25)])
     with pytest.raises(InsufficientDataError):
         fit_decay([(float(i), 1e-20) for i in range(10)])
+    # a line through points that share one time is not determined
+    with pytest.raises(InsufficientDataError, match="do not vary"):
+        fit_decay([(2.0, 0.5 ** i) for i in range(10)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(mu=st.floats(-1.0, 1.0), prefactor=st.floats(1e-3, 1e3),
+       noise=st.floats(0.0, 0.1), n=st.integers(10, 400),
+       t_end=st.floats(1.0, 20.0), seed=st.integers(0, 2**32 - 1))
+def test_fit_matches_polyfit(mu, prefactor, noise, n, t_end, seed):
+    # the closed-form line against np.polyfit on the same window, with the
+    # tolerance fixed beforehand; every value stays above the floor
+    t = np.linspace(0.0, t_end, n)
+    rng = np.random.default_rng(seed)
+    y = prefactor * np.exp(-mu * t) * (1.0 + noise * rng.uniform(-1, 1, n))
+    fit = fit_decay(list(zip(t, y)))
+    start = int(np.floor(n * (1.0 - analysis.FIT_WINDOW)))
+    slope, intercept = np.polyfit(t[start:], np.log(y[start:]), 1)
+    assert fit.mu == pytest.approx(-slope, rel=1e-9, abs=1e-12)
+    assert fit.prefactor == pytest.approx(np.exp(intercept), rel=1e-9,
+                                          abs=1e-12)
+    assert (fit.t_start, fit.t_end, fit.n_points) == (t[start], t[-1],
+                                                      n - start)
 
 
 @settings(max_examples=25)
@@ -120,7 +143,7 @@ def test_deviation_norms_at_stationary(stationary201, model):
     state = State(t=0.0, z=stationary201.z, c=stationary201.c.copy(),
                   p=stationary201.p.copy())
     prof = solve_nutrient(model, state.z, stationary201.grid, guess=state.c)
-    rec, = deviation_norms(state, None, stationary201, prof)
+    rec, = deviation_norms(state, None, stationary201, prof, 0.0)
     assert rec.max_norm() < 1e-9
 
 
@@ -128,7 +151,7 @@ def test_deviation_norms_z_shift(stationary201, model):
     state = State(t=1.0, z=stationary201.z + 0.1, c=stationary201.c.copy(),
                   p=stationary201.p.copy())
     prof = solve_nutrient(model, stationary201.z, stationary201.grid)
-    rec, = deviation_norms(state, None, stationary201, prof)
+    rec, = deviation_norms(state, None, stationary201, prof, 0.0)
     assert rec.z_dev == pytest.approx(0.1, abs=1e-15)
 
 
@@ -138,7 +161,7 @@ def test_deviation_norms_manufactured_bump(stationary201, model):
                   c=stationary201.c + 0.01 * (1.0 - grid.r**2),
                   p=stationary201.p.copy())
     prof = solve_nutrient(model, state.z, grid)
-    rec, = deviation_norms(state, None, stationary201, prof)
+    rec, = deviation_norms(state, None, stationary201, prof, 0.0)
     # d/dr of the bump is -0.02 r: sup 0.01, sup-derivative 0.02 exactly
     assert rec.c_dev == pytest.approx(0.01, abs=1e-12)
     assert rec.c_r_dev == pytest.approx(0.02, abs=1e-10)
@@ -151,7 +174,7 @@ def test_deviation_norms_time_differences(stationary201, model):
     state = State(t=0.5, z=stationary201.z + 0.05,
                   c=stationary201.c + 0.01, p=stationary201.p.copy())
     prof = solve_nutrient(model, state.z, grid)
-    rec, = deviation_norms(state, prev, stationary201, prof)
+    rec, = deviation_norms(state, prev, stationary201, prof, 0.0)
     assert rec.z_dot_dev == pytest.approx(0.1, rel=1e-12)
     assert rec.c_t_dev == pytest.approx(0.02, rel=1e-10)
 
@@ -161,7 +184,7 @@ def test_deviation_norms_grid_mismatch(stationary201, model):
     state = State(t=0.0, z=0.0, c=np.ones(51), p=np.ones(51))
     prof = solve_nutrient(model, 0.0, small)
     with pytest.raises(ValueError):
-        deviation_norms(state, None, stationary201, prof)
+        deviation_norms(state, None, stationary201, prof, 0.0)
 
 
 # ---------------- stability experiment ----------------
@@ -260,7 +283,7 @@ def test_convergence_study_zero_diff_is_inconclusive():
 
 def _same_run(a, b):
     """Bit-for-bit equality of two SimResults' records, final state and clips."""
-    return (a.records == b.records and a.aux == b.aux
+    return (a.records == b.records
             and a.final_state.t == b.final_state.t
             and a.final_state.z == b.final_state.z
             and np.array_equal(a.final_state.c, b.final_state.c)

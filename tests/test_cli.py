@@ -236,8 +236,20 @@ def test_resume_rejects_wrong_grid(tmp_path, config_path):
     assert code == 1
 
 
-def test_resume_from_missing_snapshot(tmp_path, capsys):
+def _forbid_reference_solve(monkeypatch):
+    """Fail the test if ``simulate`` solves its stationary reference: a bad
+    snapshot or horizon is rejected before that solve."""
+    import spheroid.cli as cli_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the stationary reference was solved")
+
+    monkeypatch.setattr(cli_mod, "solve_stationary", no_solve)
+
+
+def test_resume_from_missing_snapshot(tmp_path, monkeypatch, capsys):
     # status 1 and a one-line message, no traceback
+    _forbid_reference_solve(monkeypatch)
     missing = str(tmp_path / "nope.snap")
     assert cli(["simulate", "--grid-n", "21", "--tend", "0.2",
                 "--out", str(tmp_path / "x"), "--resume", missing]) == 1
@@ -246,7 +258,8 @@ def test_resume_from_missing_snapshot(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_resume_past_the_horizon(tmp_path, config_path, capsys):
+def test_resume_past_the_horizon(tmp_path, config_path, monkeypatch,
+                                 capsys):
     # a t_end not after the snapshot's t is a configuration error: status 1,
     # both times named, and no CSV of no records
     out_dir = str(tmp_path / "x")
@@ -257,6 +270,7 @@ def test_resume_past_the_horizon(tmp_path, config_path, capsys):
     from spheroid import load_snapshot
     t = load_snapshot(snap)[0].t
     assert t == pytest.approx(1.0, abs=1e-12)
+    _forbid_reference_solve(monkeypatch)
     for tend in ("0.2", "1.0"):
         capsys.readouterr()
         assert cli(args + ["--tend", tend, "--resume", snap]) == 1
@@ -266,13 +280,16 @@ def test_resume_past_the_horizon(tmp_path, config_path, capsys):
     assert not os.path.exists(os.path.join(out_dir, "timeseries_resumed.csv"))
 
 
-def test_simulate_horizon_of_no_step(tmp_path, config_path, capsys):
+def test_simulate_horizon_of_no_step(tmp_path, config_path, monkeypatch,
+                                    capsys):
     # a t_end that rounds to no step of dt = 0.02 after the start is a
     # configuration error, fresh or resumed: status 1, one line, no CSV
     out_dir = str(tmp_path / "x")
     args = ["simulate", "--config", config_path, "--grid-n", "21",
             "--out", out_dir]
-    assert cli(args + ["--tend", "0.01"]) == 1
+    with monkeypatch.context() as mp:
+        _forbid_reference_solve(mp)
+        assert cli(args + ["--tend", "0.01"]) == 1
     assert capsys.readouterr().err == (
         "error: t_end = 0.01 rounds to no step of dt = 0.02 after the "
         "initial time t = 0.0\n")
@@ -281,6 +298,7 @@ def test_simulate_horizon_of_no_step(tmp_path, config_path, capsys):
     snap = os.path.join(out_dir, "snap_000005.snap")
     from spheroid import load_snapshot
     t = load_snapshot(snap)[0].t
+    _forbid_reference_solve(monkeypatch)
     capsys.readouterr()
     assert cli(args + ["--tend", "1.005", "--resume", snap]) == 1
     assert capsys.readouterr().err == (

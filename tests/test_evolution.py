@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -9,13 +10,13 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import LinAlgError
 
-from spheroid import (ConvergenceError, DomainError, Grid, NumericsError,
-                      Rate, SolverConfig, State, VelocityField,
+from spheroid import (ConvergenceError, DeviationRecord, DomainError, Grid,
+                      NumericsError, Rate, SolverConfig, State, VelocityField,
                       admissibility_report, admissible_init,
                       boundary_radius_step, default_model, nutrient_step,
                       simulate, solve_nutrient, solve_stationary, step,
                       transport_step, velocity_from_state)
-from spheroid import evolution, nutrient, rates
+from spheroid import evolution, nutrient, output, rates
 from spheroid.grid import MIN_NODES
 
 from conftest import all_zero_model, make_model, zero_rate
@@ -430,6 +431,47 @@ def test_simulate_deterministic(model, grid201, stationary201):
         assert ra.norms() == rb.norms()  # bit-identical
     assert np.array_equal(a.final_state.c, b.final_state.c)
     assert np.array_equal(a.final_state.p, b.final_state.p)
+
+
+def test_one_record_per_output(model, grid201, stationary201, tmp_path):
+    # a two-cell batch, eps 0 and 0.05: each output's record carries the
+    # state's R, z and v(1) beside the eight norms, the result keeps no
+    # second per-output list, and the CSV row is the record's fields
+    inits = [admissible_init(stationary201, 0.01, shape)
+             for shape in ("poly", "cosine")]
+    cfg = SolverConfig(eps=np.array([0.0, 0.05]), dt=0.02, t_end=0.4,
+                       output_interval=0.2)
+    outputs = []
+    results = evolution._simulate_batch(
+        model, inits, grid201, cfg, stationary201,
+        on_output=lambda state, k, i, rec: outputs.append((state, rec)))
+    assert [len(r.records) for r in results] == [3, 3]
+    assert len(outputs) == 6
+    for state, rec in outputs:
+        assert rec.t == state.t and rec.z == state.z
+        assert rec.R == pytest.approx(np.exp(state.z), rel=1e-15, abs=0.0)
+        assert rec.v1 == velocity_from_state(model, state, grid201).v1
+        assert rec.R > 4.0
+        assert rec.norms().keys() == set(DeviationRecord.NORM_FIELDS)
+        assert rec.max_norm() == max(getattr(rec, name)
+                                     for name in DeviationRecord.NORM_FIELDS)
+        assert rec.max_norm() < 1.0
+    assert [rec for _, rec in outputs[::2]] == results[0].records
+    assert [rec for _, rec in outputs[1::2]] == results[1].records
+    assert not hasattr(results[0], "aux")
+    assert "aux" not in {f.name for f in
+                         dataclasses.fields(evolution.SimResult)}
+
+    for result in results:
+        path = tmp_path / "timeseries.csv"
+        output.write_timeseries_csv(path, result)
+        header, *rows = path.read_text().splitlines()
+        assert header == ("t,R,z,v1,c_dev,c_r_dev,c_t_dev,p_dev,"
+                          "p_r_weighted_dev,z_dev,z_dot_dev,eta_dev")
+        assert len(rows) == len(result.records)
+        for row, rec in zip(rows, result.records):
+            assert [float(x) for x in row.split(",")] == [
+                getattr(rec, name) for name in output.TIMESERIES_COLUMNS]
 
 
 def test_singular_nutrient_system_keeps_last_state(model, monkeypatch):
