@@ -6,19 +6,20 @@ birth K_B, quiescent->proliferating transfer K_P, proliferating->quiescent
 transfer K_Q, and death K_D.  Everything downstream (reaction f, volume
 source g) is built from them.
 """
-from spheroid import check_assumptions, default_model, eval_rate, f_reaction, g_source
+from spheroid import check_assumptions, default_model, f_reaction, g_source
 
 model = default_model()
 
 print("Default rate families:")
-for name in ("F", "K_B", "K_P", "K_Q", "K_D"):
-    rate = model.rate(name)
+rates = (model.F, model.K_B, model.K_P, model.K_Q, model.K_D)
+for name, rate in zip(("F", "K_B", "K_P", "K_Q", "K_D"), rates):
     print(f"  {name:4s} {rate.family:9s} {rate.params}")
 
-# Sample the rates across the nutrient range.
+# Sample the rates across the nutrient range: rate.value(c) is the value
+# alone, rate(c) the pair (value, derivative).
 print("\n   c      F     K_B    K_P    K_Q    K_D")
 for c in (0.0, 0.25, 0.5, 0.75, 1.0):
-    vals = [eval_rate(model, n, c)[0] for n in ("F", "K_B", "K_P", "K_Q", "K_D")]
+    vals = [rate.value(c) for rate in rates]
     print(f"  {c:4.2f}  " + "  ".join(f"{v:5.3f}" for v in vals))
 
 # The reaction f(c, p) is a concave quadratic in p with f(c, 0) >= 0 and

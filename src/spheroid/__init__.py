@@ -24,7 +24,7 @@ from .grid import Grid
 from .nutrient import (NutrientProfile, bounds_report, flux_residual,
                        nutrient_sensitivity, solve_nutrient)
 from .rates import (Rate, RateModel, check_assumptions, default_model,
-                    equilibrium_fraction, eval_rate, f_reaction, g_source)
+                    equilibrium_fraction, f_reaction, g_source)
 from .records import DeviationRecord, admissibility_report, deviation_norms
 from .snapshot import load_snapshot, save_snapshot
 from .stationary import (StationarySolution, solve_stationary,

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InsufficientDataError
 from .evolution import (SolverConfig, State, _quasi_static, _simulate_batch,
-                        _stack, step)
+                        _stack, horizon_steps, step)
 from .grid import Grid
 from .rates import Rate
 from .records import DeviationRecord
@@ -274,7 +274,7 @@ def _integrate_plain(model, init, grid, config):
     """Step to t_end without recording (convergence studies only), as the
     batch of one that :func:`simulate` steps, from the same projection."""
     state = _quasi_static(model, _stack([init]), grid, config.eps)
-    for _ in range(round((config.t_end - state.t) / config.dt)):
+    for _ in range(horizon_steps(config, state.t, "the initial time")):
         state = step(model, state, grid, config)
     return state.row(0)
 

@@ -136,6 +136,8 @@ def _load(args):
 
 
 def _outdir(cfg):
+    """The output directory, made when a run has passed its checks and has
+    something to write, so a rejected run leaves none."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     return cfg.out_dir
 
@@ -159,7 +161,6 @@ def cmd_lemma31(args):
 
 def cmd_stationary(args):
     cfg = _load(args)
-    out = _outdir(cfg)
     solution = solve_stationary(cfg.model(), Grid(cfg.grid_n), tol=args.tol,
                                 config=cfg.solver,
                                 cross_check=not args.no_cross_check)
@@ -172,6 +173,7 @@ def cmd_stationary(args):
     if solution.z_direct is not None:
         print(f"z* (direct construction) = {solution.z_direct!r}  "
               f"gap = {abs(solution.z_direct - solution.z):.3e}")
+    out = _outdir(cfg)
     save_snapshot(State(t=0.0, z=solution.z, c=solution.c, p=solution.p),
                   os.path.join(out, "stationary.snap"),
                   config_hash=config_hash(cfg))
@@ -184,7 +186,6 @@ def cmd_stationary(args):
 
 def cmd_simulate(args):
     cfg = _load(args)
-    out = _outdir(cfg)
     model = cfg.model()
     grid = Grid(cfg.grid_n)
     chash = config_hash(cfg)
@@ -199,6 +200,7 @@ def cmd_simulate(args):
         horizon_steps(cfg.solver, start_t, start)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    out = _outdir(cfg)
     stationary = solve_stationary(model, grid, config=cfg.solver,
                                   cross_check=False)
 
@@ -207,35 +209,33 @@ def cmd_simulate(args):
             log.warning("resume snapshot was produced under a different "
                         "configuration (hash %s vs %s)",
                         header["config_hash"], chash)
-        start_step = header["step"]
-        # the resumed run's first record is the output after the snapshot's
-        out_offset = header["output_index"] + 1
-        prev_output = init.copy()
+        start_step, out_offset = header["step"], header["output_index"]
         csv_name = "timeseries_resumed.csv"
     else:
         delta = args.delta if args.delta is not None else 0.01
         seed = args.seed if args.seed is not None else 0
         init = admissible_init(stationary, delta, args.shape, seed)
-        start_step = 0
-        out_offset = 0
-        prev_output = None
+        start_step = out_offset = 0
         csv_name = "timeseries.csv"
+    # a resumed run's first output is the snapshot's own: it is neither
+    # written again nor saved over the snapshot
+    skip = 1 if args.resume else 0
 
     # the step and output index of the latest output, which a failed run
-    # saves with its last healthy state (a resumed run starts at its
-    # snapshot's)
-    latest = dict(step=start_step, output_index=out_offset - 1)
+    # saves with its last healthy state (a run has one only after its
+    # first output)
+    latest = {}
 
     def on_output(state, step_index, output_index, record):
         absolute = out_offset + output_index
         latest.update(step=start_step + step_index, output_index=absolute)
-        if absolute % cfg.snapshot_every == 0:
+        if output_index >= skip and absolute % cfg.snapshot_every == 0:
             save_snapshot(state, os.path.join(out, f"snap_{absolute:06d}.snap"),
                           config_hash=chash, **latest)
 
     try:
         result = simulate(model, init, grid, cfg.solver, stationary,
-                          on_output=on_output, prev_output=prev_output)
+                          on_output=on_output)
     except SpheroidError as exc:
         last = getattr(exc, "last_state", None)
         if last is not None:
@@ -246,18 +246,15 @@ def cmd_simulate(args):
         else:
             print(f"run aborted: {exc}", file=sys.stderr)
         return 1
+    result.records = result.records[skip:]
     write_timeseries_csv(os.path.join(out, csv_name), result)
     print(f"wrote {csv_name}: {len(result.records)} records, "
           f"final t = {result.final_state.t!r}, R = {result.final_state.radius!r}")
-    if result.clip.events:
-        print(f"warning: {result.clip.events} clip events beyond tolerance "
-              f"(max excess {result.clip.max_excess:.3e})", file=sys.stderr)
     return 0
 
 
 def cmd_stability(args):
     cfg = _load(args)
-    out = _outdir(cfg)
     model = cfg.model()
     grid = Grid(cfg.grid_n)
     exp = cfg.experiment
@@ -266,8 +263,7 @@ def cmd_stability(args):
     seeds = (args.seed,) if args.seed is not None else exp.seeds
     report = stability_experiment(model, grid, cfg.solver, eps_list,
                                   delta_list, exp.shapes, seeds)
-    path = os.path.join(out, "stability.csv")
-    write_stability_csv(path, report)
+    write_stability_csv(os.path.join(_outdir(cfg), "stability.csv"), report)
     n_ok = sum(c.status == "ok" for c in report.cells)
     print(f"wrote stability.csv: {len(report.cells)} cells, {n_ok} ran, "
           f"{sum(c.converged for c in report.cells)} converged")
@@ -276,9 +272,9 @@ def cmd_stability(args):
 
 def cmd_convergence(args):
     cfg = _load(args)
-    out = _outdir(cfg)
     studies = standard_convergence_suite(cfg.model())
-    write_convergence_csv(os.path.join(out, "convergence.csv"), studies)
+    write_convergence_csv(os.path.join(_outdir(cfg), "convergence.csv"),
+                          studies)
     ok = True
     for study in studies:
         threshold = CONVERGENCE_THRESHOLDS[study.kind]

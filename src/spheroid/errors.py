@@ -10,7 +10,7 @@ class DomainError(SpheroidError, ValueError):
 
 
 class UnknownRateError(SpheroidError, KeyError):
-    """Rate identifier or family name not recognized."""
+    """Rate family name not recognized."""
 
 
 class ConvergenceError(SpheroidError):

@@ -322,8 +322,7 @@ class SimResult:
     warnings: list         # admissibility issues found at start
 
 
-def simulate(model, init, grid, config, stationary, on_output=None,
-             prev_output=None):
+def simulate(model, init, grid, config, stationary, on_output=None):
     """Integrate from ``init`` to config.t_end, recording deviation norms.
 
     Parameters
@@ -340,12 +339,8 @@ def simulate(model, init, grid, config, stationary, on_output=None,
         Reference for deviation norms (same grid).
     on_output : callable, optional
         ``on_output(state, step_index, output_index, record)`` called at
-        every output time (snapshot/persistence hook).
-    prev_output : State, optional
-        The output state a resumed run continues from, for the
-        time-difference norms.  Without it the run is a fresh one and
-        records ``init`` at init.t before stepping; with it the first
-        record is the output after ``init``.
+        every output time (snapshot/persistence hook), the first at
+        init.t with ``init`` itself.
 
     Returns
     -------
@@ -356,12 +351,12 @@ def simulate(model, init, grid, config, stationary, on_output=None,
         after a step all raise one :class:`NumericsError`, "step failed at
         t=<step start>: <cause>", chained to its cause and carrying the
         last healthy output state (None if the run fails in its initial
-        projection or, when fresh, in its first output).  A config.t_end
+        projection or its first output).  A config.t_end
         that is not after init.t, or that rounds to no step of config.dt
         after it, raises ValueError.
     """
     result, = _simulate_batch(model, [init], grid, config, stationary,
-                             on_output, prev_output)
+                             on_output)
     if isinstance(result, NumericsError):
         raise result
     return result
@@ -378,8 +373,7 @@ def horizon_steps(config, t, start):
     n_steps = round((config.t_end - t) / config.dt)
     if n_steps < 1:
         raise ValueError(f"t_end = {config.t_end!r} rounds to no step of "
-                         f"dt = {config.dt!r} after the initial time "
-                         f"t = {t!r}")
+                         f"dt = {config.dt!r} after {start} t = {t!r}")
     return n_steps
 
 
@@ -411,8 +405,7 @@ def _quasi_static(model, state, grid, eps):
         lambda rows: _rows(state.c, rows)))
 
 
-def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
-                   prev_output=None):
+def _simulate_batch(model, inits, grid, config, stationary, on_output=None):
     """:func:`simulate` of each of ``inits``, which share their start time,
     stepped together as one batch; a lone run is the batch of one.
     ``config.eps`` is one float for all cells or one value per cell.
@@ -426,7 +419,7 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
     for each row as a batch of one, and the rows that still raise leave
     the batch there.  Every other cell's records, final state and clip
     counts are those of its solo run, bit for bit.  ``on_output`` gets
-    each cell's state at every output; ``prev_output`` needs one cell.
+    each cell's state at every output.
     """
     if not inits:
         return []
@@ -440,7 +433,7 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
     clips = {i: ClipStats() for i in cells}
     prev = None
     k_out = max(1, round(config.output_interval / config.dt))
-    out_idx = 0
+    out_idx = 0   # the index of emit's next output
 
     def each_row(call):
         # call(state, config, cells) -> State on the batch; where it raises,
@@ -490,6 +483,8 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
         return new
 
     def emit(step_index):
+        # records the state's output; it is the next output's prev
+        nonlocal prev, out_idx
         # the state's own quasi-static profile m(.; z), for eta_dev
         profile = each_row(lambda s, cfg, _: replace(
             s, c=solve_nutrient(model, s.z, grid, guess=s.c).c))
@@ -501,19 +496,17 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
             records[i].append(recs[b])
             if on_output is not None:
                 on_output(state.row(b), step_index, out_idx, recs[b])
+        out_idx += 1
+        # no step changes a state in place, so prev may share its arrays
+        prev = state
 
     state = each_row(project)
     issues = {i: admissibility_report(inits[i], grid) for i in cells}
     for i in cells:
         for issue in issues[i]:
             log.warning("initial data: %s", issue)
-    # no step changes a state in place, so prev may share its arrays
-    if prev_output is not None:
-        prev = _stack([prev_output])
-    elif cells:
+    if cells:
         emit(0)
-        out_idx += 1
-        prev = state
 
     for k in range(1, n_steps + 1):
         if not cells:
@@ -521,8 +514,6 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None,
         state = each_row(advance)
         if cells and k % k_out == 0:
             emit(k)
-            out_idx += 1
-            prev = state
 
     for b, i in enumerate(cells):
         if clips[i].events:

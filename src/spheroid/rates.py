@@ -113,12 +113,12 @@ class RateModel:
     """The five rates.
 
     Concentrations are accepted on DOMAIN.  Beyond it :func:`check_domain`
-    raises :class:`DomainError` where ``c`` enters: in :func:`eval_rate`, on
-    the initial data of ``evolution.simulate``, on the input of
-    ``evolution.step`` and on each new profile of ``solve_nutrient`` and
-    ``nutrient_step``.  The composites (see the module docstring) are
-    plain formulas that check nothing.  Instances are
-    immutable and safe to share between concurrent runs.
+    raises :class:`DomainError` where ``c`` enters: on the initial data of
+    ``evolution.simulate``, on the input of ``evolution.step`` and on each
+    new profile of ``solve_nutrient`` and ``nutrient_step``.  The rates
+    themselves and the composites (see the module docstring) are plain
+    formulas that check nothing.  Instances are immutable and safe to
+    share between concurrent runs.
     """
 
     F: Rate
@@ -126,11 +126,6 @@ class RateModel:
     K_P: Rate
     K_Q: Rate
     K_D: Rate
-
-    def rate(self, name):
-        if name not in RATE_NAMES:
-            raise UnknownRateError(f"unknown rate id {name!r}")
-        return getattr(self, name)
 
 
 def default_model():
@@ -161,29 +156,6 @@ def check_domain(c, context):
         raise DomainError(f"{context}: c={arr[bad][0]:.6g} outside "
                           f"[{DOMAIN[0]:g}, {DOMAIN[1]:g}]")
     return arr
-
-
-def eval_rate(model, name, c):
-    """Evaluate one rate and its derivative at concentration ``c``.
-
-    Parameters
-    ----------
-    model : RateModel
-    name : str
-        One of ``RATE_NAMES``.
-    c : float or array
-        Concentration; must lie within DOMAIN.
-
-    Returns
-    -------
-    (value, derivative) : pair of arrays (or scalars, matching ``c``)
-    """
-    rate = model.rate(name)
-    arr = check_domain(c, f"rate {name}")
-    val, der = rate(arr)
-    if np.isscalar(c):
-        return float(val), float(der)
-    return val, der
 
 
 def _combine(kb, kp, kq, kd):
@@ -286,7 +258,7 @@ def check_assumptions(model):
     """
     c = np.linspace(C_LO, C_HI, SAMPLES)
     (fv, df), (kb, dkb), (kp, dkp), (kq, dkq), (kd, dkd) = (
-        model.rate(name)(c) for name in RATE_NAMES)
+        getattr(model, name)(c) for name in RATE_NAMES)
     # c[0] = C_LO = 0, where (A1) and (A2) pin F, K_B and K_P
     f0, kb0, kp0 = float(fv[0]), float(kb[0]), float(kp[0])
     _, _, dkm, dkn = _combine(dkb, dkp, dkq, dkd)

@@ -303,8 +303,71 @@ def test_simulate_horizon_of_no_step(tmp_path, config_path, monkeypatch,
     assert cli(args + ["--tend", "1.005", "--resume", snap]) == 1
     assert capsys.readouterr().err == (
         f"error: t_end = 1.005 rounds to no step of dt = 0.02 after the "
-        f"initial time t = {t!r}\n")
+        f"snapshot's t = {t!r}\n")
     assert not os.path.exists(os.path.join(out_dir, "timeseries_resumed.csv"))
+
+
+def test_rejected_simulate_leaves_no_directory(tmp_path, monkeypatch):
+    # a horizon of no step and a missing snapshot are rejected before the
+    # output directory is made
+    _forbid_reference_solve(monkeypatch)
+    out_dir = tmp_path / "d"
+    for extra in (["--tend", "0.01"],
+                  ["--resume", str(tmp_path / "nope.snap")]):
+        assert cli(["simulate", "--grid-n", "21", "--out", str(out_dir)]
+                   + extra) == 1
+        assert not out_dir.exists(), extra
+
+
+@pytest.mark.parametrize("eps", ["0.0", "0.05"])
+def test_resume_mid_run_continues_the_run(tmp_path, config_path, eps):
+    # resumed from its t = 1 snapshot, a run writes the uninterrupted run's
+    # records after it, and leaves every snapshot byte for byte as it was:
+    # the snapshot it resumed from is not written again, and the resumed
+    # leg's own snap_000010 is the uninterrupted run's
+    out_dir = tmp_path / "x"
+    args = ["simulate", "--config", config_path, "--grid-n", "51",
+            "--eps", eps, "--out", str(out_dir)]
+    assert cli(args + ["--delta", "0.01", "--seed", "3"]) == 0
+    snaps = {p.name: p.read_bytes() for p in out_dir.glob("snap_*.snap")}
+    assert sorted(snaps) == ["snap_000000.snap", "snap_000005.snap",
+                             "snap_000010.snap"]
+    snap = out_dir / "snap_000005.snap"
+    os.utime(snap, (0, 0))
+    assert cli(args + ["--resume", str(snap)]) == 0
+    rows = _read_rows(out_dir / "timeseries.csv")
+    resumed = _read_rows(out_dir / "timeseries_resumed.csv")
+    assert resumed[0] == rows[0]
+    assert resumed[1:] == [row for row in rows[1:]
+                           if float(row.split(",")[0]) > 1.0 + 1e-9]
+    assert len(resumed) == 6
+    assert {p.name: p.read_bytes()
+            for p in out_dir.glob("snap_*.snap")} == snaps
+    assert snap.stat().st_mtime == 0
+
+
+def test_clipped_run_warns_once(tmp_path, config_path, monkeypatch, caplog,
+                                capsys):
+    # one node of p a step's transport pushes 1e-6 above 1 is a clip event
+    # of every step; the run reports them in one warning
+    from spheroid import evolution
+    transport = evolution.transport_step
+
+    def overshoot(*args):
+        p = transport(*args)
+        p[..., 10] = 1.0 + 1e-6
+        return p
+
+    monkeypatch.setattr(evolution, "transport_step", overshoot)
+    with caplog.at_level(logging.WARNING, logger="spheroid"):
+        assert cli(["simulate", "--config", config_path, "--grid-n", "21",
+                    "--delta", "0.0", "--tend", "0.2",
+                    "--out", str(tmp_path / "x")]) == 0
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelno >= logging.WARNING]
+    assert warnings == ["clipped fields beyond tolerance 10 times "
+                        "(max excess 1.000e-06)"]
+    assert "clip" not in capsys.readouterr().err
 
 
 def test_resume_under_another_config_warns(tmp_path, caplog):

@@ -581,22 +581,20 @@ def test_simulate_wraps_nonfinite_velocity(model, grid201, stationary201,
 def test_simulate_rejects_nutrient_outside_domain(model, grid201,
                                                   stationary201):
     # the initial projection checks the initial nutrient where it checks
-    # for non-finite data, before the first nutrient solve of a fresh run
-    # (the projection at eps = 0, the initial output at eps > 0) and the
-    # first step of a resumed one; there is no healthy output state yet
+    # for non-finite data, before the first nutrient solve (the projection
+    # at eps = 0, the initial output at eps > 0); there is no healthy
+    # output state yet
     init = State(t=0.0, z=stationary201.z, c=stationary201.c.copy(),
                  p=stationary201.p.copy())
     init.c[10] = rates.C_HI + 2.0 * rates.MARGIN
     for eps in (0.0, 0.05):
         cfg = SolverConfig(eps=eps, dt=0.02, t_end=1.0, output_interval=0.2)
-        for prev_output in (None, init):
-            with pytest.raises(NumericsError) as err:
-                simulate(model, init, grid201, cfg, stationary201,
-                         prev_output=prev_output)
-            assert str(err.value).startswith(
-                "step failed at t=0: initial data: c=2 outside")
-            assert isinstance(err.value.__cause__, DomainError)
-            assert err.value.last_state is None
+        with pytest.raises(NumericsError) as err:
+            simulate(model, init, grid201, cfg, stationary201)
+        assert str(err.value).startswith(
+            "step failed at t=0: initial data: c=2 outside")
+        assert isinstance(err.value.__cause__, DomainError)
+        assert err.value.last_state is None
     # step still checks the nutrient it is given
     with pytest.raises(DomainError, match="^step: c="):
         step(model, init, grid201, SolverConfig(eps=0.05))

@@ -7,21 +7,23 @@ from hypothesis import strategies as st
 
 from spheroid import (DomainError, Rate, RateModel, UnknownRateError,
                       check_assumptions, default_model, equilibrium_fraction,
-                      eval_rate, f_reaction, g_source)
-from spheroid.rates import MARGIN, f_reaction_partials
+                      f_reaction, g_source)
+from spheroid.rates import MARGIN, check_domain, f_reaction_partials
 
 from conftest import all_zero_model, make_model, zero_rate
 
 
 def test_linear_vanishes_at_zero():
     m = make_model(F=Rate("linear", {"slope": 1.0}))
-    assert eval_rate(m, "F", 0.0) == (0.0, 1.0)
+    assert m.F(0.0) == (0.0, 1.0)
+    assert m.F.value(0.0) == 0.0
 
 
 def test_linear_slope_at_one():
     lam = 2.75
     m = make_model(F=Rate("linear", {"slope": lam}))
-    val, der = eval_rate(m, "F", 1.0)
+    val, der = m.F(1.0)
+    assert m.F.value(1.0) == val
     assert val == pytest.approx(lam, abs=1e-15)
     assert der == pytest.approx(lam, abs=1e-15)
 
@@ -34,7 +36,8 @@ def test_default_kq_matches_direct_scalar_evaluation():
     expected = prm["amp"] * (1.0 - math.tanh(prm["steepness"] * (c - prm["center"]))) / 2.0
     expected_der = -prm["amp"] * prm["steepness"] / 2.0 \
         / math.cosh(prm["steepness"] * (c - prm["center"])) ** 2
-    val, der = eval_rate(m, "K_Q", c)
+    val, der = m.K_Q(c)
+    assert m.K_Q.value(c) == val
     assert val == pytest.approx(expected, rel=1e-14)
     assert der == pytest.approx(expected_der, rel=1e-14)
 
@@ -42,15 +45,12 @@ def test_default_kq_matches_direct_scalar_evaluation():
 def test_eval_vectorized_matches_scalar():
     m = default_model()
     c = np.linspace(0.0, 1.0, 7)
-    vals, ders = eval_rate(m, "K_D", c)
+    vals, ders = m.K_D(c)
+    assert np.array_equal(m.K_D.value(c), vals)
     for i, ci in enumerate(c):
-        v, d = eval_rate(m, "K_D", float(ci))
+        v, d = m.K_D(float(ci))
         assert vals[i] == v and ders[i] == d
-
-
-def test_unknown_rate_id():
-    with pytest.raises(UnknownRateError):
-        eval_rate(default_model(), "K_X", 0.5)
+        assert m.K_D.value(float(ci)) == v
 
 
 def test_unknown_family_and_params():
@@ -61,13 +61,12 @@ def test_unknown_family_and_params():
 
 
 def test_domain_error_far_outside():
-    m = default_model()
+    with pytest.raises(DomainError, match=r"^rate F: c=1\.51 outside"):
+        check_domain(1.0 + MARGIN + 0.01, "rate F")
     with pytest.raises(DomainError):
-        eval_rate(m, "F", 1.0 + MARGIN + 0.01)
-    with pytest.raises(DomainError):
-        eval_rate(m, "F", np.array([0.5, -MARGIN - 0.01]))
+        check_domain(np.array([0.5, -MARGIN - 0.01]), "rate F")
     # inside the documented margin is fine
-    eval_rate(m, "F", 1.0 + MARGIN / 2)
+    assert check_domain(1.0 + MARGIN / 2, "rate F") == 1.0 + MARGIN / 2
 
 
 def test_f_zero_for_all_zero_rates():
@@ -123,12 +122,11 @@ def test_g_affine_in_p(c, p1, p2, alpha):
 def test_derivative_matches_central_difference(c, name):
     m = make_model(F=Rate("michaelis", {"vmax": 2.0, "k": 0.5}))
     h1, h2 = 1e-4, 5e-5
-    _, der = eval_rate(m, name, c)
+    rate = getattr(m, name)
+    _, der = rate(c)
 
     def fd(h):
-        vp, _ = eval_rate(m, name, c + h)
-        vm, _ = eval_rate(m, name, c - h)
-        return (vp - vm) / (2 * h)
+        return (rate.value(c + h) - rate.value(c - h)) / (2 * h)
 
     e1, e2 = abs(fd(h1) - der), abs(fd(h2) - der)
     assert e1 < 1e-6
