@@ -18,18 +18,18 @@ stepping functions act along the last axis, per-row scalars as columns
 ``x[..., None]``, so each row of a batched step is, bit for bit, the step
 of that state alone.  Rows may differ in eps: those with eps = 0 solve the
 quasi-static nutrient, the others take the implicit step, and the rest
-runs once.
+runs once.  :class:`StepMap` is the eps = 0 step as a map on x = (z, p).
 """
 
 import logging
-from copy import deepcopy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConvergenceError, NumericsError
+from .grid import Grid
 from .nutrient import nutrient_step, solve_nutrient
-from .rates import check_domain, f_reaction, g_source
+from .rates import RateModel, check_domain, f_reaction, g_source
 from .records import admissibility_report, deviation_norms
 
 log = logging.getLogger("spheroid")
@@ -57,9 +57,6 @@ class State:
     @property
     def radius(self):
         return float(np.exp(self.z))
-
-    def copy(self):
-        return deepcopy(self)
 
     def row(self, b):
         """Row ``b`` of a batch, as a lone state of its own."""
@@ -133,14 +130,14 @@ def _clip_rows(arr, clips):
     return rows.reshape(arr.shape)
 
 
-def velocity_from_state(model, state, grid):
+def velocity_from_state(model, c, p, grid):
     """Velocity field induced by the volume source g(c, p).
 
     v(r) = r^-2 * int_0^r g(c, p) rho^2 d rho via the exact-weight
     product-trapezoid rule; v(0) = 0 and w = v - r v(1) vanish exactly at
     both endpoints.
     """
-    v = grid.cumulative_radial_integral(g_source(model, state.c, state.p))
+    v = grid.cumulative_radial_integral(g_source(model, c, p))
     v[..., 1:] /= grid.r[1:] ** 2
     w = v - grid.r * v[..., -1:]
     w[..., -1] = 0.0
@@ -246,6 +243,15 @@ def _by_eps(eps, c, quasi, implicit):
     return new
 
 
+def _quasi_static(model, state, grid, eps):
+    """``state`` with its eps = 0 rows' nutrient projected onto c = m(.; z)."""
+    return replace(state, c=_by_eps(
+        eps, state.c,
+        lambda rows: solve_nutrient(model, _rows(state.z, rows), grid,
+                                    guess=_rows(state.c, rows)).c,
+        lambda rows: _rows(state.c, rows)))
+
+
 def step(model, state, grid, config, clip=None):
     """Advance the state by one splitting step of config.dt.
 
@@ -276,7 +282,7 @@ def step(model, state, grid, config, clip=None):
         clip = [ClipStats() for _ in range(np.size(state.z))]
     dt, eps = config.dt, config.eps
     heun = config.splitting == "heun"
-    vel = velocity_from_state(model, state, grid)
+    vel = velocity_from_state(model, state.c, state.p, grid)
 
     p_new = transport_step(model, state, vel.w, state.c, dt, grid)
     z_pred = state.z + dt * vel.v1
@@ -287,8 +293,7 @@ def step(model, state, grid, config, clip=None):
         lambda rows: nutrient_step(model, _rows(state.c, rows),
                                    _rows(state.z, rows), _rows(vel.v1, rows),
                                    dt, _rows(eps, rows), grid))
-    pred = State(t=state.t + dt, z=z_pred, c=c_pred, p=p_new)
-    vel_pred = velocity_from_state(model, pred, grid)
+    vel_pred = velocity_from_state(model, c_pred, p_new, grid)
     z_new = boundary_radius_step(state, vel, dt, vel_pred)
 
     if heun:
@@ -312,6 +317,39 @@ def step(model, state, grid, config, clip=None):
     c_new = _clip_rows(c_new, clip)
     p_new = _clip_rows(np.asarray(p_new), clip)
     return State(t=state.t + dt, z=z_new, c=c_new, p=p_new)
+
+
+@dataclass
+class StepMap:
+    """Fixed-point residual F(x) = (step(x) - x)/dt of the eps = 0 step.
+
+    x = (z, p) has shape (1 + n,), or (B, 1 + n) for a batch; only
+    :meth:`pack` and :meth:`unpack` know this layout.  Each row of a batch
+    is, bit for bit, F of that row alone.  ``calls`` and ``states`` count
+    the step calls and the states stepped."""
+
+    model: RateModel
+    grid: Grid
+    config: SolverConfig
+    calls: int = field(default=0, init=False)
+    states: int = field(default=0, init=False)
+
+    @staticmethod
+    def pack(z, p):
+        """x of the log-radius ``z`` and the fraction ``p``."""
+        return np.concatenate((np.expand_dims(z, -1), p), axis=-1)
+
+    def unpack(self, x, guess):
+        """State at x, c = m(.; z) by the loop's projection from ``guess``."""
+        state = State(t=0.0, z=x[..., 0], c=guess, p=x[..., 1:])
+        return _quasi_static(self.model, state, self.grid, 0.0)
+
+    def __call__(self, x, guess):
+        """F(x) and the stepped nutrient, a warm start near x."""
+        new = step(self.model, self.unpack(x, guess), self.grid, self.config)
+        self.calls += 1
+        self.states += np.size(new.z)
+        return (self.pack(new.z, new.p) - x) / self.config.dt, new.c
 
 
 @dataclass
@@ -396,15 +434,6 @@ def _finite(state):
             and np.isfinite(state.p).all())
 
 
-def _quasi_static(model, state, grid, eps):
-    """``state`` with its eps = 0 rows' nutrient projected onto c = m(.; z)."""
-    return replace(state, c=_by_eps(
-        eps, state.c,
-        lambda rows: solve_nutrient(model, _rows(state.z, rows), grid,
-                                    guess=_rows(state.c, rows)).c,
-        lambda rows: _rows(state.c, rows)))
-
-
 def _simulate_batch(model, inits, grid, config, stationary, on_output=None):
     """:func:`simulate` of each of ``inits``, which share their start time,
     stepped together as one batch; a lone run is the batch of one.
@@ -486,12 +515,12 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None):
         # records the state's output; it is the next output's prev
         nonlocal prev, out_idx
         # the state's own quasi-static profile m(.; z), for eta_dev
-        profile = each_row(lambda s, cfg, _: replace(
-            s, c=solve_nutrient(model, s.z, grid, guess=s.c).c))
+        profile = each_row(
+            lambda s, cfg, _: _quasi_static(model, s, grid, 0.0))
         if not cells:
             return
-        recs = deviation_norms(state, prev, stationary, profile,
-                               velocity_from_state(model, state, grid).v1)
+        v1 = velocity_from_state(model, state.c, state.p, grid).v1
+        recs = deviation_norms(state, prev, stationary, profile, v1)
         for b, i in enumerate(cells):
             records[i].append(recs[b])
             if on_output is not None:

@@ -2,7 +2,8 @@
 
 Primary method: the fixed point x = (z, p) of one eps = 0 evolution step,
 with c slaved to z by the quasi-static solve, so simulations measure
-deviations against a state the scheme keeps.  Pseudo-time relaxation
+deviations against a state the scheme keeps.  ``evolution.StepMap`` lays
+out x and projects c; this module only moves x.  Pseudo-time relaxation
 in steps of max(dt, RELAX_DT) brings F(x) = (step(x) - x)/dt to |F|_inf
 <= RELAX_LEVEL: far from the root the step only has to point the right
 way (pseudo-transient continuation; Kelley & Keyes 1998).  Newton on F
@@ -42,17 +43,17 @@ which it imports when it runs.
 """
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BracketError, ConvergenceError
-from .evolution import (SolverConfig, State, hermite_eval, step,
+from .evolution import (SolverConfig, StepMap, hermite_eval,
                         velocity_from_state)
 from .grid import Grid
 from .nutrient import solve_nutrient
-from .rates import (RateModel, equilibrium_fraction, f_reaction,
-                    f_reaction_partials, g_source, reaction_coefficients)
+from .rates import (equilibrium_fraction, f_reaction, f_reaction_partials,
+                    g_source, reaction_coefficients)
 
 log = logging.getLogger("spheroid")
 
@@ -115,7 +116,7 @@ def _steady_transport(model, c, grid):
     abd = np.array(reaction_coefficients(model, hermite_eval(c, x, grid))[:3])
 
     for it in range(1, PICARD_SWEEPS + 1):
-        vel = velocity_from_state(model, State(0.0, 0.0, c, p), grid)
+        vel = velocity_from_state(model, c, p, grid)
         if np.max(np.abs(vel.w)) < 1e-12:
             # degenerate advection: steady state is the pointwise equilibrium
             p_new = equilibrium_fraction(model, c)
@@ -159,8 +160,7 @@ def _steady_transport(model, c, grid):
         raise ConvergenceError(
             f"steady transport Picard did not settle (last move {move:.2e})",
             residual=move)
-    vel = velocity_from_state(model, State(0.0, 0.0, c, p), grid)
-    return p, float(vel.v1), it
+    return p, float(velocity_from_state(model, c, p, grid).v1), it
 
 
 def stationary_by_bisection(model, grid, z_bracket):
@@ -187,34 +187,6 @@ def stationary_by_bisection(model, grid, z_bracket):
             f"v(1; z) keeps sign over [{lo:g}, {hi:g}]: "
             f"v1({lo:g})={v_lo:.3e}, v1({hi:g})={v_hi:.3e}")
     return float(brentq(v1_of_z, lo, hi, xtol=1e-10))
-
-
-@dataclass
-class StepMap:
-    """Fixed-point residual F(x) = (step(x) - x)/dt of the eps = 0 step.
-
-    x = (z, p) has shape (1 + n,), or (B, 1 + n) for B states that step
-    together as one batch; c is slaved to z by the quasi-static solve.
-    Each row of a batch is, bit for bit, F of that row alone.  ``calls``
-    and ``states`` count the step calls made and the states they stepped.
-    """
-
-    model: RateModel
-    grid: Grid
-    config: SolverConfig
-    calls: int = field(default=0, init=False)
-    states: int = field(default=0, init=False)
-
-    def __call__(self, x, guess):
-        """F(x) and the stepped nutrient, a warm start near x; ``guess``
-        (n,) or (B, n) warm-starts the solve for c at z."""
-        z, p = x[..., 0], x[..., 1:]
-        c = solve_nutrient(self.model, z, self.grid, guess=guess).c
-        new = step(self.model, State(0.0, z, c, p), self.grid, self.config)
-        self.calls += 1
-        self.states += z.size
-        moved = np.concatenate((np.expand_dims(new.z, -1), new.p), axis=-1)
-        return (moved - x) / self.config.dt, new.c
 
 
 def _jacobian(F, x, f, c):
@@ -286,8 +258,8 @@ def solve_stationary(model, grid, tol=1e-6, config=None, *, cross_check):
         asymptotic stability they provide.
     grid : Grid
     tol : float
-        The returned x = (z, p) has |step(x) - x|_inf/dt <= tol/10; finite
-        and > 0, else ValueError.
+        The x = (z, p) whose ``StepMap.unpack`` is returned has
+        |step(x) - x|_inf/dt <= tol/10; finite and > 0, else ValueError.
     config : SolverConfig, optional
         Scheme whose fixed point is sought (eps is forced to 0); runs that
         measure deviations against the result should use the same dt.
@@ -318,7 +290,7 @@ def solve_stationary(model, grid, tol=1e-6, config=None, *, cross_check):
         config, dt=coarse_dt,
         output_interval=max(config.output_interval, coarse_dt)))
     c = solve_nutrient(model, Z_INIT, grid).c
-    x = np.concatenate(([Z_INIT], equilibrium_fraction(model, c)))
+    x = fine.pack(Z_INIT, equilibrium_fraction(model, c))
     norm = np.inf    # last |F|_inf
     t_left = T_RELAX   # pseudo-time left to both relaxation phases
 
@@ -349,13 +321,12 @@ def solve_stationary(model, grid, tol=1e-6, config=None, *, cross_check):
         raise ConvergenceError(
             f"stationary solve failed at |F|_inf = {norm:.3e}: {exc}",
             residual=norm) from exc
-    c = solve_nutrient(model, x[0], grid, guess=c).c
-    state = State(t=0.0, z=float(x[0]), c=c, p=x[1:])
-    vel = velocity_from_state(model, state, grid)
+    state = fine.unpack(x, c)
+    vel = velocity_from_state(model, state.c, state.p, grid)
     p_r = grid.derivative(state.p)
     transport = -vel.v * p_r + f_reaction(model, state.c, state.p)
     solution = StationarySolution(
-        z=state.z, c=state.c, p=state.p, v=vel.v, grid=grid,
+        z=float(state.z), c=state.c, p=state.p, v=vel.v, grid=grid,
         v1_residual=abs(float(vel.v1)),
         transport_residual=float(np.max(np.abs(transport[1:-1]))),
         step_calls=coarse.calls + fine.calls,

@@ -458,7 +458,7 @@ def test_rejected_initial_data_fails_only_that_cell(model, grid201,
     cfg = SolverConfig(eps=0.0, dt=0.02, t_end=0.4, output_interval=0.2)
     inits = [admissible_init(stationary201, 0.01, shape)
              for shape in ("poly", "cosine")]
-    bad = inits[0].copy()
+    bad = replace(inits[0], c=inits[0].c.copy())
     bad.c[10] = rates.C_HI + 2.0 * rates.MARGIN
     results = _simulate_batch(model, [inits[0], bad, inits[1]], grid201, cfg,
                               stationary201)

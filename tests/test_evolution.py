@@ -35,7 +35,8 @@ def test_velocity_constant_source():
     grid = Grid(101)
     m = make_model(K_B=zero_rate(), K_P=zero_rate(),
                    K_D=Rate("constant", {"value": 0.25}))
-    vel = velocity_from_state(m, flat_state(grid), grid)
+    state = flat_state(grid)
+    vel = velocity_from_state(m, state.c, state.p, grid)
     assert np.allclose(vel.v, -0.125 * grid.r / 3.0, rtol=0, atol=1e-14)
     assert np.allclose(vel.w, 0.0, atol=1e-14)
     assert vel.v1 == pytest.approx(-0.125 / 3.0, abs=1e-14)
@@ -48,14 +49,15 @@ def test_velocity_linear_source():
                    K_Q=zero_rate(), K_D=zero_rate())
     state = flat_state(grid)
     state.p = grid.r.copy()
-    vel = velocity_from_state(m, state, grid)
+    vel = velocity_from_state(m, state.c, state.p, grid)
     assert np.allclose(vel.v, grid.r**2 / 4.0, rtol=0, atol=1e-14)
     assert vel.w[0] == 0.0 and vel.w[-1] == 0.0
 
 
 def test_velocity_zero_source():
     grid = Grid(51)
-    vel = velocity_from_state(all_zero_model(), flat_state(grid), grid)
+    state = flat_state(grid)
+    vel = velocity_from_state(all_zero_model(), state.c, state.p, grid)
     assert np.all(vel.v == 0.0) and np.all(vel.w == 0.0) and vel.v1 == 0.0
 
 
@@ -66,7 +68,7 @@ def test_nutrient_step_constant_in_kernel():
     grid = Grid(101)
     m = all_zero_model()
     state = flat_state(grid)
-    v1 = velocity_from_state(m, state, grid).v1
+    v1 = velocity_from_state(m, state.c, state.p, grid).v1
     c_new = nutrient_step(m, state.c, state.z, v1, dt=0.1, eps=0.5, grid=grid)
     assert np.allclose(c_new, 1.0, rtol=0, atol=1e-14)
 
@@ -114,14 +116,14 @@ def test_nutrient_step_takes_eps_per_row():
         State(t=0.0, z=z, c=solve_nutrient(m, z, grid).c + 0.01 * k * bump,
               p=np.full(grid.n, 0.3 + 0.2 * k))
         for k, z in enumerate((0.2, 0.5, 0.8))])
-    v1 = velocity_from_state(m, batch, grid).v1
+    v1 = velocity_from_state(m, batch.c, batch.p, grid).v1
     eps = np.array([0.01, 0.05, 0.5])
     c_new = nutrient_step(m, batch.c, batch.z, v1, 0.02, eps, grid)
     for b in range(3):
         row = batch.row(b)
         alone = nutrient_step(m, row.c, row.z,
-                              velocity_from_state(m, row, grid).v1, 0.02,
-                              float(eps[b]), grid)
+                              velocity_from_state(m, row.c, row.p, grid).v1,
+                              0.02, float(eps[b]), grid)
         assert np.array_equal(c_new[b], alone)
     for bad in (np.array([0.05, 0.0, 0.05]), np.array([0.05, 0.05, -0.1]),
                 0.0):
@@ -154,7 +156,7 @@ def test_transport_pointwise_ode_matches_closed_form():
 
     def run(dt, t_end):
         state = State(t=0.0, z=0.5, c=prof.c, p=p0.copy())
-        w = velocity_from_state(m, state, grid).w
+        w = velocity_from_state(m, state.c, state.p, grid).w
         assert np.allclose(w, 0.0, atol=1e-16)
         for _ in range(round(t_end / dt)):
             state.p = transport_step(m, state, w, state.c, dt, grid)
@@ -450,7 +452,8 @@ def test_one_record_per_output(model, grid201, stationary201, tmp_path):
     for state, rec in outputs:
         assert rec.t == state.t and rec.z == state.z
         assert rec.R == pytest.approx(np.exp(state.z), rel=1e-15, abs=0.0)
-        assert rec.v1 == velocity_from_state(model, state, grid201).v1
+        assert rec.v1 == velocity_from_state(model, state.c, state.p,
+                                             grid201).v1
         assert rec.R > 4.0
         assert rec.norms().keys() == set(DeviationRecord.NORM_FIELDS)
         assert rec.max_norm() == max(getattr(rec, name)

@@ -129,8 +129,9 @@ def test_diffusion_rows_built_once_per_grid():
     nutrient_sensitivity(m, first)
     again = solve_nutrient(m, 0.7, Grid(51), guess=first.c)
     state = State(t=0.0, z=0.7, c=again.c, p=np.full(grid.n, 0.5))
-    nutrient_step(m, state.c, state.z, velocity_from_state(m, state, grid).v1,
-                  0.02, 0.05, grid)
+    nutrient_step(m, state.c, state.z,
+                  velocity_from_state(m, state.c, state.p, grid).v1, 0.02,
+                  0.05, grid)
     assert nutrient._diffusion_rows.cache_info().misses == 1
     assert np.max(np.abs(again.c - solve_nutrient(m, 0.7, grid).c)) < 1e-10
     # the shared rows are read-only and equal to a fresh build

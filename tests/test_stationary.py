@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 import spheroid
 from spheroid import (BracketError, ConvergenceError, Grid, Rate, RateModel,
                       SolverConfig, check_assumptions, default_model,
-                      equilibrium_fraction, solve_nutrient, solve_stationary,
-                      stationary, stationary_by_bisection, step,
-                      velocity_from_state)
+                      equilibrium_fraction, evolution, solve_nutrient,
+                      solve_stationary, stationary, stationary_by_bisection,
+                      step, velocity_from_state)
 from spheroid.evolution import State
 
 from conftest import make_model, zero_rate
@@ -90,7 +90,7 @@ def test_stationary_is_evolution_fixed_point(model, grid201, stationary201):
     new = step(model, state, grid201, cfg)
     assert abs(new.z - state.z) < 1e-6 * cfg.dt * 10
     assert np.max(np.abs(new.p - state.p)) < 1e-6
-    vel = velocity_from_state(model, new, grid201)
+    vel = velocity_from_state(model, new.c, new.p, grid201)
     assert abs(vel.v1) < 1e-6
     # the certificate: |F|_inf <= tol/10 for the fixture's tol = 1e-6
     assert max(abs(new.z - state.z),
@@ -350,7 +350,7 @@ def record_steps(monkeypatch, events):
         return step(model, state, grid, config)
 
     monkeypatch.setattr(stationary, "_newton", recording)
-    monkeypatch.setattr(stationary, "step", stepping)
+    monkeypatch.setattr(evolution, "step", stepping)
 
 
 @pytest.mark.parametrize("m", SOLVABLE_SETS + [STALLING_SET, HIGH_Z_SET])
@@ -418,9 +418,11 @@ def test_stationary_certified_after_real_newton_stall(monkeypatch):
 ])
 def test_stationary_failure_is_typed(monkeypatch, target, after, exc):
     # a failure inside the solve surfaces as ConvergenceError carrying
-    # the last finite |F|_inf, chained to its cause; the solve makes 95
-    # nutrient solves, so the 51st fails inside the relaxation
-    inner = getattr(stationary, target)
+    # the last finite |F|_inf, chained to its cause; the step map's
+    # nutrient solves run in evolution, 280 of them, 255 before Newton, so
+    # the 51st fails inside the relaxation
+    module = stationary if target == "_newton" else evolution
+    inner = getattr(module, target)
     calls = []
 
     def failing(*args, **kwargs):
@@ -429,7 +431,7 @@ def test_stationary_failure_is_typed(monkeypatch, target, after, exc):
             raise exc
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(stationary, target, failing)
+    monkeypatch.setattr(module, target, failing)
     with pytest.raises(ConvergenceError) as info:
         solve_stationary(default_model(), Grid(51), cross_check=False)
     assert np.isfinite(info.value.residual)
@@ -449,13 +451,32 @@ def test_relaxation_out_of_pseudo_time_is_typed(monkeypatch):
     assert info.value.__cause__.residual == info.value.residual
 
 
+def test_step_map_round_trips_the_stationary_state(model, grid201,
+                                                   stationary201):
+    # pack and unpack alone lay out x = (z, p): the stationary fields come
+    # back bit for bit, c as the loop's eps = 0 projection, and F there
+    # meets the solve's certificate |F|_inf <= tol/10 (tol = 1e-6)
+    s = stationary201
+    F = evolution.StepMap(model, grid201, SolverConfig())
+    x = F.pack(s.z, s.p)
+    state = F.unpack(x, s.c)
+    assert state.z == s.z and np.array_equal(state.p, s.p)
+    assert np.array_equal(state.c,
+                          solve_nutrient(model, s.z, grid201, guess=s.c).c)
+    f, _ = F(x, s.c)
+    assert np.max(np.abs(f)) <= 1e-6 / 10
+    # a batch's rows are laid out as the lone state is
+    rows = F.pack(np.array([0.5, s.z]), np.stack([np.zeros_like(s.p), s.p]))
+    assert np.array_equal(rows[1], x) and rows[0, 0] == 0.5
+
+
 def test_jacobian_columns_match_solo_steps():
     # each column stepped in a batch is, bit for bit, the difference
     # quotient of a solo step
     m, grid = default_model(), Grid(51)
-    F = stationary.StepMap(m, grid, SolverConfig())
+    F = evolution.StepMap(m, grid, SolverConfig())
     c = solve_nutrient(m, 1.5, grid).c
-    x = np.concatenate(([1.5], equilibrium_fraction(m, c)))
+    x = F.pack(1.5, equilibrium_fraction(m, c))
     f, _ = F(x, c)
     jac = stationary._jacobian(F, x, f, c)
     h = (x + np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))) - x
@@ -502,7 +523,7 @@ def test_runaway_z_is_typed_without_warnings(monkeypatch, where):
     # a z whose e^{2z} would overflow ends in a ConvergenceError naming
     # it, and numpy warns of nothing on the way
     if where == "relaxation":
-        monkeypatch.setattr(stationary, "step", runaway_step)
+        monkeypatch.setattr(evolution, "step", runaway_step)
     else:
         monkeypatch.setattr(stationary.np.linalg, "solve", runaway_solve)
     with warnings.catch_warnings():
