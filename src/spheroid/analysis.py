@@ -3,11 +3,12 @@ stability experiment matrices, and self-convergence orders.
 """
 
 import logging
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, NumericsError
 from .evolution import (SolverConfig, State, _quasi_static, _simulate_batch,
                         _stack, horizon_steps, step)
 from .grid import Grid
@@ -172,7 +173,8 @@ def stability_experiment(model, grid, config, eps_list, delta_list, shapes,
 
     All cells share dt, the grid and the start time, so they are stepped
     as one batch, whose config carries one eps per row; every cell gives
-    the records of its solo :func:`simulate` run, bit for bit.  A cell
+    the records of its solo :func:`simulate` run, bit for bit, also when
+    its eps > 0 cells step apart in a forked child (:func:`_beside`).  A cell
     listed twice is run once.  A cell that fails leaves the batch where it
     fails, and the others run on.  An empty list raises ValueError.
     """
@@ -195,10 +197,78 @@ def stability_experiment(model, grid, config, eps_list, delta_list, shapes,
             runs[key] = exc
     batch = [key for key, init in runs.items()
              if not isinstance(init, Exception)]
-    runs.update(zip(batch, _simulate_batch(
-        model, [runs[k] for k in batch], grid,
-        replace(config, eps=np.array([k[0] for k in batch])), stationary)))
+
+    def run(cells):
+        return _simulate_batch(
+            model, [runs[k] for k in cells], grid,
+            replace(config, eps=np.array([k[0] for k in cells])), stationary)
+
+    # one nutrient solver per half; never split on one core: it costs more
+    quasi = [key for key in batch if key[0] == 0.0]
+    implicit = [key for key in batch if key[0] != 0.0]
+    if quasi and implicit and _two_cores():
+        runs.update(zip(quasi + implicit, _beside(run, quasi, implicit)))
+    else:
+        runs.update(zip(batch, run(batch)))
     return StabilityReport(cells=[_cell(key, runs.get(key)) for key in keys])
+
+
+def _two_cores():
+    """Whether this process may use two cores and start a child by fork."""
+    import multiprocessing
+    return (hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and "fork" in multiprocessing.get_all_start_methods())
+
+
+def _beside(run, own, other):
+    """run(own) + run(other), the latter stepped meanwhile in one forked
+    child and sent back through a pipe with its "spheroid" log records,
+    handled here once.  An exception the child raises is raised here;
+    if it ends before it reports, each of ``other`` gets a NumericsError
+    with its exit status.  If run(own) raises, the child is ended first."""
+    import multiprocessing
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    # the fork start flushes sys.stdout and sys.stderr first, or the child
+    # would write what is still buffered a second time
+    child = ctx.Process(target=_report, args=(run, other, send), daemon=True)
+    child.start()
+    send.close()
+    try:
+        ours = run(own)
+        try:   # before join: a result the pipe cannot hold blocks the child
+            theirs, records = receive.recv()
+        except (EOFError, OSError):   # it ended before it reported
+            child.join()
+            theirs, records = [NumericsError(
+                f"the process stepping this cell exited with status "
+                f"{child.exitcode} before it reported")] * len(other), []
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        child.join()
+        receive.close()
+    for record in records:
+        log.handle(record)
+    if isinstance(theirs, Exception):
+        raise theirs
+    return ours + theirs
+
+
+def _report(run, cells, send):
+    """The child: sends run(cells), or its exception, and its log records."""
+    from logging.handlers import QueueHandler
+    records = []
+    log.handlers = [QueueHandler(None)]
+    log.handlers[0].enqueue = records.append
+    log.propagate = False
+    try:
+        result = run(cells)
+    except Exception as exc:
+        result = exc
+    send.send((result, records))
 
 
 def _cell(key, result):

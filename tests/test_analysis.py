@@ -1,3 +1,10 @@
+import logging
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spheroid
 from spheroid import (ConvergenceError, Grid, InsufficientDataError,
                       NumericsError, SolverConfig, State, admissible_init,
                       deviation_norms, fit_decay, simulate, solve_nutrient,
@@ -291,38 +299,57 @@ def _same_run(a, b):
             and a.clip == b.clip)
 
 
-def _capture_batches(monkeypatch):
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two usable cores, so a matrix with cells of both kinds of eps steps
+    its eps > 0 cells in a forked child."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def _capture_batches(monkeypatch, tmp_path):
     """Record (inits, config, per-row eps, results) of every batch
-    stability_experiment runs."""
-    batches = []
+    stability_experiment runs, in this process or in its child; returns
+    the function that reads the batches recorded since its last call,
+    ordered by eps."""
     run = analysis._simulate_batch
 
     def recording(model, inits, grid, config, stationary):
         results = run(model, inits, grid, config, stationary)
-        batches.append((inits, config, list(config.eps), results))
+        path = tmp_path / f"batch-{os.getpid()}-{time.monotonic_ns()}"
+        path.write_bytes(pickle.dumps(
+            (inits, config, list(config.eps), results)))
         return results
+
+    def batches():
+        paths = sorted(tmp_path.glob("batch-*"))
+        found = [pickle.loads(path.read_bytes()) for path in paths]
+        for path in paths:
+            path.unlink()
+        return sorted(found, key=lambda batch: batch[2])
 
     monkeypatch.setattr(analysis, "_simulate_batch", recording)
     return batches
 
 
 def test_stability_batches_match_solo_runs(model, grid201, stationary201,
-                                           monkeypatch):
-    # the cells of every eps run as one batch, each row with its own eps
-    # (all of them > 0 for the second list); each cell's records, final
-    # state and clip counts are those of its solo run at its eps, bit for
-    # bit
-    batches = _capture_batches(monkeypatch)
+                                           monkeypatch, tmp_path, two_cores):
+    # the cells of one kind of eps run as one batch, each row with its own
+    # eps (all of them > 0 for the second list); with both kinds, the
+    # eps = 0 cells are one batch and the eps > 0 cells another, stepped in
+    # a child.  Each cell's records, final state and clip counts are those
+    # of its solo run at its eps, bit for bit
+    batches = _capture_batches(monkeypatch, tmp_path)
     cfg = SolverConfig(eps=0.0, dt=0.02, t_end=2.0, output_interval=0.2)
-    for low, high in ((0.0, 0.05), (0.01, 0.05)):
-        batches.clear()
+    for low, high, expected in ((0.0, 0.05, [[0.0] * 4, [0.05] * 4]),
+                                (0.01, 0.05, [[0.01] * 4 + [0.05] * 4])):
         rep = stability_experiment(model, grid201, cfg, eps_list=(low, high),
                                    delta_list=(0.005, 0.01),
                                    shapes=("poly", "cosine"), seeds=(1,),
                                    stationary=stationary201)
-        assert [eps for _, _, eps, _ in batches] == [[low] * 4 + [high] * 4]
+        recorded = batches()
+        assert [eps for _, _, eps, _ in recorded] == expected
         assert [c.status for c in rep.cells] == ["ok"] * 8
-        for inits, config, eps, results in batches:
+        for inits, config, eps, results in recorded:
             for init, e, result in zip(inits, eps, results):
                 solo = simulate(model, init, grid201, replace(config, eps=e),
                                 stationary201)
@@ -431,9 +458,10 @@ def test_nan_in_one_row_fails_only_that_cell(model, grid201, stationary201,
 
 def test_nan_in_mixed_eps_batch_fails_only_that_cell(model, grid201,
                                                      stationary201,
-                                                     monkeypatch):
+                                                     monkeypatch, two_cores):
     # the eps = 0.01 cell fails; the eps = 0 and eps = 0.05 rows run on
-    # without it, bit-identical to their solo runs
+    # without it, bit-identical to their solo runs.  In the matrix the
+    # eps > 0 cells step in the child, and its error keeps its message
     cfg = SolverConfig(eps=0.0, dt=0.02, t_end=1.0, output_interval=0.2)
     inits, eps = _mixed_cells(stationary201, [(0.0, 0.01), (0.01, 0.01),
                                               (0.05, 0.01)])
@@ -489,7 +517,7 @@ def _failing_step(monkeypatch, fails):
 
 def test_failing_row_leaves_the_batch_where_it_fails(model, grid201,
                                                     stationary201,
-                                                    monkeypatch):
+                                                    monkeypatch, two_cores):
     # a step raises whenever the eps = 0 row is in it: that row alone ends
     # its cell; the two eps = 0.05 rows step on as a batch of one eps, each
     # bit-identical to its solo run
@@ -551,7 +579,8 @@ def test_failing_output_solve_ends_only_that_cell(model, grid201,
 
 def test_batch_that_fails_only_as_a_batch_runs_rows_alone(model, grid201,
                                                           stationary201,
-                                                          monkeypatch):
+                                                          monkeypatch,
+                                                          two_cores):
     # every step of more than one row from t = 0.5 on raises; each row
     # steps there as a batch of one, so every cell ends ok, bit-identical
     # to its solo run
@@ -573,3 +602,174 @@ def test_batch_that_fails_only_as_a_batch_runs_rows_alone(model, grid201,
     assert [c.status for c in rep.cells] == ["ok"] * 4
     assert [c.fits for c in rep.cells] == [c.fits for c in clean.cells]
     assert clean.cells[0].fits["p_dev"] is not None
+
+
+# ---------------- the matrix on two cores ----------------
+
+MIXED = dict(eps_list=(0.0, 0.05), delta_list=(0.01,),
+             shapes=("poly", "cosine"), seeds=(1,))
+
+
+def test_child_that_exits_fails_only_its_cells(model, grid201, stationary201,
+                                               monkeypatch, tmp_path,
+                                               two_cores):
+    # the child ends with status 3 in its first step: its eps > 0 cells
+    # fail with that status, and the eps = 0 cells stepped here are ok,
+    # bit-identical to their solo runs
+    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=0.4, output_interval=0.2)
+    parent = os.getpid()
+    step = evolution.step
+
+    def exiting(model, state, grid, config, clip=None):
+        if os.getpid() != parent and np.any(config.eps > 0):
+            os._exit(3)
+        return step(model, state, grid, config, clip=clip)
+
+    batches = _capture_batches(monkeypatch, tmp_path)
+    monkeypatch.setattr(evolution, "step", exiting)
+    rep = stability_experiment(model, grid201, cfg, **MIXED,
+                               stationary=stationary201)
+    assert multiprocessing.active_children() == []
+    exited = ("error: the process stepping this cell exited with status 3 "
+              "before it reported")
+    assert [c.status for c in rep.cells] == ["ok", "ok", exited, exited]
+    monkeypatch.setattr(evolution, "step", step)
+    (inits, config, eps, results), = batches()
+    assert eps == [0.0, 0.0]
+    for init, result in zip(inits, results):
+        assert _same_run(result, simulate(model, init, grid201, cfg,
+                                          stationary201))
+
+
+def test_child_exception_is_raised_in_the_parent(model, grid201,
+                                                 stationary201, monkeypatch,
+                                                 two_cores):
+    # an error no step expects, raised in the child, is raised here again
+    # with its type and message
+    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=0.4, output_interval=0.2)
+    parent = os.getpid()
+    step = evolution.step
+
+    def raising(model, state, grid, config, clip=None):
+        if np.any(config.eps > 0):
+            where = "parent" if os.getpid() == parent else "child"
+            raise TypeError(f"injected in the {where}")
+        return step(model, state, grid, config, clip=clip)
+
+    monkeypatch.setattr(evolution, "step", raising)
+    with pytest.raises(TypeError, match="^injected in the child$"):
+        stability_experiment(model, grid201, cfg, **MIXED,
+                             stationary=stationary201)
+    assert multiprocessing.active_children() == []
+
+
+def test_parent_exception_ends_the_child(model, grid201, stationary201,
+                                         monkeypatch, two_cores):
+    # the eps = 0 half raises in its first step while the child sleeps in
+    # its only one: the child is ended and joined, and the error propagates
+    # long before the child would have woken
+    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=0.02, output_interval=0.02)
+
+    def slow_or_raising(model, state, grid, config, clip=None):
+        if np.any(config.eps > 0):
+            time.sleep(30.0)
+        raise TypeError("injected in the parent")
+
+    monkeypatch.setattr(evolution, "step", slow_or_raising)
+    started = time.monotonic()
+    with pytest.raises(TypeError, match="^injected in the parent$"):
+        stability_experiment(model, grid201, cfg, **MIXED,
+                             stationary=stationary201)
+    assert time.monotonic() - started < 15.0
+    assert multiprocessing.active_children() == []
+
+
+def test_child_warning_is_logged_once_in_the_parent(model, grid201,
+                                                    stationary201,
+                                                    monkeypatch, caplog,
+                                                    tmp_path, two_cores):
+    # transport pushes one node of p 1e-6 above 1 in every step of the
+    # child's eps > 0 cell: its clip warning, made in the child, reaches
+    # this process's "spheroid" logger once: the file handlers the child
+    # inherits, on that logger and on the root, each write it once
+    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=0.2, output_interval=0.2)
+    parent = os.getpid()
+    transport = evolution.transport_step
+
+    def overshoot(*args):
+        p = transport(*args)
+        if os.getpid() != parent:
+            p[..., 10] = 1.0 + 1e-6
+        return p
+
+    monkeypatch.setattr(evolution, "transport_step", overshoot)
+    loggers = [logging.getLogger(name) for name in ("spheroid", None)]
+    handlers = [logging.FileHandler(tmp_path / f"{b}.log") for b in (0, 1)]
+    for logger, handler in zip(loggers, handlers):
+        logger.addHandler(handler)
+    try:
+        with caplog.at_level(logging.WARNING, logger="spheroid"):
+            rep = stability_experiment(
+                model, grid201, cfg, eps_list=(0.0, 0.05),
+                delta_list=(0.01,), shapes=("poly",), seeds=(1,),
+                stationary=stationary201)
+    finally:
+        for logger, handler in zip(loggers, handlers):
+            logger.removeHandler(handler)
+            handler.close()
+    clipped = ("clipped fields beyond tolerance 10 times "
+               "(max excess 1.000e-06)")
+    warnings = [(r.getMessage(), r.process == parent) for r in caplog.records
+                if r.levelno >= logging.WARNING]
+    assert warnings == [(clipped, False)]
+    for b in (0, 1):
+        assert (tmp_path / f"{b}.log").read_text().splitlines() == [clipped]
+    assert [c.clip_events for c in rep.cells] == [0, 10]
+
+
+def test_one_core_steps_the_matrix_here(model, grid201, stationary201,
+                                        monkeypatch, two_cores):
+    # on two cores the matrix forks once; on one it starts no process and
+    # reports the same cells, bit for bit
+    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=2.0, output_interval=0.2)
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    split = stability_experiment(model, grid201, cfg, **MIXED,
+                                 stationary=stationary201)
+    assert forks == [os.getpid()]
+
+    def refusing():
+        raise AssertionError("forked on one core")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", refusing)
+    alone = stability_experiment(model, grid201, cfg, **MIXED,
+                                 stationary=stationary201)
+    assert [c.status for c in alone.cells] == ["ok"] * 4
+    assert pickle.dumps(alone) == pickle.dumps(split)
+
+
+def test_output_buffered_before_the_fork_is_written_once():
+    # a line still in stdout's buffer when the matrix forks is written
+    # once; importing the package loads no multiprocessing
+    code = ("import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "import spheroid as sp\n"
+            "print('multiprocessing' in sys.modules)\n"
+            "grid = sp.Grid(21)\n"
+            "rep = sp.stability_experiment(sp.default_model(), grid, "
+            "sp.SolverConfig(eps=0.0, dt=0.02, t_end=0.2, "
+            "output_interval=0.2), eps_list=(0.0, 0.05), "
+            "delta_list=(0.01,), shapes=('poly',), seeds=(1,))\n"
+            "print([c.status for c in rep.cells])\n")
+    src = os.path.dirname(os.path.dirname(spheroid.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.splitlines() == ["False", "['ok', 'ok']"]
