@@ -172,11 +172,15 @@ def stability_experiment(model, grid, config, eps_list, delta_list, shapes,
     order.
 
     All cells share dt, the grid and the start time, so they are stepped
-    as one batch, whose config carries one eps per row; every cell gives
-    the records of its solo :func:`simulate` run, bit for bit, also when
-    its eps > 0 cells step apart in a forked child (:func:`_beside`).  A cell
-    listed twice is run once.  A cell that fails leaves the batch where it
-    fails, and the others run on.  An empty list raises ValueError.
+    as batches, one per kind of eps, each config carrying one eps per row:
+    the eps = 0 cells and the eps > 0 cells.  With two usable cores the
+    eps > 0 batch steps meanwhile in a forked child (:func:`_beside`); on
+    one they run one after the other, which on criterion 5 costs 11-21%
+    more than one mixed batch would (README, "Numerical scheme").  Every
+    cell gives the records of its solo :func:`simulate` run, bit for bit.
+    A cell listed twice is run once.  A cell that fails leaves the batch
+    where it fails, and the others run on.  An empty list raises
+    ValueError.
     """
     for name, entries in zip(("eps_list", "delta_list", "shapes", "seeds"),
                              (eps_list, delta_list, shapes, seeds)):
@@ -203,13 +207,14 @@ def stability_experiment(model, grid, config, eps_list, delta_list, shapes,
             model, [runs[k] for k in cells], grid,
             replace(config, eps=np.array([k[0] for k in cells])), stationary)
 
-    # one nutrient solver per half; never split on one core: it costs more
+    # one batch per kind of eps, so one nutrient solver each
     quasi = [key for key in batch if key[0] == 0.0]
     implicit = [key for key in batch if key[0] != 0.0]
     if quasi and implicit and _two_cores():
         runs.update(zip(quasi + implicit, _beside(run, quasi, implicit)))
     else:
-        runs.update(zip(batch, run(batch)))
+        for cells in filter(None, (quasi, implicit)):
+            runs.update(zip(cells, run(cells)))
     return StabilityReport(cells=[_cell(key, runs.get(key)) for key in keys])
 
 

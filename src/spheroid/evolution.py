@@ -16,9 +16,10 @@ The loop always steps a batch; a lone run is the batch of one.  A batch
 shares t, dt and the grid: z of shape (B,), c and p of shape (B, n).  The
 stepping functions act along the last axis, per-row scalars as columns
 ``x[..., None]``, so each row of a batched step is, bit for bit, the step
-of that state alone.  Rows may differ in eps: those with eps = 0 solve the
-quasi-static nutrient, the others take the implicit step, and the rest
-runs once.  :class:`StepMap` is the eps = 0 step as a map on x = (z, p).
+of that state alone.  A batch holds one kind of eps, so each step runs
+one nutrient solver: every row has eps = 0, or every row has eps > 0, its
+own value in the implicit step.  :class:`StepMap` is the eps = 0 step as
+a map on x = (z, p).
 """
 
 import logging
@@ -80,7 +81,9 @@ class VelocityField:
 
 @dataclass
 class SolverConfig:
-    """Scheme parameters; eps = 0 selects the quasi-static nutrient mode."""
+    """Scheme parameters; eps = 0 selects the quasi-static nutrient mode.
+    A (B,) array eps gives each row of a batch its own value, all 0 or
+    all > 0: one batch runs one nutrient solver."""
 
     eps: float = 0.0             # or a (B,) array, one per row of a batch
     dt: float = 0.02
@@ -96,6 +99,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if np.any(np.less(self.eps, 0.0)):
             raise ValueError(f"eps must be >= 0, got {self.eps}")
+        if 0 < np.count_nonzero(self.eps) < np.size(self.eps):
+            raise ValueError(f"eps must be all 0 or all > 0, got {self.eps}")
         for name in ("dt", "t_end"):
             if (value := getattr(self, name)) <= 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
@@ -217,39 +222,13 @@ def boundary_radius_step(state, vel, dt, vel_pred):
     return state.z + 0.5 * dt * (vel.v1 + vel_pred.v1)
 
 
-def _rows(x, rows):
-    """Rows ``rows`` of a batch's field or per-row scalars, or all for None."""
-    return x if rows is None else x[rows]
-
-
-def _by_eps(eps, c, quasi, implicit):
-    """The new nutrient of each row of a batch: ``quasi(rows)`` gives it
-    for the rows with eps = 0, ``implicit(rows)`` for those with eps > 0.
-
-    When every row is of one kind only that call runs, with rows None for
-    the whole batch; else each gets its row indices, and their profiles
-    fill an array shaped like ``c``.
-    """
-    n_implicit = np.count_nonzero(eps)   # eps >= 0: the rows with eps > 0
-    if not n_implicit:
-        return quasi(None)
-    if n_implicit == np.size(eps):
-        return implicit(None)
-    zero = np.equal(eps, 0.0)
-    new = np.empty_like(c)
-    for fill, rows in ((quasi, np.flatnonzero(zero)),
-                       (implicit, np.flatnonzero(~zero))):
-        new[rows] = fill(rows)
-    return new
-
-
 def _quasi_static(model, state, grid, eps):
-    """``state`` with its eps = 0 rows' nutrient projected onto c = m(.; z)."""
-    return replace(state, c=_by_eps(
-        eps, state.c,
-        lambda rows: solve_nutrient(model, _rows(state.z, rows), grid,
-                                    guess=_rows(state.c, rows)).c,
-        lambda rows: _rows(state.c, rows)))
+    """``state`` with its nutrient projected onto c = m(.; z) when eps = 0,
+    or unchanged when eps > 0."""
+    if np.count_nonzero(eps):
+        return state
+    return replace(state, c=solve_nutrient(model, state.z, grid,
+                                           guess=state.c).c)
 
 
 def step(model, state, grid, config, clip=None):
@@ -273,9 +252,9 @@ def step(model, state, grid, config, clip=None):
     formulas run unchecked.  Raises DomainError on a violation.
 
     A lone ``state`` steps as the batch of one and stays lone.  ``clip``
-    is None or one ClipStats per row for the clip events.  A (B,) array
-    ``config.eps`` updates the nutrient of the rows with eps = 0 and of
-    the others each by their own solver, on their rows only.
+    is None or one ClipStats per row for the clip events.  One test of
+    ``config.eps`` picks the nutrient solver for the whole batch, which
+    holds one kind of eps (see :class:`SolverConfig`).
     """
     check_domain(state.c, "step")
     if clip is None:
@@ -286,33 +265,24 @@ def step(model, state, grid, config, clip=None):
 
     p_new = transport_step(model, state, vel.w, state.c, dt, grid)
     z_pred = state.z + dt * vel.v1
-    c_pred = _by_eps(
-        eps, state.c,
-        lambda rows: solve_nutrient(model, _rows(z_pred, rows), grid,
-                                    guess=_rows(state.c, rows)).c,
-        lambda rows: nutrient_step(model, _rows(state.c, rows),
-                                   _rows(state.z, rows), _rows(vel.v1, rows),
-                                   dt, _rows(eps, rows), grid))
+    implicit = np.count_nonzero(eps)   # eps >= 0, one kind per batch
+    if implicit:
+        c_pred = nutrient_step(model, state.c, state.z, vel.v1, dt, eps, grid)
+    else:
+        c_pred = solve_nutrient(model, z_pred, grid, guess=state.c).c
     vel_pred = velocity_from_state(model, c_pred, p_new, grid)
     z_new = boundary_radius_step(state, vel, dt, vel_pred)
 
     if heun:
         p_new = transport_step(model, state, 0.5 * (vel.w + vel_pred.w),
                                c_pred, dt, grid)
-
-    def corrector(rows):
-        if not heun:
-            return _rows(c_pred, rows)
-        return nutrient_step(model, _rows(state.c, rows),
-                             _rows(0.5 * (state.z + z_pred), rows),
-                             _rows(0.5 * (vel.v1 + vel_pred.v1), rows),
-                             dt, _rows(eps, rows), grid)
-
-    c_new = _by_eps(
-        eps, state.c,
-        lambda rows: solve_nutrient(model, _rows(z_new, rows), grid,
-                                    guess=_rows(c_pred, rows)).c,
-        corrector)
+    if not implicit:
+        c_new = solve_nutrient(model, z_new, grid, guess=c_pred).c
+    elif heun:
+        c_new = nutrient_step(model, state.c, 0.5 * (state.z + z_pred),
+                              0.5 * (vel.v1 + vel_pred.v1), dt, eps, grid)
+    else:
+        c_new = c_pred
 
     c_new = _clip_rows(c_new, clip)
     p_new = _clip_rows(np.asarray(p_new), clip)
@@ -437,7 +407,8 @@ def _finite(state):
 def _simulate_batch(model, inits, grid, config, stationary, on_output=None):
     """:func:`simulate` of each of ``inits``, which share their start time,
     stepped together as one batch; a lone run is the batch of one.
-    ``config.eps`` is one float for all cells or one value per cell.
+    ``config.eps`` is one float for all cells or one value per cell, all
+    0 or all > 0.
 
     Returns one :class:`SimResult` per cell, or the :class:`NumericsError`
     that cell's own run raises, so a failing cell ends alone.  A cell

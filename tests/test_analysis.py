@@ -357,7 +357,7 @@ def test_stability_batches_match_solo_runs(model, grid201, stationary201,
                 assert len(result.records) == 11
 
 
-def _mixed_cells(stationary, cells, shape="poly"):
+def _batch_cells(stationary, cells, shape="poly"):
     """(inits, eps) of a batch from (eps, delta) pairs."""
     return ([admissible_init(stationary, delta, shape) for _, delta in cells],
             [eps for eps, _ in cells])
@@ -365,17 +365,19 @@ def _mixed_cells(stationary, cells, shape="poly"):
 
 def test_mixed_eps_batch_matches_solo_runs_heun(model, grid201,
                                                 stationary201):
-    # interleaved eps = 0 and eps > 0 rows under the time-centred corrector
+    # a batch of each kind of eps under the time-centred corrector, the
+    # eps > 0 rows with interleaved values of their own
     cfg = SolverConfig(eps=0.0, dt=0.02, t_end=1.0, output_interval=0.2,
                        splitting="heun")
-    inits, eps = _mixed_cells(stationary201, [(0.0, 0.01), (0.05, 0.01),
-                                              (0.0, 0.005), (0.01, 0.005)],
-                              shape="cosine")
-    results = _simulate_batch(model, inits, grid201,
-                              replace(cfg, eps=np.array(eps)), stationary201)
-    for init, e, result in zip(inits, eps, results):
-        assert _same_run(result, simulate(model, init, grid201,
-                                          replace(cfg, eps=e), stationary201))
+    for cells in ([(0.0, 0.01), (0.0, 0.005)],
+                  [(0.01, 0.01), (0.05, 0.01), (0.05, 0.005), (0.01, 0.005)]):
+        inits, eps = _batch_cells(stationary201, cells, shape="cosine")
+        results = _simulate_batch(model, inits, grid201,
+                                  replace(cfg, eps=np.array(eps)),
+                                  stationary201)
+        for init, e, result in zip(inits, eps, results):
+            assert _same_run(result, simulate(
+                model, init, grid201, replace(cfg, eps=e), stationary201))
 
 
 def test_repeated_matrix_entries_are_each_reported(model, grid201,
@@ -459,11 +461,11 @@ def test_nan_in_one_row_fails_only_that_cell(model, grid201, stationary201,
 def test_nan_in_mixed_eps_batch_fails_only_that_cell(model, grid201,
                                                      stationary201,
                                                      monkeypatch, two_cores):
-    # the eps = 0.01 cell fails; the eps = 0 and eps = 0.05 rows run on
+    # the eps = 0.01 cell fails; the eps = 0.005 and eps = 0.05 rows run on
     # without it, bit-identical to their solo runs.  In the matrix the
     # eps > 0 cells step in the child, and its error keeps its message
     cfg = SolverConfig(eps=0.0, dt=0.02, t_end=1.0, output_interval=0.2)
-    inits, eps = _mixed_cells(stationary201, [(0.0, 0.01), (0.01, 0.01),
+    inits, eps = _batch_cells(stationary201, [(0.005, 0.01), (0.01, 0.01),
                                               (0.05, 0.01)])
     at_last = _poison_cell(monkeypatch, model, inits[1], grid201,
                            replace(cfg, eps=0.01), stationary201)
@@ -517,19 +519,20 @@ def _failing_step(monkeypatch, fails):
 
 def test_failing_row_leaves_the_batch_where_it_fails(model, grid201,
                                                     stationary201,
-                                                    monkeypatch, two_cores):
-    # a step raises whenever the eps = 0 row is in it: that row alone ends
-    # its cell; the two eps = 0.05 rows step on as a batch of one eps, each
-    # bit-identical to its solo run
+                                                    monkeypatch):
+    # a step raises whenever the eps = 0.01 row is in it: that row alone
+    # ends its cell; the two eps = 0.05 rows step on as a batch of one eps,
+    # each bit-identical to its solo run
     cfg = SolverConfig(eps=0.0, dt=0.02, t_end=1.0, output_interval=0.2)
-    inits, eps = _mixed_cells(stationary201, [(0.0, 0.01), (0.05, 0.01),
+    inits, eps = _batch_cells(stationary201, [(0.01, 0.01), (0.05, 0.01),
                                               (0.05, 0.005)])
     solo = [simulate(model, init, grid201, replace(cfg, eps=e), stationary201)
             for init, e in zip(inits, eps)]
-    at_last = simulate(model, inits[0], grid201, replace(cfg, t_end=0.4),
+    at_last = simulate(model, inits[0], grid201,
+                       replace(cfg, eps=0.01, t_end=0.4),
                        stationary201).final_state
     calls = _failing_step(monkeypatch,
-                          lambda state, config: np.any(config.eps == 0.0))
+                          lambda state, config: np.any(config.eps == 0.01))
     results = _simulate_batch(model, inits, grid201,
                               replace(cfg, eps=np.array(eps)), stationary201)
     assert isinstance(results[0], NumericsError)
@@ -543,7 +546,7 @@ def test_failing_row_leaves_the_batch_where_it_fails(model, grid201,
     # 50 batched steps, the one at t = 0.5 re-run for each of the 3 rows
     assert calls == [3] * 26 + [1] * 3 + [2] * 24
 
-    rep = stability_experiment(model, grid201, cfg, eps_list=(0.0, 0.05),
+    rep = stability_experiment(model, grid201, cfg, eps_list=(0.01, 0.05),
                                delta_list=(0.01,), shapes=("poly", "cosine"),
                                seeds=(0,), stationary=stationary201)
     assert [c.status for c in rep.cells] == [
@@ -589,7 +592,7 @@ def test_batch_that_fails_only_as_a_batch_runs_rows_alone(model, grid201,
                   shapes=("poly", "cosine"), seeds=(1,),
                   stationary=stationary201)
     clean = stability_experiment(model, grid201, cfg, **kwargs)
-    inits, eps = _mixed_cells(stationary201, [(0.0, 0.01), (0.05, 0.01)],
+    inits, eps = _batch_cells(stationary201, [(0.01, 0.01), (0.05, 0.01)],
                               shape="cosine")
     solo = [simulate(model, init, grid201, replace(cfg, eps=e), stationary201)
             for init, e in zip(inits, eps)]
@@ -728,9 +731,10 @@ def test_child_warning_is_logged_once_in_the_parent(model, grid201,
 
 
 def test_one_core_steps_the_matrix_here(model, grid201, stationary201,
-                                        monkeypatch, two_cores):
-    # on two cores the matrix forks once; on one it starts no process and
-    # reports the same cells, bit for bit
+                                        monkeypatch, tmp_path, two_cores):
+    # on two cores the matrix forks once, and its eps > 0 batch steps in
+    # the child; on one it starts no process, steps the two batches here
+    # one after the other and reports the same cells, bit for bit
     cfg = SolverConfig(eps=0.0, dt=0.02, t_end=2.0, output_interval=0.2)
     forks = []
     fork = os.fork
@@ -739,10 +743,20 @@ def test_one_core_steps_the_matrix_here(model, grid201, stationary201,
         forks.append(os.getpid())
         return fork()
 
+    def stepped_by():
+        # the process of each recorded batch, ordered by eps
+        return [path.name.split("-")[1] for path in
+                sorted(tmp_path.glob("batch-*"),
+                       key=lambda path: pickle.loads(path.read_bytes())[2])]
+
+    batches = _capture_batches(monkeypatch, tmp_path)
     monkeypatch.setattr(os, "fork", counting)
     split = stability_experiment(model, grid201, cfg, **MIXED,
                                  stationary=stationary201)
     assert forks == [os.getpid()]
+    here, child = stepped_by()
+    assert here == str(os.getpid()) != child
+    assert [eps for _, _, eps, _ in batches()] == [[0.0] * 2, [0.05] * 2]
 
     def refusing():
         raise AssertionError("forked on one core")
@@ -751,6 +765,8 @@ def test_one_core_steps_the_matrix_here(model, grid201, stationary201,
     monkeypatch.setattr(os, "fork", refusing)
     alone = stability_experiment(model, grid201, cfg, **MIXED,
                                  stationary=stationary201)
+    assert stepped_by() == [str(os.getpid())] * 2
+    assert [eps for _, _, eps, _ in batches()] == [[0.0] * 2, [0.05] * 2]
     assert [c.status for c in alone.cells] == ["ok"] * 4
     assert pickle.dumps(alone) == pickle.dumps(split)
 

@@ -436,12 +436,12 @@ def test_simulate_deterministic(model, grid201, stationary201):
 
 
 def test_one_record_per_output(model, grid201, stationary201, tmp_path):
-    # a two-cell batch, eps 0 and 0.05: each output's record carries the
+    # a two-cell batch, eps 0.01 and 0.05: each output's record carries the
     # state's R, z and v(1) beside the eight norms, the result keeps no
     # second per-output list, and the CSV row is the record's fields
     inits = [admissible_init(stationary201, 0.01, shape)
              for shape in ("poly", "cosine")]
-    cfg = SolverConfig(eps=np.array([0.0, 0.05]), dt=0.02, t_end=0.4,
+    cfg = SolverConfig(eps=np.array([0.01, 0.05]), dt=0.02, t_end=0.4,
                        output_interval=0.2)
     outputs = []
     results = evolution._simulate_batch(
@@ -660,12 +660,26 @@ def test_solver_config_validation():
         for value in (np.nan, np.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 SolverConfig(**{name: value})
-    # one eps per row of a batch, each checked
-    SolverConfig(eps=np.array([0.0, 0.05]))
+    # one eps per row of a batch, each checked, all of one kind
+    SolverConfig(eps=np.array([0.01, 0.05]))
+    with pytest.raises(ValueError, match="eps must be all 0 or all > 0"):
+        SolverConfig(eps=np.array([0.0, 0.05]))
     with pytest.raises(ValueError, match="eps must be >= 0"):
         SolverConfig(eps=np.array([0.01, -0.01]))
     with pytest.raises(ValueError, match="eps must be finite"):
         SolverConfig(eps=np.array([0.01, np.nan]))
+
+
+def test_solver_config_rejects_a_batch_of_both_kinds_of_eps():
+    # a batch steps one nutrient solver, so its rows' eps are all 0 or all
+    # > 0, whatever their order; rows of one kind may differ
+    for mixed in ([0.0, 0.05], [0.05, 0.01, 0.0], [0.01, 0.0, 0.0]):
+        with pytest.raises(ValueError, match=r"^eps must be all 0 or all > 0"):
+            SolverConfig(eps=np.array(mixed))
+        with pytest.raises(ValueError, match=r"^eps must be all 0 or all > 0"):
+            dataclasses.replace(SolverConfig(), eps=np.array(mixed))
+    for kind in ([0.0, 0.0], [0.01, 0.05, 0.5], 0.0, 0.05):
+        assert np.array_equal(SolverConfig(eps=np.array(kind)).eps, kind)
 
 
 def test_admissibility_report_lists_each_violation():
