@@ -9,8 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InsufficientDataError, NumericsError
-from .evolution import (SolverConfig, State, _quasi_static, _simulate_batch,
-                        _stack, horizon_steps, step)
+from .evolution import SolverConfig, State, _simulate_batch, simulate
 from .grid import Grid
 from .rates import Rate
 from .records import DeviationRecord
@@ -54,10 +53,11 @@ def admissible_init(stationary, delta, shape="poly", seed=0):
 
     c0 = clamp(c* + delta*phi, 0, 1) with phi(1) = 0 and phi'(0) = 0,
     p0 = clamp(p* + delta*psi, 0, 1), z0 = z* + delta*xi with |xi| <= 1.
-    ``seed`` only matters for the "random" shape.
+    ``seed`` only matters for the "random" shape.  A ``delta`` that is
+    negative or not finite raises ValueError.
     """
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    if not 0 <= delta < np.inf:
+        raise ValueError(f"delta must be >= 0 and finite, got {delta}")
     grid = stationary.grid
     r = grid.r
     rng = np.random.default_rng(seed)
@@ -345,15 +345,6 @@ def _convergence_study(kind, levels, finals):
                             conclusive=all(0 < d1 < d0 for d0, d1 in pairs))
 
 
-def _integrate_plain(model, init, grid, config):
-    """Step to t_end without recording (convergence studies only), as the
-    batch of one that :func:`simulate` steps, from the same projection."""
-    state = _quasi_static(model, _stack([init]), grid, config.eps)
-    for _ in range(horizon_steps(config, state.t, "the initial time")):
-        state = step(model, state, grid, config)
-    return state.row(0)
-
-
 # observed-order thresholds the standard suite is expected to meet
 CONVERGENCE_THRESHOLDS = {"diffusion-h": 1.8, "transport-h": 1.5, "dt": 1.8}
 # refinement levels, coarse to fine: grid sizes of the h studies, and the
@@ -378,8 +369,10 @@ def standard_convergence_suite(model):
       state solved on that grid.
 
     Each level's run is matched initial data stepped to its config's
-    t_end.  Returns a list of :class:`ConvergenceStudy`; compare each
-    study's ``observed_order`` against :data:`CONVERGENCE_THRESHOLDS`.
+    t_end by :func:`simulate`, which keeps no records here; a run that
+    fails raises its :class:`NumericsError`.  Returns a list of
+    :class:`ConvergenceStudy`; compare each study's ``observed_order``
+    against :data:`CONVERGENCE_THRESHOLDS`.
     """
     zero = Rate("constant", {"value": 0.0})
 
@@ -387,8 +380,8 @@ def standard_convergence_suite(model):
         finals = []
         for n in GRID_SIZES:
             grid = Grid(n)
-            finals.append(_integrate_plain(study_model, make_init(grid), grid,
-                                           config))
+            finals.append(simulate(study_model, make_init(grid), grid,
+                                   config, None).final_state)
         return _convergence_study(kind, GRID_SIZES, finals)
 
     diffusion = h_study(
@@ -405,9 +398,9 @@ def standard_convergence_suite(model):
     grid = Grid(DT_GRID_N)
     stationary = solve_stationary(model, grid, cross_check=False)
     init = admissible_init(stationary, 0.01, "poly")
-    finals = [_integrate_plain(model, init, grid,
-                               SolverConfig(eps=0.0, dt=dt, t_end=4.0,
-                                            output_interval=1.0,
-                                            splitting="heun"))
+    finals = [simulate(model, init, grid,
+                       SolverConfig(eps=0.0, dt=dt, t_end=4.0,
+                                    output_interval=1.0, splitting="heun"),
+                       None).final_state
               for dt in DT_VALUES]
     return [diffusion, transport, _convergence_study("dt", DT_VALUES, finals)]

@@ -343,8 +343,9 @@ def simulate(model, init, grid, config, stationary, on_output=None):
         first, since eps = 0 slaves c to z.
     grid : Grid
     config : SolverConfig
-    stationary : StationarySolution
-        Reference for deviation norms (same grid).
+    stationary : StationarySolution or None
+        Reference for deviation norms (same grid).  None keeps no records
+        and makes no ``on_output`` call: the run only steps to t_end.
     on_output : callable, optional
         ``on_output(state, step_index, output_index, record)`` called at
         every output time (snapshot/persistence hook), the first at
@@ -353,13 +354,13 @@ def simulate(model, init, grid, config, stationary, on_output=None):
     Returns
     -------
     SimResult
-        records in output order.  Non-finite initial data, an initial
-        nutrient outside the rates' validity interval, a failed initial
-        projection, step or output nutrient solve, or a non-finite state
-        after a step all raise one :class:`NumericsError`, "step failed at
-        t=<step start>: <cause>", chained to its cause and carrying the
-        last healthy output state (None if the run fails in its initial
-        projection or its first output).  A config.t_end
+        records in output order, none when ``stationary`` is None.
+        Non-finite initial data, an initial nutrient outside the rates'
+        validity interval, a failed initial projection, step or output
+        nutrient solve, or a non-finite state after a step all raise one
+        :class:`NumericsError`, "step failed at t=<step start>: <cause>",
+        chained to its cause and carrying the last healthy output state
+        (None if the run has no output before it fails).  A config.t_end
         that is not after init.t, or that rounds to no step of config.dt
         after it, raises ValueError.
     """
@@ -421,8 +422,6 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None):
     counts are those of its solo run, bit for bit.  ``on_output`` gets
     each cell's state at every output.
     """
-    if not inits:
-        return []
     results = [None] * len(inits)
     cells = list(range(len(inits)))   # index into inits of each row
     state = _stack(inits)
@@ -485,6 +484,8 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None):
     def emit(step_index):
         # records the state's output; it is the next output's prev
         nonlocal prev, out_idx
+        if stationary is None:
+            return
         # the state's own quasi-static profile m(.; z), for eta_dev
         profile = each_row(
             lambda s, cfg, _: _quasi_static(model, s, grid, 0.0))

@@ -95,6 +95,10 @@ class Rate:
                 f"family {self.family!r} does not take parameters {sorted(unknown)}")
         full = dict(defaults)
         full.update({k: float(v) for k, v in self.params.items()})
+        bad = {k: v for k, v in full.items() if not np.isfinite(v)}
+        if bad:
+            raise ValueError(f"family {self.family!r}: parameters must be "
+                             f"finite, got {bad}")
         object.__setattr__(self, "params", full)
 
     def __call__(self, c):

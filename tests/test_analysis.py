@@ -145,6 +145,25 @@ def test_negative_amplitude(stationary201):
         admissible_init(stationary201, -0.01, "poly")
 
 
+@pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+def test_non_finite_amplitude(stationary201, delta):
+    with pytest.raises(ValueError, match=f"finite, got {delta}"):
+        admissible_init(stationary201, delta, "poly")
+
+
+def test_large_amplitude_warns_of_clamping(stationary201, caplog):
+    # c* + 0.01 phi and p* + 0.01 psi stay in [0, 1]; with delta = 1 both
+    # pass 1 in the interior
+    with caplog.at_level(logging.WARNING, logger="spheroid"):
+        admissible_init(stationary201, 0.01, "poly")
+        assert not caplog.records
+        init = admissible_init(stationary201, 1.0, "poly")
+    message, = [r.getMessage() for r in caplog.records]
+    assert message.startswith("perturbation clamped at ")
+    assert message.endswith(" of 402 nodes")
+    assert init.p.min() >= 0.0 and init.p.max() <= 1.0
+
+
 # ---------------- deviation_norms ----------------
 
 def test_deviation_norms_at_stationary(stationary201, model):
@@ -578,6 +597,33 @@ def test_failing_output_solve_ends_only_that_cell(model, grid201,
     assert results[1].last_state.t == pytest.approx(0.2, abs=1e-12)
     assert _same_run(results[0], solo[0])
     assert calls == [2, 2, 2, 1, 1, 1, 1, 1]
+
+
+def test_output_solve_that_fails_every_cell_ends_the_batch(model, grid201,
+                                                          stationary201,
+                                                          monkeypatch):
+    # at eps > 0 the first quasi-static solve is the initial output's: when
+    # it raises for every row, each cell ends there, before any step
+    cfg = SolverConfig(eps=0.05, dt=0.02, t_end=1.0, output_interval=0.2)
+    inits = [admissible_init(stationary201, 0.01, shape)
+             for shape in ("poly", "cosine")]
+    calls = []
+
+    def failing(model, z, grid, guess=None):
+        calls.append(np.size(z))
+        raise ConvergenceError("injected failure")
+
+    monkeypatch.setattr(evolution, "solve_nutrient", failing)
+    steps = _failing_step(monkeypatch, lambda state, config: False)
+    outputs = []
+    results = _simulate_batch(model, inits, grid201, cfg, stationary201,
+                              on_output=lambda *args: outputs.append(args))
+    for result in results:
+        assert isinstance(result, NumericsError)
+        assert str(result) == "step failed at t=0: injected failure"
+        assert result.last_state is None
+    assert calls == [2, 1, 1]
+    assert steps == [] and outputs == []
 
 
 def test_batch_that_fails_only_as_a_batch_runs_rows_alone(model, grid201,

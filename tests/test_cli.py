@@ -416,6 +416,25 @@ def test_stability_subcommand_small(tmp_path, config_path):
     assert len(rows) == 3  # header + two shapes
 
 
+def test_convergence_run_that_fails_is_one_error_line(tmp_path, monkeypatch,
+                                                      capsys):
+    # the suite's runs step through simulate: a failing step ends the
+    # command with its NumericsError, status 1, and no output directory
+    from spheroid import evolution
+
+    def failing(*args):
+        raise ValueError("injected failure")
+
+    monkeypatch.setattr(evolution, "transport_step", failing)
+    out_dir = tmp_path / "c"
+    assert cli(["convergence", "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] \
+        == ["error: step failed at t=0: injected failure"]
+    assert not out_dir.exists()
+
+
 def test_convergence_subcommand_reporting(monkeypatch, tmp_path, capsys):
     from spheroid.analysis import ConvergenceStudy
     import spheroid.cli as cli_mod

@@ -89,6 +89,13 @@ def test_solver_validation_wrapped():
         with pytest.raises(ConfigError) as err:
             loads_config(f"[solver]\n{text}\n")
         assert "finite" in str(err.value)
+    # a rate parameter too, or every solver subcommand fails inside a step
+    for section, text in (("K_B", "family = constant\nvalue = nan"),
+                          ("F", "family = linear\nslope = inf"),
+                          ("K_Q", "family = sigmoid\ncenter = -inf")):
+        with pytest.raises(ConfigError, match=rf"\[rates\.{section}\]: .*"
+                                              "must be finite"):
+            loads_config(f"[rates.{section}]\n{text}\n")
     with pytest.raises(ConfigError, match="snapshot_every: must be >= 1"):
         loads_config("[solver]\nsnapshot_every = 0\n")
 

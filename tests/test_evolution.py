@@ -435,6 +435,23 @@ def test_simulate_deterministic(model, grid201, stationary201):
     assert np.array_equal(a.final_state.p, b.final_state.p)
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_simulate_without_reference_only_steps(model, grid201, stationary201,
+                                               eps):
+    # stationary=None: no records and no output calls, the same final state
+    init = admissible_init(stationary201, 0.01, "cosine")
+    cfg = SolverConfig(eps=eps, dt=0.02, t_end=1.0, output_interval=0.2)
+    outputs = []
+    bare = simulate(model, init, grid201, cfg, None,
+                    on_output=lambda *args: outputs.append(args))
+    full = simulate(model, init, grid201, cfg, stationary201)
+    assert bare.records == [] and outputs == []
+    assert len(full.records) == 6
+    assert bare.final_state.z == full.final_state.z
+    assert np.array_equal(bare.final_state.c, full.final_state.c)
+    assert np.array_equal(bare.final_state.p, full.final_state.p)
+
+
 def test_one_record_per_output(model, grid201, stationary201, tmp_path):
     # a two-cell batch, eps 0.01 and 0.05: each output's record carries the
     # state's R, z and v(1) beside the eight norms, the result keeps no

@@ -58,6 +58,9 @@ def test_unknown_family_and_params():
         Rate("spline", {})
     with pytest.raises(ValueError):
         Rate("linear", {"slope": 1.0, "curvature": 2.0})
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            Rate("constant", {"value": value})
 
 
 def test_domain_error_far_outside():

@@ -313,6 +313,17 @@ def test_picard_loop_that_neither_settles_nor_stalls_is_typed(monkeypatch):
     assert info.value.residual > 1e-12
 
 
+def test_no_advection_gives_the_pointwise_equilibrium():
+    # no birth and no death: g = 0, so w = 0 and nothing is carried along
+    # characteristics; p is the equilibrium at each node, after one sweep
+    m, grid = make_model(K_B=zero_rate(), K_D=zero_rate()), Grid(51)
+    c = solve_nutrient(default_model(), 1.57, grid).c
+    p, v1, sweeps = stationary._steady_transport(m, c, grid)
+    assert np.array_equal(p, equilibrium_fraction(m, c))
+    assert np.ptp(p) > 0.01
+    assert v1 == 0.0 and sweeps == 1
+
+
 def test_march_cell_that_does_not_settle_is_typed(monkeypatch):
     # one Newton iteration does not settle the first cell of the march;
     # the error names its inner end, r = 1 - 3h, and stops brentq
