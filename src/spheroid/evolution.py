@@ -6,7 +6,8 @@ current state, advances the proliferating fraction along characteristics
 (semi-Lagrangian) and the log-radius (Heun, with the boundary velocity
 re-evaluated at the predictor state), then updates the nutrient by the
 ``nutrient`` module, which alone knows its operator: the implicit step
-for eps > 0, or the quasi-static profile c = m(.; z) for eps = 0.  The
+for eps > 0, or the quasi-static profile c = m(.; z) for eps = 0, one
+Newton solve per step at the new log-radius after a tangent predictor.  The
 implicit step's matrix is beta I - J plus advection, J the quasi-static
 Newton Jacobian, so the scheme's stationary point is independent of eps
 and dt up to interpolation effects: trajectories for every eps decay to
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericsError
 from .grid import Grid
-from .nutrient import nutrient_step, solve_nutrient
+from .nutrient import nutrient_sensitivity, nutrient_step, solve_nutrient
 from .rates import RateModel, check_domain, f_reaction, g_source
 from .records import admissibility_report, deviation_norms
 
@@ -143,7 +144,7 @@ def velocity_from_state(model, c, p, grid):
     both endpoints.
     """
     v = grid.cumulative_radial_integral(g_source(model, c, p))
-    v[..., 1:] /= grid.r[1:] ** 2
+    v[..., 1:] /= grid.r2
     w = v - grid.r * v[..., -1:]
     w[..., -1] = 0.0
     return VelocityField(v=v, w=w, v1=v[..., -1])
@@ -161,7 +162,7 @@ def hermite_eval(y, x, grid):
     x = x.reshape(-1, x.shape[-1])
     i = np.minimum((x / h).astype(np.intp), n - 2)
     s = x - i * h
-    i += np.arange(0, n * len(x), n)[:, None]
+    i += grid.row_offsets(len(x))
     # slopes over the rows as one 2-D array, cheaper than over (..., B, n)
     d = grid.derivative(y.reshape(-1, n)).reshape(-1, n * len(x))
     y = y.reshape(d.shape)
@@ -205,7 +206,7 @@ def transport_step(model, state, w, c_head, dt, grid):
     feet[..., 0] = r[0]
     feet[..., -1] = r[-1]
 
-    pc = np.stack((state.p, state.c))
+    pc = np.array((state.p, state.c))
     # rest points (w = 0, notably both endpoints) stay on their node and
     # evolve by the local reaction ODE alone; bypass interpolation noise
     p_foot, c_foot = np.where(feet == r, pc, hermite_eval(pc, feet, grid))
@@ -222,11 +223,8 @@ def boundary_radius_step(state, vel, dt, vel_pred):
     return state.z + 0.5 * dt * (vel.v1 + vel_pred.v1)
 
 
-def _quasi_static(model, state, grid, eps):
-    """``state`` with its nutrient projected onto c = m(.; z) when eps = 0,
-    or unchanged when eps > 0."""
-    if np.count_nonzero(eps):
-        return state
+def _quasi_static(model, state, grid):
+    """``state`` with its nutrient projected onto c = m(.; z)."""
     return replace(state, c=solve_nutrient(model, state.z, grid,
                                            guess=state.c).c)
 
@@ -235,21 +233,24 @@ def step(model, state, grid, config, clip=None):
     """Advance the state by one splitting step of config.dt.
 
     Predictor: transport, Euler log-radius and nutrient update with the
-    velocity of the current state.  The velocity re-evaluated at the
-    predictor gives the Heun log-radius (eps = 0 re-solves the nutrient
-    there); ``splitting="heun"`` also redoes transport with the averaged
-    velocity and, for eps > 0, the nutrient step at the averaged z and
-    v(1).  That composite is second order in time at eps = 0 only: at
-    eps > 0 its nutrient corrector is still a backward Euler step, so the
-    step is first order.  Fields are clipped to [0, 1] afterwards and clip
-    events beyond :data:`CLIP_TOL` recorded.
+    velocity of the current state; at eps = 0 the nutrient is the tangent
+    c + (z_pred - z) dc/dz, dc/dz by :func:`nutrient_sensitivity` at the
+    step's own (z, c).  The velocity re-evaluated at the predictor gives
+    the Heun log-radius z_new, and at eps = 0 the step's one Newton solve,
+    c = m(.; z_new) from the tangent there; ``splitting="heun"`` also
+    redoes transport with the averaged velocity and, for eps > 0, the
+    nutrient step at the averaged z and v(1).  That composite is second
+    order in time at eps = 0 only: at eps > 0 its nutrient corrector is a
+    backward Euler step, so the step is first order.  Fields are clipped
+    to [0, 1] afterwards and clip events beyond :data:`CLIP_TOL` recorded.
 
     The nutrient is checked against the rates' validity interval where it
-    enters: ``state.c`` here, every new profile in :func:`solve_nutrient`
-    or :func:`nutrient_step`.  The feet values are cubic interpolants of
-    ``state.c``, which may leave its range by O(h^3), far inside the
-    margin ``rates.MARGIN`` = 0.5 beyond the validity interval, so the rate
-    formulas run unchecked.  Raises DomainError on a violation.
+    enters: ``state.c`` here, the tangent, every new profile in
+    :func:`solve_nutrient` or :func:`nutrient_step`.  The feet values are
+    cubic interpolants of ``state.c``, which may leave its range by
+    O(h^3), far inside the margin ``rates.MARGIN`` = 0.5 beyond the
+    validity interval, so the rate formulas run unchecked.  Raises
+    DomainError on a violation.
 
     A lone ``state`` steps as the batch of one and stays lone.  ``clip``
     is None or one ClipStats per row for the clip events.  One test of
@@ -269,7 +270,9 @@ def step(model, state, grid, config, clip=None):
     if implicit:
         c_pred = nutrient_step(model, state.c, state.z, vel.v1, dt, eps, grid)
     else:
-        c_pred = solve_nutrient(model, z_pred, grid, guess=state.c).c
+        c_z = nutrient_sensitivity(model, state.z, state.c, grid)
+        tangent = state.c + np.expand_dims(dt * vel.v1, -1) * c_z
+        c_pred = check_domain(tangent, "tangent predictor")
     vel_pred = velocity_from_state(model, c_pred, p_new, grid)
     z_new = boundary_radius_step(state, vel, dt, vel_pred)
 
@@ -277,7 +280,8 @@ def step(model, state, grid, config, clip=None):
         p_new = transport_step(model, state, 0.5 * (vel.w + vel_pred.w),
                                c_pred, dt, grid)
     if not implicit:
-        c_new = solve_nutrient(model, z_new, grid, guess=c_pred).c
+        guess = state.c + np.expand_dims(z_new - state.z, -1) * c_z
+        c_new = solve_nutrient(model, z_new, grid, guess=guess).c
     elif heun:
         c_new = nutrient_step(model, state.c, 0.5 * (state.z + z_pred),
                               0.5 * (vel.v1 + vel_pred.v1), dt, eps, grid)
@@ -312,7 +316,7 @@ class StepMap:
     def unpack(self, x, guess):
         """State at x, c = m(.; z) by the loop's projection from ``guess``."""
         state = State(t=0.0, z=x[..., 0], c=guess, p=x[..., 1:])
-        return _quasi_static(self.model, state, self.grid, 0.0)
+        return _quasi_static(self.model, state, self.grid)
 
     def __call__(self, x, guess):
         """F(x) and the stepped nutrient, a warm start near x."""
@@ -468,7 +472,8 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None):
         if not _finite(s):
             raise ValueError("non-finite initial data")
         check_domain(s.c, "initial data")
-        return _quasi_static(model, s, grid, cfg.eps)
+        return (s if np.count_nonzero(cfg.eps)
+                else _quasi_static(model, s, grid))
 
     def advance(s, cfg, rows):
         # the rows' clip counts change only when the step succeeds, so a
@@ -486,9 +491,9 @@ def _simulate_batch(model, inits, grid, config, stationary, on_output=None):
         nonlocal prev, out_idx
         if stationary is None:
             return
-        # the state's own quasi-static profile m(.; z), for eta_dev
-        profile = each_row(
-            lambda s, cfg, _: _quasi_static(model, s, grid, 0.0))
+        # m(.; z) for eta_dev; at eps = 0 it is the state's own c
+        profile = (each_row(lambda s, cfg, _: _quasi_static(model, s, grid))
+                   if np.count_nonzero(config.eps) else state)
         if not cells:
             return
         v1 = velocity_from_state(model, state.c, state.p, grid).v1

@@ -32,6 +32,8 @@ class Grid:
         m1 = (rr**4 - rl**4) / 4.0 - rl * m0
         self._w_right = m1 / (rr - rl)
         self._w_left = m0 - self._w_right
+        self.r2 = self.r[1:] ** 2   # divides the radial integral into v
+        self._offsets = {}
 
     def __eq__(self, other):
         return isinstance(other, Grid) and other.n == self.n
@@ -41,6 +43,12 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(n={self.n})"
+
+    def row_offsets(self, size):
+        """Flat offsets (size, 1) of a batch's rows laid end to end."""
+        if size not in self._offsets:
+            self._offsets[size] = np.arange(0, self.n * size, self.n)[:, None]
+        return self._offsets[size]
 
     def cumulative_radial_integral(self, f):
         """Return I_i = integral_0^{r_i} f(rho) rho^2 d rho for nodal f, along

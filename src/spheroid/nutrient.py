@@ -10,7 +10,7 @@ is replaced by its symmetric limit 3 c''(0) (ghost-node symmetry), which
 the uniform grid resolves to 6 (c_1 - c_0) / h^2.  A damped Newton
 iteration with the analytic Jacobian J = L - e^{2z} F'(c) solves the
 nonlinear system; :func:`nutrient_sensitivity` gets dc/dz from one linear
-solve with the converged Jacobian, since it satisfies the linearized
+solve with the profile's Jacobian, since it satisfies the linearized
 problem
 
     u'' + (2/r) u' = e^{2z} F'(c) u + 2 e^{2z} F(c),  u'(0) = 0, u(1) = 0.
@@ -242,14 +242,14 @@ def solve_nutrient(model, z, grid, guess=None):
                            residual=float(rnorm.max()), iterations=it)
 
 
-def nutrient_sensitivity(model, profile):
-    """dc/dz of a converged profile or of each row of a batch: the module
-    docstring's linearized problem, solved with the converged Jacobian."""
-    e2z = np.asarray(np.exp(2.0 * profile.z))[..., None]
-    fv, dfv = model.F(profile.c)
+def nutrient_sensitivity(model, z, c, grid):
+    """dc/dz of the profile ``c`` at ``z``, or of each row of a batch: the
+    module docstring's linearized problem, with the Jacobian at ``c``."""
+    e2z = np.asarray(np.exp(2.0 * z))[..., None]
+    fv, dfv = model.F(c)
     rhs = 2.0 * e2z * fv
     rhs[..., -1] = 0.0
-    lo, di, up = _diffusion_rows(profile.grid, e2z.size)
+    lo, di, up = _diffusion_rows(grid, e2z.size)
     return tri_solve(lo, _jacobian_diagonal(di, e2z, dfv), up, rhs)
 
 
@@ -366,7 +366,7 @@ def bounds_report(model, z_values, grid, rel_tol=1e-8):
         f1 = float(model.F(np.array(1.0))[0])
         scale = f1 * e2z if f1 * e2z > 0 else 1.0
         r, c, c_r = grid.r, prof.c, prof.c_r
-        c_z = nutrient_sensitivity(model, prof)
+        c_z = nutrient_sensitivity(model, z, c, grid)
 
         c_rr = np.empty(grid.n)
         fv, _ = model.F(c)

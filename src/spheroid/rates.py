@@ -100,16 +100,15 @@ class Rate:
             raise ValueError(f"family {self.family!r}: parameters must be "
                              f"finite, got {bad}")
         object.__setattr__(self, "params", full)
+        object.__setattr__(self, "_fn", FAMILIES[self.family][0])
 
     def __call__(self, c):
         """(value, derivative) at ``c``."""
-        fn, _ = FAMILIES[self.family]
-        return fn(np.asarray(c, dtype=float), self.params, True)
+        return self._fn(np.asarray(c, dtype=float), self.params, True)
 
     def value(self, c):
         """The value at ``c`` alone, for callers that need no derivative."""
-        fn, _ = FAMILIES[self.family]
-        return fn(np.asarray(c, dtype=float), self.params, False)
+        return self._fn(np.asarray(c, dtype=float), self.params, False)
 
 
 @dataclass(frozen=True)
@@ -155,6 +154,9 @@ def outside_domain(c):
 def check_domain(c, context):
     """Validate concentrations against DOMAIN."""
     arr = np.asarray(c, dtype=float)
+    # every value inside; NaN and an empty array take the mask's path
+    if arr.size and DOMAIN[0] <= arr.min() and arr.max() <= DOMAIN[1]:
+        return arr
     bad = outside_domain(arr)
     if bad.any():
         raise DomainError(f"{context}: c={arr[bad][0]:.6g} outside "

@@ -17,6 +17,7 @@ from spheroid import (ConvergenceError, DeviationRecord, DomainError, Grid,
                       simulate, solve_nutrient, solve_stationary, step,
                       transport_step, velocity_from_state)
 from spheroid import evolution, nutrient, output, rates
+from spheroid.evolution import SPLITTINGS
 from spheroid.grid import MIN_NODES
 
 from conftest import all_zero_model, make_model, zero_rate
@@ -378,6 +379,61 @@ def test_lone_step_is_its_batch_of_one(model, grid201, stationary201):
     assert type(final.z) is float and final.c.shape == (grid201.n,)
 
 
+def test_eps0_step_solves_the_nutrient_once(model, grid201, stationary201,
+                                            monkeypatch):
+    # the predictor's nutrient is the tangent c + (z_pred - z) dc/dz, from
+    # one sensitivity solve at the step's own (z, c); only the corrector
+    # solves the nutrient boundary value problem
+    calls = []
+    for name in ("nutrient_sensitivity", "solve_nutrient"):
+        def counting(*args, _name=name, _call=getattr(evolution, name),
+                     **kwargs):
+            calls.append(_name)
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(evolution, name, counting)
+    state = admissible_init(stationary201, 0.01, "random", seed=1)
+    for splitting in SPLITTINGS:
+        calls.clear()
+        step(model, state, grid201, SolverConfig(splitting=splitting))
+        assert calls == ["nutrient_sensitivity", "solve_nutrient"]
+
+
+def newton_predictor_step(model, state, grid, dt, heun):
+    """The eps = 0 step with a Newton-solved predictor nutrient, from the
+    public pieces of the step."""
+    vel = velocity_from_state(model, state.c, state.p, grid)
+    p_new = transport_step(model, state, vel.w, state.c, dt, grid)
+    c_pred = solve_nutrient(model, state.z + dt * vel.v1, grid,
+                            guess=state.c).c
+    vel_pred = velocity_from_state(model, c_pred, p_new, grid)
+    z_new = boundary_radius_step(state, vel, dt, vel_pred)
+    if heun:
+        p_new = transport_step(model, state, 0.5 * (vel.w + vel_pred.w),
+                               c_pred, dt, grid)
+    c_new = solve_nutrient(model, z_new, grid, guess=c_pred).c
+    return State(t=state.t + dt, z=z_new, c=np.clip(c_new, 0.0, 1.0),
+                 p=np.clip(p_new, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("splitting", SPLITTINGS)
+def test_tangent_predictor_follows_the_newton_predictor(model, grid201,
+                                                        stationary201,
+                                                        splitting):
+    # the tangent's O(dz^2) error reaches z_new at O(dt dz^2): 500 steps
+    # from a random perturbation stay on the Newton predictor's run
+    init = admissible_init(stationary201, 0.01, "random", seed=1)
+    init.c = solve_nutrient(model, init.z, grid201, guess=init.c).c
+    cfg = SolverConfig(dt=0.02, splitting=splitting)
+    ours, oracle = init, init
+    for _ in range(500):
+        ours = step(model, ours, grid201, cfg)
+        oracle = newton_predictor_step(model, oracle, grid201, cfg.dt,
+                                       splitting == "heun")
+    assert abs(ours.z - oracle.z) <= 1e-10
+    assert np.max(np.abs(ours.c - oracle.c)) <= 1e-10
+    assert np.max(np.abs(ours.p - oracle.p)) <= 1e-10
+
+
 def test_simulate_rejects_horizon_not_after_start(model, grid201,
                                                   stationary201):
     init = admissible_init(stationary201, 0.01, "poly")
@@ -419,6 +475,27 @@ def test_simulate_quasi_static_eta_is_tiny(model, grid201, stationary201):
     result = simulate(model, init, grid201, cfg, stationary201)
     for rec in result.records:
         assert rec.eta_dev <= 1e-8
+
+
+def test_simulate_reports_a_clipped_eps0_nutrient(model, grid201,
+                                                  stationary201, monkeypatch):
+    # one node of c the nutrient solve pushes 1e-6 above 1 is a clip event
+    # of every step; at eps = 0 the state's c is its own profile, so the
+    # clips show in SimResult.clip and not in eta_dev
+    solve = evolution.solve_nutrient
+
+    def overshoot(*args, **kwargs):
+        profile = solve(*args, **kwargs)
+        profile.c[..., 10] = 1.0 + 1e-6
+        return profile
+
+    monkeypatch.setattr(evolution, "solve_nutrient", overshoot)
+    init = admissible_init(stationary201, 0.01, "poly", seed=3)
+    cfg = SolverConfig(eps=0.0, dt=0.02, t_end=0.2, output_interval=0.2)
+    result = simulate(model, init, grid201, cfg, stationary201)
+    assert result.clip.events == 10
+    assert result.clip.max_excess == pytest.approx(1e-6)
+    assert [rec.eta_dev for rec in result.records] == [0.0, 0.0]
 
 
 def test_simulate_deterministic(model, grid201, stationary201):
@@ -548,8 +625,8 @@ def test_simulate_raises_on_nonfinite(model, grid201, stationary201):
 
 def test_simulate_wraps_newton_failure(model, grid201, stationary201,
                                        monkeypatch):
-    # eps = 0 solves the nutrient once to project the initial data, once per
-    # output and twice per step: call 26 is the predictor of step 12, just
+    # eps = 0 solves the nutrient once to project the initial data and once
+    # per step, in its corrector: call 13 is the corrector of step 12, just
     # after the output at t = 0.2
     init = State(t=0.0, z=stationary201.z, c=stationary201.c.copy(),
                  p=stationary201.p.copy())
@@ -558,7 +635,7 @@ def test_simulate_wraps_newton_failure(model, grid201, stationary201,
 
     def failing(*args, **kwargs):
         calls.append(1)
-        if len(calls) == 26:
+        if len(calls) == 13:
             raise ConvergenceError("Newton stalled", residual=1.0)
         return solve(*args, **kwargs)
 
@@ -638,12 +715,12 @@ def test_simulate_rejects_nutrient_step_outside_domain(model, grid201,
 
 
 @pytest.mark.parametrize("eps, checked", [
-    (0.0, ["step", "nutrient solve", "nutrient solve"]),
+    (0.0, ["step", "tangent predictor", "nutrient solve"]),
     (0.05, ["step", "nutrient_step"])])
 def test_domain_checked_where_nutrient_enters(monkeypatch, eps, checked):
-    # one check of the step's input c, then one of each Newton's guess or
-    # of nutrient_step's output; the rate formulas and the Newton trials
-    # check nothing
+    # one check of the step's input c, then one of the tangent predictor
+    # and one of the corrector Newton's guess, or one of nutrient_step's
+    # output; the rate formulas and the Newton trials check nothing
     check = rates.check_domain
     calls = []
 

@@ -34,7 +34,8 @@ def test_zero_consumption_gives_flat_profile():
     m = all_zero_model()
     prof = solve_nutrient(m, 0.7, Grid(51))
     assert np.array_equal(prof.c, np.ones(51))
-    assert np.allclose(nutrient_sensitivity(m, prof), 0.0, atol=1e-15)
+    assert np.allclose(nutrient_sensitivity(m, 0.7, prof.c, Grid(51)), 0.0,
+                       atol=1e-15)
     assert np.allclose(prof.c_r, 0.0, atol=1e-15)
 
 
@@ -75,13 +76,14 @@ def test_sensitivity_matches_z_difference():
     hi = solve_nutrient(m, 0.5 + dz, grid)
     lo = solve_nutrient(m, 0.5 - dz, grid)
     fd = (hi.c - lo.c) / (2 * dz)
-    assert np.max(np.abs(nutrient_sensitivity(m, prof) - fd)) < 5e-6
+    c_z = nutrient_sensitivity(m, 0.5, prof.c, grid)
+    assert np.max(np.abs(c_z - fd)) < 5e-6
     # a batch's rows are those of each profile alone, bit for bit
     batch = solve_nutrient(m, np.array([0.5 - dz, 0.5, 0.5 + dz]), grid)
-    for c, c_z, one in zip(batch.c, nutrient_sensitivity(m, batch),
-                           (lo, prof, hi)):
+    rows = nutrient_sensitivity(m, batch.z, batch.c, grid)
+    for c, c_z, one in zip(batch.c, rows, (lo, prof, hi)):
         assert np.array_equal(c, one.c)
-        assert np.array_equal(c_z, nutrient_sensitivity(m, one))
+        assert np.array_equal(c_z, nutrient_sensitivity(m, one.z, one.c, grid))
 
 
 def test_profile_monotone_in_r_and_z():
@@ -126,7 +128,7 @@ def test_diffusion_rows_built_once_per_grid():
     m = default_model()
     grid = Grid(51)
     first = solve_nutrient(m, 0.5, grid)
-    nutrient_sensitivity(m, first)
+    nutrient_sensitivity(m, first.z, first.c, grid)
     again = solve_nutrient(m, 0.7, Grid(51), guess=first.c)
     state = State(t=0.0, z=0.7, c=again.c, p=np.full(grid.n, 0.5))
     nutrient_step(m, state.c, state.z,

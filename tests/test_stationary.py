@@ -455,7 +455,7 @@ def test_relaxation_out_of_pseudo_time_is_typed(monkeypatch):
     with pytest.raises(ConvergenceError) as info:
         solve_stationary(default_model(), Grid(51), cross_check=False)
     assert str(info.value) == (
-        "stationary solve failed at |F|_inf = 1.193e-01: relaxation not at "
+        "stationary solve failed at |F|_inf = 1.194e-01: relaxation not at "
         "|F| <= 0.01 by t=1")
     assert np.isfinite(info.value.residual)
     assert isinstance(info.value.__cause__, ConvergenceError)
@@ -479,6 +479,25 @@ def test_step_map_round_trips_the_stationary_state(model, grid201,
     # a batch's rows are laid out as the lone state is
     rows = F.pack(np.array([0.5, s.z]), np.stack([np.zeros_like(s.p), s.p]))
     assert np.array_equal(rows[1], x) and rows[0, 0] == 0.5
+
+
+def test_step_map_is_smooth_at_the_fixed_point(model):
+    # the central-difference derivative of the eps = 0 step map at x* along
+    # one direction does not depend on the difference step: no Newton
+    # solve's stopping point enters the step's predictor
+    grid = Grid(51)
+    s = solve_stationary(model, grid, tol=1e-10, cross_check=False)
+    F = evolution.StepMap(model, grid, SolverConfig())
+    x = F.pack(s.z, s.p)
+    d = np.random.default_rng(0).standard_normal(x.shape)
+    d /= np.linalg.norm(d)
+    slopes = []
+    for h in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
+        (up, _), (down, _) = F(x + h * d, s.c), F(x - h * d, s.c)
+        slopes.append((up - down) / (2.0 * h))
+    scale = np.max(np.abs(slopes[0]))
+    for slope in slopes[1:]:
+        assert np.max(np.abs(slope - slopes[0])) <= 1e-6 * scale
 
 
 def test_jacobian_columns_match_solo_steps():
