@@ -10,10 +10,11 @@ perturbed runs resolve.  Newton's Jacobian is a finite-difference one
 whose columns are stepped together as one batch of states; it is kept
 while its steps halve the residual, and rebuilt when one does not.
 Where Newton stalls, the relaxation resumes with the scheme's dt and
-runs to the same level.  Cross-check: a direct construction that solves the steady
-transport equation self-consistently at trial log-radii and bisects on
-the boundary velocity v(1; z), in a bracket around the primary z*.  The
-two must agree tightly, or something is off.
+runs to the same level.  Cross-check: a direct construction that solves
+the steady equations themselves, v(1) = 0 and -w p' + f(c, p) = 0 at
+every node with c = m(.; z), by the same Newton from the primary state.
+It shares no transport step, kernel or dt with the scheme.  The two must
+agree tightly, or something is off.
 """
 from spheroid import Grid, default_model, solve_stationary
 

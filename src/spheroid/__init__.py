@@ -14,7 +14,7 @@ from .analysis import (DecayFit, admissible_init, fit_decay,
                        stability_experiment, standard_convergence_suite)
 from .config import (RunConfig, config_hash, default_config, dumps_config,
                      load_config, loads_config, save_config)
-from .errors import (BracketError, ConfigError, ConvergenceError, DomainError,
+from .errors import (ConfigError, ConvergenceError, DomainError,
                      InsufficientDataError, NumericsError, SnapshotError,
                      SpheroidError, UnknownRateError)
 from .evolution import (SolverConfig, State, VelocityField,
@@ -27,5 +27,4 @@ from .rates import (Rate, RateModel, check_assumptions, default_model,
                     equilibrium_fraction, f_reaction, g_source)
 from .records import DeviationRecord, admissibility_report, deviation_norms
 from .snapshot import load_snapshot, save_snapshot
-from .stationary import (StationarySolution, solve_stationary,
-                         stationary_by_bisection)
+from .stationary import StationarySolution, solve_stationary

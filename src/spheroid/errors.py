@@ -24,10 +24,6 @@ class ConvergenceError(SpheroidError):
         self.residual = residual
 
 
-class BracketError(SpheroidError):
-    """Root bracketing failed: no sign change over the search interval."""
-
-
 class NumericsError(SpheroidError):
     """Fatal numeric failure (NaN/inf in state, singular system).
 

@@ -17,11 +17,11 @@ satisfy the monotonicity/sign conditions checked by
 Derivatives are analytic per family so that implicit solvers get exact
 Jacobians.  All evaluations are vectorized over ``c``.  The composites,
 built from K_M = K_B + K_D and K_N = K_P + K_Q, are the reaction
-:func:`f_reaction` with :func:`reaction_coefficients`,
-:func:`f_reaction_partials` and its root :func:`equilibrium_fraction`,
-and the volume source :func:`g_source`; only the helper ``_combine``
-forms K_M, K_N and f's coefficients.  At a scalar (c, p) the composites
-return a ``numpy.float64``, a ``float`` subclass.
+:func:`f_reaction` with :func:`reaction_coefficients` and its root
+:func:`equilibrium_fraction`, and the volume source :func:`g_source`;
+only the helper ``_combine`` forms K_M, K_N and f's coefficients.  At a
+scalar (c, p) the composites return a ``numpy.float64``, a ``float``
+subclass.
 """
 
 from dataclasses import dataclass, field
@@ -166,7 +166,7 @@ def check_domain(c, context):
 
 def _combine(kb, kp, kq, kd):
     """f's coefficients (a, b, d) = (K_P, K_M - K_N, K_M), then K_N, with
-    K_M = K_B + K_D, K_N = K_P + K_Q; f_c's and K_N' from derivatives."""
+    K_M = K_B + K_D, K_N = K_P + K_Q; K_M' and K_N' from derivatives."""
     km, kn = kb + kd, kp + kq
     return kp, km - kn, km, kn
 
@@ -198,15 +198,6 @@ def g_source(model, c, p):
     kb = model.K_B.value(c)
     kd = model.K_D.value(c)
     return (kb + kd) * p - kd
-
-
-def f_reaction_partials(model, c, p):
-    """(df/dc, df/dp) at (c, p); unchecked, as :func:`f_reaction`."""
-    values, slopes = zip(model.K_B(c), model.K_P(c), model.K_Q(c),
-                         model.K_D(c))
-    _, b, d, _ = _combine(*values)
-    a_c, b_c, d_c, _ = _combine(*slopes)
-    return a_c + b_c * p - d_c * p * p, b - 2.0 * d * p
 
 
 def equilibrium_fraction(model, c):

@@ -22,24 +22,15 @@ pseudo-time.  At |F|_inf = tol, p is still ~1.6e-6 from the fixed point
 (N=201, tol=1e-6), which perturbed runs' deviation norms reach while
 their rates are fitted.
 
-Cross-check method: direct construction.  For a trial log-radius z the
-nutrient is the quasi-static profile, and the steady transport equation
+Cross-check: Newton on the steady eps = 0 equations themselves,
 
-    w(r) p'(r) = f(c(r), p(r)),     w = v - r v(1),
+    G(z, p) = (v(1), -w p' + f(c, p)) = 0,     w = v - r v(1),
 
-is solved self-consistently with the velocity quadrature by a Picard
-iteration that marches the characteristic ODE inward from the rim by the
-Hermite-Simpson rule (Lobatto IIIA: fourth order, A-stable).  Both
-endpoints are rest points of w, so regularity pins p at the reaction's
-equilibrium there, which attracts inward.  (Outward integration
-amplifies seed errors by exp(int f_p / v dr), up to 1e10 for realistic
-parameters.)  It shares only the cubic Hermite kernel with the primary
-method.  The boundary velocity v(1; z) of the self-consistent solution
-changes sign across the stationary log-radius, which brentq then
-refines.  Behind ``solve_stationary`` the bracket starts at the
-primary z* +- CHECK_HALF_WIDTH and doubles while v(1; z) keeps one sign;
-each z is solved once.  Only the cross-check uses scipy's optimize,
-which it imports when it runs.
+with c = m(.; z) by the step map's projection and p' by
+``Grid.derivative``, from the certified (z*, p*) and by the primary
+solve's own Newton, until |G|_inf <= tol.  It shares the nutrient solve,
+the velocity quadrature and ``Grid.derivative`` with the scheme, but
+neither the Hermite kernel, the transport step, its splitting nor dt.
 """
 
 import logging
@@ -47,13 +38,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError
-from .evolution import (SolverConfig, StepMap, hermite_eval,
-                        velocity_from_state)
+from .errors import ConvergenceError
+from .evolution import SolverConfig, StepMap, velocity_from_state
 from .grid import Grid
 from .nutrient import solve_nutrient
-from .rates import (equilibrium_fraction, f_reaction, f_reaction_partials,
-                    g_source, reaction_coefficients)
+from .rates import equilibrium_fraction, f_reaction
 
 log = logging.getLogger("spheroid")
 
@@ -65,10 +54,6 @@ NEWTON_MAXITER = 20   # Newton iterations before a stall
 CHORD_CONTRACTION = 0.5   # least |F|_2 contraction of a kept-Jacobian step
 MIN_DAMPING = 2.0**-10    # shortest Newton step tried before a stall
 JACOBIAN_ROWS = 32    # most Jacobian columns stepped in one batch
-CHECK_HALF_WIDTH = 0.01      # first half-width of the cross-check's bracket
-CHECK_MAX_HALF_WIDTH = 1.28  # its last: 0.01 doubled seven times
-PICARD_SWEEPS = 80    # most sweeps of the cross-check's Picard loop
-MARCH_NEWTON_MAXITER = 20   # Newton iterations of one cell of the march
 
 
 @dataclass
@@ -92,101 +77,15 @@ class StationarySolution:
         return float(np.exp(self.z))
 
 
-def _steady_transport(model, c, grid):
-    """Self-consistent steady transport profile for frozen nutrient ``c``.
-
-    Picard iteration: rebuild the advection w from the current p and march
-    p' = F(p) = f(c, p)/w inward from a one-term series start at r = 1 - 2h
-    to r = 2h, until a sweep moves p by less than 1e-12.  Each cell solves
-    q = y - h/6 (F_y + 4 F_m + F_q), y_m = (y + q)/2 - h/8 (F_y - F_q) by
-    scalar Newton.  Returns (p, v1, iterations); ConvergenceError if a
-    cell's Newton does not settle in MARCH_NEWTON_MAXITER iterations
-    (naming r), or the loop in PICARD_SWEEPS sweeps.
-    """
-    h = grid.h
-    p = equilibrium_fraction(model, c)
-    c1 = float(c[-1])
-    p1 = float(equilibrium_fraction(model, c1))
-    f_c1, f_p1 = map(float, f_reaction_partials(model, c1, p1))
-    c_r1 = float(grid.derivative(c, symmetric_origin=True)[-1])
-
-    inner = np.arange(grid.n - 3, 1, -1)   # r = 1 - 2h inward to 2h
-    # r at the march's nodes and cell midpoints, in turn
-    x = (grid.n - 3 - 0.5 * np.arange(2 * inner.size - 1)) * h
-    abd = np.array(reaction_coefficients(model, hermite_eval(c, x, grid))[:3])
-
-    for it in range(1, PICARD_SWEEPS + 1):
-        vel = velocity_from_state(model, c, p, grid)
-        if np.max(np.abs(vel.w)) < 1e-12:
-            # degenerate advection: steady state is the pointwise equilibrium
-            p_new = equilibrium_fraction(model, c)
-        else:
-            w_r1 = float(g_source(model, c1, p1)) - 3.0 * float(vel.v1)
-            denom = f_p1 - w_r1
-            sigma = f_c1 * c_r1 / denom if abs(denom) > 1e-12 else 0.0
-            w = hermite_eval(vel.w, x, grid)
-            # F = a + b p - d p^2 at each point, 0 where w vanishes
-            coef = (abd / np.where(np.abs(w) < 1e-14, np.inf, w)).T.tolist()
-            p_new = p.copy()
-            p_new[-1] = p1
-            p_new[-2] = p1 + sigma * h
-            y = p_new[-3] = p1 + sigma * 2.0 * h
-            for i, j in zip(inner[1:], range(0, len(coef) - 1, 2)):
-                (a0, b0, d0), (am, bm, dm), (a1, b1, d1) = coef[j:j + 3]
-                f_y = a0 + (b0 - d0 * y) * y
-                q = y
-                for _ in range(MARCH_NEWTON_MAXITER):
-                    f_q = a1 + (b1 - d1 * q) * q
-                    m = 0.5 * (y + q) - h / 8.0 * (f_y - f_q)
-                    f_m = am + (bm - dm * m) * m
-                    fp_q = b1 - 2.0 * d1 * q
-                    dq = (q - y + h / 6.0 * (f_y + 4.0 * f_m + f_q)) / (
-                        1.0 + h / 6.0 * (fp_q + 4.0 * (bm - 2.0 * dm * m)
-                                         * (0.5 + h / 8.0 * fp_q)))
-                    q -= dq
-                    if abs(dq) <= 1e-14:
-                        break
-                else:
-                    raise ConvergenceError("steady transport march did not "
-                                           f"settle at r={i * h:.6g}",
-                                           residual=abs(dq))
-                p_new[i] = y = q
-            p_new[:2] = equilibrium_fraction(model, c[:2])
-        move = float(np.max(np.abs(p_new - p)))
-        p = np.clip(p_new, 0.0, 1.0)
-        if move < 1e-12:
-            break
-    else:
-        raise ConvergenceError(
-            f"steady transport Picard did not settle (last move {move:.2e})",
-            residual=move)
-    return p, float(velocity_from_state(model, c, p, grid).v1), it
-
-
-def stationary_by_bisection(model, grid, z_bracket):
-    """Direct construction of the stationary log-radius.
-
-    brentq (xtol 1e-10) on the self-consistent boundary velocity v(1; z)
-    over ``z_bracket``; :class:`BracketError` if it keeps one sign there.
-    Each z is solved once.
-    """
-    from scipy.optimize import brentq
-
-    values = {}    # brentq evaluates the ends of the bracket again
-
-    def v1_of_z(z):
-        if z not in values:
-            prof = solve_nutrient(model, z, grid)
-            values[z] = _steady_transport(model, prof.c, grid)[1]
-        return values[z]
-
-    lo, hi = z_bracket
-    v_lo, v_hi = v1_of_z(lo), v1_of_z(hi)
-    if np.sign(v_lo) == np.sign(v_hi):
-        raise BracketError(
-            f"v(1; z) keeps sign over [{lo:g}, {hi:g}]: "
-            f"v1({lo:g})={v_lo:.3e}, v1({hi:g})={v_hi:.3e}")
-    return float(brentq(v1_of_z, lo, hi, xtol=1e-10))
+def _steady_residual(step_map, x, guess):
+    """G at x = (z, p), and c = m(.; z) projected from ``guess``, a warm
+    start near x: the boundary velocity v(1), then the steady transport
+    residual -w p' + f(c, p) at each node (w vanishes at both ends)."""
+    state = step_map.unpack(x, guess)
+    vel = velocity_from_state(step_map.model, state.c, state.p, step_map.grid)
+    transport = (-vel.w * step_map.grid.derivative(state.p)
+                 + f_reaction(step_map.model, state.c, state.p))
+    return step_map.pack(vel.v1, transport), state.c
 
 
 def _jacobian(F, x, f, c):
@@ -264,10 +163,11 @@ def solve_stationary(model, grid, tol=1e-6, config=None, *, cross_check):
         Scheme whose fixed point is sought (eps is forced to 0); runs that
         measure deviations against the result should use the same dt.
     cross_check : bool, keyword-only and required
-        Also record the direct construction's log-radius, bracketed
-        around z*, in ``z_direct``.  The two discretize steady transport
-        differently, so only a gap beyond max(10*tol, (h e^{z*})^2), an
-        O(h^2) floor in the nutrient boundary layer, logs a warning.
+        Also record in ``z_direct`` the log-radius of Newton on the steady
+        equations, stopped at |G|_inf <= tol.  The two discretize steady
+        transport differently, so only a gap beyond max(10*tol,
+        (h e^{z*})^2), an O(h^2) floor in the nutrient boundary layer, logs
+        a warning.
 
     Raises
     ------
@@ -275,11 +175,9 @@ def solve_stationary(model, grid, tol=1e-6, config=None, *, cross_check):
         No certificate within T_RELAX units of pseudo-time, or a failure
         inside the solve (a singular Newton system, or a log-radius that
         runs away past ``nutrient.Z_MAX``, whose message names z);
-        ``residual`` holds the last |F|_inf.
-    BracketError
-        Cross-check enabled and v(1; z) keeps one sign over z* +- w for
-        every w = CHECK_HALF_WIDTH * 2^k up to CHECK_MAX_HALF_WIDTH; the
-        message names the last bracket.
+        ``residual`` holds the last |F|_inf.  The cross-check's stall
+        (|G|_inf above tol, or not finite) or failure names it; a stall's
+        ``residual`` holds the last accepted |G|_inf.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
@@ -334,17 +232,19 @@ def solve_stationary(model, grid, tol=1e-6, config=None, *, cross_check):
     )
 
     if cross_check:
-        # bracket around z*, the half-width doubling while v(1; z) keeps
-        # one sign
-        width = CHECK_HALF_WIDTH
-        while solution.z_direct is None:
-            try:
-                solution.z_direct = stationary_by_bisection(
-                    model, grid, (solution.z - width, solution.z + width))
-            except BracketError:
-                if width >= CHECK_MAX_HALF_WIDTH:
-                    raise
-                width *= 2.0
+        # Newton on the steady equations from the certified state
+        try:
+            x, _, norm, _ = _newton(
+                lambda x, guess: _steady_residual(fine, x, guess),
+                x, state.c, tol)
+        except (ConvergenceError, ValueError, FloatingPointError) as exc:
+            raise ConvergenceError(
+                f"stationary cross-check failed: {exc}",
+                residual=getattr(exc, "residual", None)) from exc
+        if not norm <= tol:
+            raise ConvergenceError("stationary cross-check stalled at "
+                                   f"|G|_inf = {norm:.3e}", residual=norm)
+        solution.z_direct = float(x[0])
         gap = abs(solution.z_direct - solution.z)
         threshold = max(10.0 * tol, (grid.h * np.exp(solution.z))**2)
         if gap > threshold:

@@ -20,7 +20,7 @@ def grid401():
 
 @pytest.fixture(scope="session")
 def stationary201(model, grid201):
-    # shared by evolution/analysis tests; the cross-check adds about 0.1 s
+    # shared by evolution/analysis tests; the cross-check adds about 5 ms
     return solve_stationary(model, grid201, tol=1e-6, cross_check=True)
 
 

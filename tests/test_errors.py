@@ -11,7 +11,7 @@ def test_errors_keep_their_contents_through_pickle():
     # pickle: type, message and attributes survive; the cause does not
     kinds = [obj for obj in vars(errors).values()
              if isinstance(obj, type) and issubclass(obj, errors.SpheroidError)]
-    assert len(kinds) == 9
+    assert len(kinds) == 8
     for kind in kinds:
         err = kind("what went wrong")
         err.__cause__ = ValueError("the cause")

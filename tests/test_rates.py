@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spheroid import (DomainError, Rate, RateModel, UnknownRateError,
                       check_assumptions, default_model, equilibrium_fraction,
                       f_reaction, g_source)
-from spheroid.rates import MARGIN, check_domain, f_reaction_partials
+from spheroid.rates import MARGIN, check_domain
 
 from conftest import all_zero_model, make_model, zero_rate
 
@@ -148,27 +148,10 @@ SWEEP_MODEL = RateModel(
     K_D=Rate("sigmoid", {"amp": 1.579, "steepness": 0.227, "center": 0.617}))
 
 
-def test_partials_match_finite_differences():
-    h = 1e-6
-    points = ((0.4, 0.7),
-              (np.linspace(0.05, 0.95, 7), np.linspace(0.9, 0.1, 7)))
-    for m in (default_model(), SWEEP_MODEL):
-        for c, p in points:
-            f_c, f_p = f_reaction_partials(m, c, p)
-            assert np.shape(f_c) == np.shape(f_p) == np.shape(c)
-            assert np.allclose(f_c, (f_reaction(m, c + h, p)
-                                     - f_reaction(m, c - h, p)) / (2 * h),
-                               rtol=0.0, atol=1e-7)
-            assert np.allclose(f_p, (f_reaction(m, c, p + h)
-                                     - f_reaction(m, c, p - h)) / (2 * h),
-                               rtol=0.0, atol=1e-7)
-
-
 def test_scalar_inputs_give_floats():
     # numpy.float64, a float subclass, also through the constant family
     for m in (default_model(), SWEEP_MODEL, all_zero_model()):
         values = (f_reaction(m, 0.4, 0.7), g_source(m, 0.4, 0.7),
-                  *f_reaction_partials(m, 0.4, 0.7),
                   equilibrium_fraction(m, 0.4))
         assert all(isinstance(v, float) for v in values), values
 

@@ -10,14 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spheroid
-from spheroid import (BracketError, ConvergenceError, Grid, Rate, RateModel,
-                      SolverConfig, check_assumptions, default_model,
-                      equilibrium_fraction, evolution, solve_nutrient,
-                      solve_stationary, stationary, stationary_by_bisection,
-                      step, velocity_from_state)
+from spheroid import (ConvergenceError, Grid, Rate, RateModel, SolverConfig,
+                      check_assumptions, default_model, equilibrium_fraction,
+                      evolution, f_reaction, solve_nutrient, solve_stationary,
+                      stationary, step, velocity_from_state)
 from spheroid.evolution import State
-
-from conftest import make_model, zero_rate
 
 
 def test_stationary_residuals(stationary201):
@@ -44,13 +41,6 @@ def test_methods_agree(stationary201):
     # evolution fixed point vs direct construction
     assert stationary201.z_direct is not None
     assert abs(stationary201.z - stationary201.z_direct) < 1e-4
-
-
-def test_bracket_error():
-    # everything grows: g > 0 for all c, p at the equilibrium fraction
-    m = make_model(K_D=zero_rate(), K_Q=zero_rate())
-    with pytest.raises(BracketError):
-        stationary_by_bisection(m, Grid(101), z_bracket=(-0.5, 0.5))
 
 
 def test_full_pipeline_with_saturating_consumption():
@@ -181,7 +171,7 @@ def test_sweep_sets_certify_within_step_budget():
     # the other 28 sets certify at N=51, in 4484 step calls in all; a
     # relaxation in steps of 0.1 and a Jacobian rebuilt at every Newton
     # iteration took 10513.  Each also cross-checks, within the
-    # boundary-layer scale (h e^{z*})^2 (at most 0.58 of it, on set 7)
+    # boundary-layer scale (h e^{z*})^2 (at most 4.8e-3 of it, on set 7)
     calls, grid = 0, Grid(51)
     for number, m in enumerate(sweep_sets(), 1):
         if number in UNRESOLVED_AT_51:
@@ -228,14 +218,14 @@ def test_stationary_certified_for_callers_dt(dt):
     assert fixed_point_residual(m, s, config) <= 1e-6 / 10
 
 
-# z* = 3.127 at N=51, twice the default model's and above 2.5, so no one
-# fixed bracket serves every rate set; the direct root lies 0.0099 from z*,
-# on the edge of the first bracket around z*
+# z* = 3.129 at N=51, twice the default model's, where Newton alone
+# certifies the stationary state
 HIGH_Z_SET = RateModel(F=lin(1.527), K_B=mm(2.855, 1.672), K_P=mm(2.699, 0.79),
                        K_Q=sig(0.423, 2.85, 0.003), K_D=sig(1.579, 0.227, 0.617))
 
 # set 23 of the 30-set sweep, at its drawn values: z* = 4.138 at N=51, and
-# the direct root lies 0.0123 from z*, so the bracket around z* widens once
+# the steady equations' root lies 6.8e-5 from z*, within the threshold
+# (h e^{z*})^2 = 1.6
 SWEEP_SET_23 = RateModel(F=lin(0.5013462182608185),
                          K_B=mm(1.4621521082311109, 1.1623962370291456),
                          K_P=lin(1.697243179097204),
@@ -245,94 +235,62 @@ SWEEP_SET_23 = RateModel(F=lin(0.5013462182608185),
                                  0.45903669789284485))
 
 
-def test_cross_check_brackets_around_primary(monkeypatch):
-    solved = []    # one nutrient profile per z at which v(1; z) is solved
-    inner = stationary._steady_transport
-
-    def recording(model, c, grid):
-        solved.append(c.tobytes())
-        return inner(model, c, grid)
-
-    monkeypatch.setattr(stationary, "_steady_transport", recording)
-    s = solve_stationary(SWEEP_SET_23, Grid(51), cross_check=True)
-    assert s.z_direct is not None
-    assert s.z > 2.5
-    assert stationary.CHECK_HALF_WIDTH < abs(s.z_direct - s.z) < 0.02
-    assert len(set(solved)) == len(solved)
-
-
-def test_cross_check_warns_beyond_boundary_layer_scale(monkeypatch, caplog):
+def test_cross_check_warns_beyond_boundary_layer_scale(monkeypatch,
+                                                      caplog):
     # the nutrient boundary layer has width ~e^{-z}, so the two
-    # discretizations may differ by (h e^{z*})^2: set 23 at N=51 (gap
-    # 0.0123, above h^2 = 4e-4) is no disagreement, twice that scale is
-    grid = Grid(51)
+    # discretizations may differ by (h e^{z*})^2: the healthy solves log
+    # nothing, while a transport step whose reaction is scaled by 0.99
+    # leaves the default model's z* at N=201 8.7e-4 from the steady
+    # equations' root, beyond its threshold 5.9e-4
     with caplog.at_level(logging.WARNING, logger="spheroid"):
-        solve_stationary(SWEEP_SET_23, grid, cross_check=True)
+        solve_stationary(SWEEP_SET_23, Grid(51), cross_check=True)
+        solve_stationary(default_model(), Grid(201), cross_check=True)
     assert caplog.records == []
 
-    def beyond(model, grid, z_bracket):
-        z = sum(z_bracket) / 2.0
-        return z + 2.0 * (grid.h * np.exp(z))**2
+    def scaled(model, c, p):
+        return 0.99 * f_reaction(model, c, p)
 
-    monkeypatch.setattr(stationary, "stationary_by_bisection", beyond)
+    monkeypatch.setattr(evolution, "f_reaction", scaled)
     with caplog.at_level(logging.WARNING, logger="spheroid"):
-        solve_stationary(default_model(), grid, cross_check=True)
+        solve_stationary(default_model(), Grid(201), cross_check=True)
     assert [r.getMessage().split(":")[0] for r in caplog.records] == [
         "stationary methods disagree"]
 
 
-def test_cross_check_bracket_widens_to_its_limit(monkeypatch):
-    # v(1; z) > 0 everywhere: the half-width doubles up to its limit, then
-    # BracketError names the last bracket
-    monkeypatch.setattr(stationary, "_steady_transport",
-                        lambda model, c, grid: (None, 1.0, 1))
-    brackets = []
-    inner = stationary.stationary_by_bisection
+def test_cross_check_stall_is_typed(monkeypatch):
+    # a steady residual that is NaN everywhere but at the certified state
+    # leaves Newton no step to accept: the cross-check stalls there and
+    # says so, carrying |G|_inf at that state
+    inner = stationary._steady_residual
+    calls = []
 
-    def recording(model, grid, z_bracket):
-        brackets.append(z_bracket)
-        return inner(model, grid, z_bracket)
+    def failing(step_map, x, guess):
+        calls.append(1)
+        if len(calls) == 1:
+            return inner(step_map, x, guess)
+        return np.full(np.shape(x), np.nan), guess
 
-    monkeypatch.setattr(stationary, "stationary_by_bisection", recording)
-    with pytest.raises(BracketError) as info:
-        solve_stationary(default_model(), Grid(51), cross_check=True)
-    widths = [(hi - lo) / 2 for lo, hi in brackets]
-    assert widths == pytest.approx([0.01 * 2**k for k in range(8)])
-    assert widths[-1] == pytest.approx(stationary.CHECK_MAX_HALF_WIDTH)
-    lo, hi = brackets[-1]
-    assert f"[{lo:g}, {hi:g}]" in str(info.value)
-
-
-def test_picard_loop_that_neither_settles_nor_stalls_is_typed(monkeypatch):
-    # two sweeps do not settle the real profile
-    monkeypatch.setattr(stationary, "PICARD_SWEEPS", 2)
-    m, grid = default_model(), Grid(51)
-    c = solve_nutrient(m, 1.57, grid).c
-    with pytest.raises(ConvergenceError, match="did not settle") as info:
-        stationary._steady_transport(m, c, grid)
-    assert info.value.residual > 1e-12
-
-
-def test_no_advection_gives_the_pointwise_equilibrium():
-    # no birth and no death: g = 0, so w = 0 and nothing is carried along
-    # characteristics; p is the equilibrium at each node, after one sweep
-    m, grid = make_model(K_B=zero_rate(), K_D=zero_rate()), Grid(51)
-    c = solve_nutrient(default_model(), 1.57, grid).c
-    p, v1, sweeps = stationary._steady_transport(m, c, grid)
-    assert np.array_equal(p, equilibrium_fraction(m, c))
-    assert np.ptp(p) > 0.01
-    assert v1 == 0.0 and sweeps == 1
-
-
-def test_march_cell_that_does_not_settle_is_typed(monkeypatch):
-    # one Newton iteration does not settle the first cell of the march;
-    # the error names its inner end, r = 1 - 3h, and stops brentq
-    monkeypatch.setattr(stationary, "MARCH_NEWTON_MAXITER", 1)
-    m, grid = default_model(), Grid(51)
+    monkeypatch.setattr(stationary, "_steady_residual", failing)
     with pytest.raises(ConvergenceError,
-                       match=r"march did not settle at r=0\.94$") as info:
-        stationary_by_bisection(m, grid, (1.5, 1.6))
-    assert 0.0 < info.value.residual < np.inf
+                       match="^stationary cross-check stalled") as info:
+        solve_stationary(default_model(), Grid(51), cross_check=True)
+    assert 1e-6 < info.value.residual < np.inf
+
+
+def test_cross_check_failure_is_typed(monkeypatch):
+    # an error inside the cross-check's Newton surfaces as a
+    # ConvergenceError that names the cross-check, chained to its cause
+    exc = np.linalg.LinAlgError("Singular matrix")
+
+    def failing(step_map, x, guess):
+        raise exc
+
+    monkeypatch.setattr(stationary, "_steady_residual", failing)
+    with pytest.raises(ConvergenceError, match="^stationary cross-check "
+                                               "failed: Singular matrix$"
+                       ) as info:
+        solve_stationary(default_model(), Grid(51), cross_check=True)
+    assert info.value.__cause__ is exc
 
 
 # Newton-Krylov stalled on this set at N=51 while the transport step had
@@ -454,10 +412,11 @@ def test_relaxation_out_of_pseudo_time_is_typed(monkeypatch):
     monkeypatch.setattr(stationary, "T_RELAX", 1.0)
     with pytest.raises(ConvergenceError) as info:
         solve_stationary(default_model(), Grid(51), cross_check=False)
+    residual = info.value.residual
+    assert residual == pytest.approx(0.1193543, rel=1e-4)
     assert str(info.value) == (
-        "stationary solve failed at |F|_inf = 1.194e-01: relaxation not at "
-        "|F| <= 0.01 by t=1")
-    assert np.isfinite(info.value.residual)
+        f"stationary solve failed at |F|_inf = {residual:.3e}: relaxation "
+        "not at |F| <= 0.01 by t=1")
     assert isinstance(info.value.__cause__, ConvergenceError)
     assert info.value.__cause__.residual == info.value.residual
 
@@ -519,8 +478,8 @@ def test_jacobian_columns_match_solo_steps():
 
 
 def test_import_leaves_out_cross_check_scipy():
-    # the package and the primary solve load none of scipy's optimize,
-    # integrate and interpolate; the cross-check loads only optimize
+    # the package loads none of scipy's optimize, integrate and
+    # interpolate, with the cross-check or without it
     code = ("import sys, spheroid\n"
             "for check in (False, True):\n"
             "    spheroid.solve_stationary(spheroid.default_model(), "
@@ -531,7 +490,7 @@ def test_import_leaves_out_cross_check_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.splitlines() == ["[]", "['scipy.optimize']"]
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 def runaway_step(model, state, grid, config):
